@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import sys
+from typing import NoReturn
 
 import click
 
@@ -44,12 +45,23 @@ EXIT_FORMAT = 2
 EXIT_LIMIT = 3
 
 
+def _echo(text: str, nl: bool = True) -> None:
+    # An explicit stream: click's default one is cached per sys.stdout object
+    # in a mapping whose values refer back to their keys, so under CliRunner
+    # every invocation's output buffer would stay alive.
+    click.echo(text, file=sys.stdout, nl=nl)
+
+
+def _fail(message: object, code: int) -> NoReturn:
+    click.echo(f"error: {message}", file=sys.stderr)
+    sys.exit(code)
+
+
 def _read_graph(file) -> Graph:
     try:
         return parse_graph(file.read())
     except GraphFormatError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_FORMAT)
+        _fail(exc, EXIT_FORMAT)
 
 
 def _clique_label(c: frozenset[str]) -> str:
@@ -64,7 +76,7 @@ def _tree_edges_json(t: CliqueTree) -> list[list[str]]:
 
 
 def _emit(data) -> None:
-    click.echo(json.dumps(data, indent=2))
+    _echo(json.dumps(data, indent=2))
 
 
 def _dot_model(m: TreeModel) -> str:
@@ -90,11 +102,11 @@ def check(graph_file) -> None:
     g = _read_graph(graph_file)
     result = check_chordal(g)
     if isinstance(result, PerfectEliminationOrder):
-        click.echo("chordal")
-        click.echo(" ".join(result.order))
+        _echo("chordal")
+        _echo(" ".join(result.order))
     else:
-        click.echo("not chordal")
-        click.echo(" ".join(result))
+        _echo("not chordal")
+        _echo(" ".join(result))
         sys.exit(EXIT_NEGATIVE)
 
 
@@ -106,11 +118,9 @@ def leafage(graph_file) -> None:
     try:
         cliques = chordal_cliques(g)
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_NEGATIVE)
+        _fail(exc, EXIT_NEGATIVE)
     if not g.is_connected():
-        click.echo("error: graph is disconnected", err=True)
-        sys.exit(EXIT_FORMAT)
+        _fail("graph is disconnected", EXIT_FORMAT)
     start = build_clique_tree(clique_graph(cliques))
     tree, trace = minimize_leafage_with_trace(start)
     iterations = [
@@ -152,15 +162,10 @@ def vertex_leafage(graph_file, ell, budget_mode) -> None:
     g = _read_graph(graph_file)
     try:
         cert = vertex_leafage_bounded(g, ell=ell, budget_mode=budget_mode)
-    except NoFeasibleBranchingError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_NEGATIVE)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_NEGATIVE)
+    except (NoFeasibleBranchingError, ValueError) as exc:
+        _fail(exc, EXIT_NEGATIVE)
     if cert is None:
-        click.echo(f"error: leafage exceeds the bound {ell}", err=True)
-        sys.exit(EXIT_NEGATIVE)
+        _fail(f"leafage exceeds the bound {ell}", EXIT_NEGATIVE)
     tree = cert.tree
     branch = branching_sets(tree).incident_edges
     _emit(
@@ -186,10 +191,9 @@ def model(graph_file, dot) -> None:
     try:
         m, tree = simultaneous_optimum(g)
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_NEGATIVE)
+        _fail(exc, EXIT_NEGATIVE)
     if dot:
-        click.echo(_dot_model(m), nl=False)
+        _echo(_dot_model(m), nl=False)
         return
     report = leaf_report(m)
     _emit(
@@ -216,9 +220,8 @@ def gadget_build(clause_file) -> None:
         inst = parse_clause_file(clause_file.read())
         gg = build_gadget(inst)
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_FORMAT)
-    click.echo(format_edge_list(gg.graph), nl=False)
+        _fail(exc, EXIT_FORMAT)
+    _echo(format_edge_list(gg.graph), nl=False)
 
 
 @gadget.command(name="verify")
@@ -228,16 +231,13 @@ def gadget_verify(clause_file) -> None:
     try:
         inst = parse_clause_file(clause_file.read())
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_FORMAT)
+        _fail(exc, EXIT_FORMAT)
     try:
         report = verify_reduction(inst)
     except OracleLimitError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_LIMIT)
+        _fail(exc, EXIT_LIMIT)
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_FORMAT)
+        _fail(exc, EXIT_FORMAT)
     _emit(report)
 
 
@@ -249,11 +249,9 @@ def oracle(graph_file) -> None:
     try:
         result = oracle_optima(g)
     except OracleLimitError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_LIMIT)
+        _fail(exc, EXIT_LIMIT)
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_NEGATIVE)
+        _fail(exc, EXIT_NEGATIVE)
     leaf_tree, vl_tree, joint = result.witness_trees
     _emit(
         {
@@ -274,16 +272,16 @@ def repro() -> None:
     """Replay the bundled worked example with a printed trace."""
     g = demo_graph()
     tree = demo_clique_tree()
-    click.echo("maximal cliques:")
+    _echo("maximal cliques:")
     for i, c in enumerate(tree.cliques):
-        click.echo(f"  {i}: {_clique_label(c)}")
+        _echo(f"  {i}: {_clique_label(c)}")
     ta = tokens_from_tree(tree)
-    click.echo("token assignment of the starting tree:")
+    _echo("token assignment of the starting tree:")
     for i in range(len(tree.cliques)):
         toks = " ".join("{" + ",".join(sorted(s)) + "}" for s in ta.tokens[i])
-        click.echo(f"  {_clique_label(tree.cliques[i])}: {toks}")
-    click.echo(f"host leaves: {len(tree.leaves())}")
-    click.echo(f"subtree leaves of vertex a: {tree.vertex_leaf_count('a')}")
+        _echo(f"  {_clique_label(tree.cliques[i])}: {toks}")
+    _echo(f"host leaves: {len(tree.leaves())}")
+    _echo(f"subtree leaves of vertex a: {tree.vertex_leaf_count('a')}")
     final, trace = minimize_leafage_with_trace(tree)
     for step, rec in enumerate(trace, start=1):
         moves = "; ".join(
@@ -292,12 +290,12 @@ def repro() -> None:
             f"carrying {{{','.join(sorted(mv.token))}}}"
             for mv in rec.path.moves
         )
-        click.echo(
+        _echo(
             f"iteration {step}: {moves} "
             f"(leaves {rec.leaves_before} -> {rec.leaves_after})"
         )
-    click.echo(f"final host leaves: {len(final.leaves())}")
-    click.echo(f"final subtree leaves of vertex a: {final.vertex_leaf_count('a')}")
+    _echo(f"final host leaves: {len(final.leaves())}")
+    _echo(f"final subtree leaves of vertex a: {final.vertex_leaf_count('a')}")
 
 
 if __name__ == "__main__":

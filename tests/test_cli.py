@@ -1,12 +1,18 @@
 """Command-line interface behaviour and determinism."""
 
+import gc
+import hashlib
+import itertools
 import json
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
 
 from leafage.cli import main
 from leafage.demo import DEMO_EDGE_LIST
+from leafage.gadget import build_gadget, parse_clause_file
+from leafage.graphs import format_edge_list
 
 FOUR_CYCLE = "e a b\ne b c\ne c d\ne d a\n"
 PATH_GRAPH = "e a b\ne b c\ne c d\n"
@@ -195,3 +201,113 @@ class TestDeterminism:
             first = invoke(runner, args)
             second = invoke(runner, args)
             assert first.output == second.output
+
+
+def _edge_text(edges):
+    return "".join(f"e {u} {v}\n" for u, v in edges)
+
+
+def _star(m):
+    return _edge_text(("c", f"l{i:02d}") for i in range(m))
+
+
+def _caterpillar(spine, pendants):
+    s = [f"s{i:02d}" for i in range(spine)]
+    edges = list(zip(s, s[1:]))
+    edges += [(s[i], f"q{i:02d}x{j}") for i in range(spine) for j in range(pendants)]
+    return _edge_text(edges)
+
+
+def _spider(legs, length):
+    edges = []
+    for leg in range(legs):
+        prev = "c"
+        for step in range(length):
+            cur = f"a{leg}x{step}"
+            edges.append((prev, cur))
+            prev = cur
+    return _edge_text(edges)
+
+
+def _path(n):
+    return _edge_text((f"p{i:02d}", f"p{i + 1:02d}") for i in range(n - 1))
+
+
+def _interval_chain(k):
+    # Cliques on a line; consecutive cliques share one or two bridge vertices.
+    cliques = []
+    for i in range(k):
+        members = [f"b{i - 1}x{j}" for j in range(1 + (i - 1) % 2)] if i else ["p0"]
+        members += [f"b{i}x{j}" for j in range(1 + i % 2)] if i < k - 1 else ["p1"]
+        cliques.append(members)
+    return _edge_text(
+        sorted({tuple(sorted(e)) for c in cliques for e in itertools.combinations(c, 2)})
+    )
+
+
+# Domination-free 3-uniform NAE families (4 and 6 variables).
+NAE_K4 = "k 3\nv1 v2 v3\nv1 v2 v4\nv1 v3 v4\nv2 v3 v4\n"
+NAE_6 = "k 3\nv1 v2 v3\nv1 v4 v5\nv2 v4 v6\nv3 v5 v6\n"
+
+# sha256 of each command's stdout.  CLI output must stay byte-identical
+# across internal changes, so any change to these bytes fails here.
+GOLDEN = {
+    "leafage-star-12": (
+        ["leafage", "-"], _star(12),
+        "4b193c68227acc2350cfc934169e7883b852ab70372cf0405a01a9fb32087586",
+    ),
+    "leafage-caterpillar-8x2": (
+        ["leafage", "-"], _caterpillar(8, 2),
+        "3c7b13958cb1807513cd31cd6d00ed05f455951ca13f98d70b467005dbd0c680",
+    ),
+    "vertex-leafage-spider-4x3": (
+        ["vertex-leafage", "-"], _spider(4, 3),
+        "a84446c6e03627f71bcaaafd0484b2971a33ff27693863a9f702679e948e6c35",
+    ),
+    "vertex-leafage-nae-gadget": (
+        ["vertex-leafage", "-"], format_edge_list(build_gadget(parse_clause_file(NAE_K4)).graph),
+        "421c6e93395cefedbfd9f04cf72a212f04161eb1f387b08d1f6472c77fc810d6",
+    ),
+    "model-path-60": (
+        ["model", "-"], _path(60),
+        "aa79d03825b3c850561af3ffcffb301931b43577c22272427faccfe7b3d3dcc1",
+    ),
+    "model-interval-chain-12": (
+        ["model", "-"], _interval_chain(12),
+        "7e29c5168eba186854334d20495fbc552e1007c4840f8589892279da4b1b2e8f",
+    ),
+    "oracle-spider-4x2": (
+        ["oracle", "-"], _spider(4, 2),
+        "e093facafac35a0016a093da6c1e76bd40ab20e0597340196aee3347c91ac1ff",
+    ),
+    "gadget-verify-6": (
+        ["gadget", "verify", "-"], NAE_6,
+        "44f3d93ddd4394a164318fed61c243b4143288a039065398c78ef650397ef254",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_stdout(runner, name):
+    args, text, digest = GOLDEN[name]
+    res = invoke(runner, args, stdin=text)
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
+
+def test_repeated_invocations_do_not_retain_output(runner):
+    # Each CliRunner invocation gets a fresh stdout buffer; nothing in the
+    # CLI may keep those buffers alive once the invocation returns.
+    for _ in range(20):
+        invoke(runner, ["model", "-"], stdin=PATH_GRAPH)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(200):
+            invoke(runner, ["model", "-"], stdin=PATH_GRAPH)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 256 * 1024, grown

@@ -1,6 +1,7 @@
 """Clique trees, tree models, contraction, and branching sets."""
 
 import itertools
+import random
 
 import pytest
 
@@ -18,6 +19,7 @@ from leafage.cliquetrees import (
 )
 from leafage.demo import demo_clique_tree, demo_graph
 from leafage.graphs import Graph, chordal_cliques, clique_graph
+from leafage.oracle import enumerate_clique_trees
 
 
 @pytest.fixture
@@ -131,6 +133,14 @@ class TestBuildCliqueTree:
         t = build_clique_tree(clique_graph(chordal_cliques(g)))
         assert t.edges == frozenset()
 
+    def test_non_chordal_clique_family_raises(self):
+        # The cliques of C4: every spanning tree of their 4-cycle clique
+        # graph separates the two cliques holding one vertex.  The check
+        # raises rather than asserts, so it also holds under python -O.
+        cliques = tuple(frozenset(s) for s in ("ab", "ad", "bc", "cd"))
+        with pytest.raises(ValueError, match=r"violated containment: \(2, 3, 0\)"):
+            build_clique_tree(clique_graph(cliques))
+
 
 class TestTreeModel:
     def test_model_from_demo_tree(self, demo):
@@ -156,6 +166,15 @@ class TestTreeModel:
             {"a": frozenset({"x"}), "b": frozenset({"x"}), "c": frozenset({"y"})},
         )
         # b's subtree misses y, so b-c would not intersect: not a model.
+        assert not is_tree_model(g, m)
+
+    def test_not_a_model_when_subtree_leaves_host(self):
+        g = Graph.from_edges([], [("a", "b")])
+        m = TreeModel(
+            ("x", "y"),
+            frozenset({("x", "y")}),
+            {"a": frozenset({"x"}), "b": frozenset({"z"})},
+        )
         assert not is_tree_model(g, m)
 
 
@@ -228,3 +247,64 @@ class TestBranchingSets:
         bs = branching_sets(t)
         assert bs.high_nodes == frozenset()
         assert bs.incident_edges == frozenset()
+
+
+def _pairwise_violation(t: CliqueTree):
+    """Reference check: scan the tree path of every intersecting clique pair."""
+    n = len(t.cliques)
+    for i in range(n):
+        for j in range(i + 1, n):
+            common = t.cliques[i] & t.cliques[j]
+            if not common:
+                continue
+            for k in t.path(i, j):
+                if not common <= t.cliques[k]:
+                    return (i, j, k)
+    return None
+
+
+def _random_spanning_tree(cg, rng):
+    parent = list(range(len(cg.cliques)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    edges = cg.edges()
+    rng.shuffle(edges)
+    chosen = []
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            chosen.append((a, b))
+    return CliqueTree(cg.cliques, frozenset(chosen))
+
+
+class TestLinearContainmentCheck:
+    """The per-vertex criterion agrees with the pairwise path scan."""
+
+    def test_oracle_trees_are_valid_for_both(self, corpus):
+        for g, _ in corpus[:40]:
+            for tree in enumerate_clique_trees(g):
+                assert path_containment_violation(tree) is None
+                assert _pairwise_violation(tree) is None
+
+    def test_random_spanning_trees_agree(self, corpus):
+        rng = random.Random(0)
+        invalid = 0
+        for g, _ in corpus[:40]:
+            cg = clique_graph(chordal_cliques(g))
+            for _ in range(25):
+                tree = _random_spanning_tree(cg, rng)
+                witness = path_containment_violation(tree)
+                assert (witness is None) == (_pairwise_violation(tree) is None)
+                if witness is None:
+                    continue
+                invalid += 1
+                i, j, k = witness
+                assert i < j
+                assert k in tree.path(i, j)
+                assert not tree.cliques[i] & tree.cliques[j] <= tree.cliques[k]
+        assert invalid >= 100
