@@ -5,17 +5,34 @@ Clique trees induce the assignment mapping each clique to its intersections
 with its tree neighbours; moving tokens along shortest augmenting paths
 lowers the host leaf count one at a time without ever increasing any
 vertex's subtree leaf count.
+
+Realizability is decided separator by separator (Habib & Stacho, ESA 2009).
+For a token value S, the cliques containing S fall into *S-blocks*: two of
+them share a block when their parts outside S lie in one component of
+G - S.  In every clique tree the edges labelled S join different S-blocks
+and form a spanning tree on them (Galinier, Habib & Paul 1995), and cliques
+of different S-blocks meet in exactly S.  So an assignment is realizable
+iff its tokens total 2(k - 1) and, for every token value S, there are
+m_S >= 2 S-blocks, 2(m_S - 1) S-tokens, and at least one S-token in every
+S-block; a tree on the blocks with those degrees always exists (Prüfer).
+Deciding costs one pass over the tokens once the block table of each token
+value is built, in O(sum |C|) per value.  The backtracking search for the
+realizing tree itself runs once per minimization, on the final assignment.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
-from .cliquetrees import CliqueTree, path_containment_violation
+from .cliquetrees import CliqueTree, _reach, path_containment_violation
 
 Token = frozenset[str]
+
+
+class CertificateError(RuntimeError):
+    """A minimization step broke an invariant its result is certified by."""
 
 
 def _token_key(s: Token) -> tuple[str, ...]:
@@ -80,9 +97,24 @@ class TokenAssignment:
             return 0
         return sum(1 for toks in self.tokens.values() if len(toks) == 1)
 
+    def vertex_leaf_counts(self) -> Counter[str]:
+        """Subtree leaf count of every vertex, in one pass over the tokens.
+
+        A clique is a leaf of u's subtree when exactly one of its tokens
+        holds u.
+        """
+        counts: Counter[str] = Counter()
+        for toks in self.tokens.values():
+            # ``once``: the vertices held by exactly one token so far.
+            seen = once = frozenset()
+            for s in toks:
+                once = (once - s) | (s - seen)
+                seen |= s
+            counts.update(once)
+        return counts
+
     def vertex_leaf_count(self, u: str) -> int:
-        degs = self.degrees(u)
-        return sum(1 for d in degs.values() if d == 1)
+        return self.vertex_leaf_counts()[u]
 
 
 @dataclass(frozen=True)
@@ -135,20 +167,89 @@ def apply_path(ta: TokenAssignment, path: AugmentingPath) -> TokenAssignment:
     return ta
 
 
-def find_realizing_tree(ta: TokenAssignment) -> CliqueTree | None:
-    """Exact search for a clique tree whose neighbour intersections equal ``ta``.
+class SeparatorBlocks:
+    """S-blocks of one clique family, built per token value on first use.
 
-    An edge between cliques i and j consumes one token equal to their
-    intersection from each side; a full pairing must form a spanning tree
-    satisfying path containment.  Backtracking over the candidate pairs in
-    canonical order makes the result deterministic.
+    ``of(s)`` returns the block id of every clique containing ``s`` and the
+    number of blocks.  The table depends only on the cliques, so one
+    minimization builds it once and passes it to every decision it makes.
     """
+
+    def __init__(self, cliques: tuple[frozenset[str], ...]):
+        self.cliques = cliques
+        self._table: dict[Token, tuple[dict[int, int], int]] = {}
+
+    def of(self, s: Token) -> tuple[dict[int, int], int]:
+        entry = self._table.get(s)
+        if entry is None:
+            entry = self._table[s] = self._blocks(s)
+        return entry
+
+    def _blocks(self, s: Token) -> tuple[dict[int, int], int]:
+        # Cliques (int ids) and their vertices outside s (str names) form a
+        # bipartite graph whose components are the s-blocks.
+        adj: dict[int | str, list] = {}
+        for i, c in enumerate(self.cliques):
+            if s <= c:
+                adj[i] = c - s
+                for v in adj[i]:
+                    adj.setdefault(v, []).append(i)
+        block: dict[int, int] = {}
+        m = 0
+        for i in range(len(self.cliques)):
+            if i in adj and i not in block:
+                for x in _reach(adj, i, adj.keys()):
+                    if isinstance(x, int):
+                        block[x] = m
+                m += 1
+        return block, m
+
+
+def is_realizable(ta: TokenAssignment, blocks: SeparatorBlocks | None = None) -> bool:
+    """Whether some clique tree induces ``ta``, decided per separator block.
+
+    True iff the tokens total 2(k - 1) and every token value S has m_S >= 2
+    S-blocks, exactly 2(m_S - 1) tokens, and a token in each S-block (see the
+    module docstring).  ``blocks`` must belong to ``ta.cliques``; without it
+    a fresh table is built.  Cost O(number of tokens) plus building the
+    table entry of each token value not seen before.
+    """
+    if ta.total() != 2 * (len(ta.cliques) - 1):
+        return False
+    if blocks is None:
+        blocks = SeparatorBlocks(ta.cliques)
+    holders: dict[Token, list[int]] = {}
+    for i, toks in ta.tokens.items():
+        for s in toks:
+            holders.setdefault(s, []).append(i)
+    for s, ids in holders.items():
+        block, m = blocks.of(s)
+        # len(ids) >= 1, so len(ids) == 2(m - 1) already forces m >= 2.
+        if len(ids) != 2 * (m - 1) or len({block[i] for i in ids}) != m:
+            return False
+    return True
+
+
+def find_realizing_tree(
+    ta: TokenAssignment, blocks: SeparatorBlocks | None = None
+) -> CliqueTree | None:
+    """Clique tree whose neighbour intersections equal ``ta``, or None.
+
+    Returns None at once when :func:`is_realizable` says no.  Otherwise an
+    edge between cliques i and j consumes one token equal to their
+    intersection from each side, and a depth-first search over the candidate
+    pairs in canonical order, taking each pair before skipping it, returns
+    the first full pairing that is a clique tree, so the result is
+    deterministic.  The search keeps its own stack, so it does not recurse,
+    and may backtrack exponentially often; minimization calls it once, on
+    its final assignment.
+    """
+    if not is_realizable(ta, blocks):
+        return None
     cliques = ta.cliques
     k = len(cliques)
     if k == 1:
-        return CliqueTree(cliques, frozenset()) if ta.total() == 0 else None
-    if ta.total() != 2 * (k - 1):
-        return None
+        return CliqueTree(cliques, frozenset())
 
     remaining = {i: Counter(ta.tokens[i]) for i in range(k)}
     candidates: list[tuple[int, int, Token]] = []
@@ -157,18 +258,11 @@ def find_realizing_tree(ta: TokenAssignment) -> CliqueTree | None:
             common = cliques[i] & cliques[j]
             if common and remaining[i][common] and remaining[j][common]:
                 candidates.append((i, j, common))
-
-    if len(candidates) < k - 1:
-        return None
     # Per-clique availability of candidate edges by token value.
     avail: dict[int, Counter] = {i: Counter() for i in range(k)}
     for i, j, s in candidates:
         avail[i][s] += 1
         avail[j][s] += 1
-    for i in range(k):
-        for s, need in remaining[i].items():
-            if avail[i][s] < need:
-                return None
 
     chosen: list[tuple[int, int]] = []
     parent = list(range(k))
@@ -178,49 +272,61 @@ def find_realizing_tree(ta: TokenAssignment) -> CliqueTree | None:
             x = parent[x]
         return x
 
-    def search(idx: int) -> CliqueTree | None:
-        if len(chosen) == k - 1:
-            tree = CliqueTree(cliques, frozenset(chosen))
-            if path_containment_violation(tree) is None:
-                return tree
-            return None
-        if idx == len(candidates) or len(chosen) + len(candidates) - idx < k - 1:
-            return None
+    # Frames: (ENTER, idx, _) decides candidate idx; (UNTAKE, idx, root)
+    # undoes taking it and then tries skipping it; (UNSKIP, idx, _) undoes
+    # the skip.  Both undo frames are popped only once every branch below
+    # them has failed.
+    ENTER, UNTAKE, UNSKIP = range(3)
+    stack = [(ENTER, 0, -1)]
+    while stack:
+        action, idx, root = stack.pop()
+        if action == ENTER:
+            if len(chosen) == k - 1:
+                tree = CliqueTree(cliques, frozenset(chosen))
+                if path_containment_violation(tree) is None:
+                    return tree
+                continue
+            if len(chosen) + len(candidates) - idx < k - 1:
+                continue
         i, j, s = candidates[idx]
-        ri, rj = find(i), find(j)
-        if remaining[i][s] and remaining[j][s] and ri != rj:
-            remaining[i][s] -= 1
-            remaining[j][s] -= 1
-            avail[i][s] -= 1
-            avail[j][s] -= 1
-            parent[ri] = rj
-            chosen.append((i, j))
-            found = search(idx + 1)
+        if action == ENTER:
+            ri, rj = find(i), find(j)
+            if remaining[i][s] and remaining[j][s] and ri != rj:
+                remaining[i][s] -= 1
+                remaining[j][s] -= 1
+                avail[i][s] -= 1
+                avail[j][s] -= 1
+                parent[ri] = rj
+                chosen.append((i, j))
+                stack.append((UNTAKE, idx, ri))
+                stack.append((ENTER, idx + 1, -1))
+                continue
+        elif action == UNTAKE:
             chosen.pop()
-            parent[ri] = ri
+            parent[root] = root
             remaining[i][s] += 1
             remaining[j][s] += 1
             avail[i][s] += 1
             avail[j][s] += 1
-            if found is not None:
-                return found
+        else:
+            avail[i][s] += 1
+            avail[j][s] += 1
+            continue
         # Leave the edge out; both endpoints must still be satisfiable.
         avail[i][s] -= 1
         avail[j][s] -= 1
-        ok = avail[i][s] >= remaining[i][s] and avail[j][s] >= remaining[j][s]
-        found = search(idx + 1) if ok else None
-        avail[i][s] += 1
-        avail[j][s] += 1
-        return found
-
-    return search(0)
-
-
-def is_realizable(ta: TokenAssignment) -> bool:
-    return find_realizing_tree(ta) is not None
+        if avail[i][s] >= remaining[i][s] and avail[j][s] >= remaining[j][s]:
+            stack.append((UNSKIP, idx, -1))
+            stack.append((ENTER, idx + 1, -1))
+        else:
+            avail[i][s] += 1
+            avail[j][s] += 1
+    return None
 
 
-def shortest_augmenting_path(ta: TokenAssignment) -> AugmentingPath | None:
+def shortest_augmenting_path(
+    ta: TokenAssignment, blocks: SeparatorBlocks | None = None
+) -> AugmentingPath | None:
     """Minimum-length augmenting path of ``ta``, canonical tie-break.
 
     A path starts at a clique holding >= 3 tokens, passes through cliques
@@ -228,9 +334,12 @@ def shortest_augmenting_path(ta: TokenAssignment) -> AugmentingPath | None:
     cliques, and every single move must alone produce a realizable
     assignment (all conditions are evaluated against ``ta`` itself).  Among
     shortest paths the lexicographically least clique-id sequence wins, and
-    each move carries the least feasible token.
+    each move carries the least feasible token.  ``blocks`` is passed to
+    :func:`is_realizable`.
     """
     k = len(ta.cliques)
+    if blocks is None:
+        blocks = SeparatorBlocks(ta.cliques)
     sizes = {i: ta.size(i) for i in range(k)}
     starts = sorted(i for i in range(k) if sizes[i] >= 3)
     if not starts:
@@ -245,36 +354,44 @@ def shortest_augmenting_path(ta: TokenAssignment) -> AugmentingPath | None:
             for s in sorted(set(ta.tokens[src]), key=_token_key):
                 if not s <= ta.cliques[dst]:
                     continue
-                moved = apply_move(ta, TokenMove(src, dst, s))
-                if find_realizing_tree(moved) is not None:
+                if is_realizable(apply_move(ta, TokenMove(src, dst, s)), blocks):
                     result = s
                     break
             move_cache[key] = result
         return move_cache[key]
 
-    def extend(path: list[int], length: int) -> list[int] | None:
-        if len(path) == length + 1:
-            return list(path)
-        last = path[-1]
-        final = len(path) == length
-        for nxt in range(k):
-            if nxt in path:
-                continue
-            want = 1 if final else 2
-            if sizes[nxt] != want:
-                continue
-            if feasible_token(last, nxt) is None:
-                continue
-            path.append(nxt)
-            found = extend(path, length)
-            path.pop()
-            if found is not None:
-                return found
+    def extend(start: int, length: int) -> list[int] | None:
+        # Depth-first over clique ids in increasing order; ``cursor[d]`` is
+        # the next id to try after ``path[d]``.
+        path = [start]
+        cursor = [0]
+        while path:
+            if len(path) == length + 1:
+                return path
+            last = path[-1]
+            want = 1 if len(path) == length else 2
+            nxt = next(
+                (
+                    c
+                    for c in range(cursor[-1], k)
+                    if c not in path
+                    and sizes[c] == want
+                    and feasible_token(last, c) is not None
+                ),
+                None,
+            )
+            if nxt is None:
+                path.pop()
+                cursor.pop()
+            else:
+                cursor[-1] = nxt + 1
+                path.append(nxt)
+                cursor.append(0)
         return None
 
     for length in range(1, k):
         for start in starts:
-            found = extend([start], length)
+            found = extend(start, length)
             if found is not None:
                 moves = tuple(
                     TokenMove(a, b, feasible_token(a, b))
@@ -303,25 +420,38 @@ def minimize_leafage_with_trace(t: CliqueTree) -> tuple[CliqueTree, list[Iterati
 
     The returned tree has the minimum possible host leaf count, and for every
     vertex its subtree leaf count never exceeds the input tree's.  Each
-    iteration reduces the host leaf count by exactly one and keeps the
-    assignment realizable; both facts are asserted.
+    iteration must keep the assignment realizable, lower the host leaf count
+    by exactly one and raise no vertex's leaf count; a step that does not
+    raises :class:`CertificateError`.  The S-block table is built once per
+    call, and the realizing tree is searched for once, on the final
+    assignment; without any iteration ``t`` itself is returned.
     """
-    vertices = sorted(set().union(*t.cliques))
+    blocks = SeparatorBlocks(t.cliques)
     ta = tokens_from_tree(t)
-    tree = t
     trace: list[IterationRecord] = []
+    vertex_leaves: Counter[str] = Counter()  # of ``ta``, once an iteration ran
     while True:
-        path = shortest_augmenting_path(ta)
+        path = shortest_augmenting_path(ta, blocks)
         if path is None:
             break
         before = ta.leaf_count()
-        before_vertex = {u: ta.vertex_leaf_count(u) for u in vertices}
+        before_vertex = vertex_leaves if trace else ta.vertex_leaf_counts()
         ta = apply_path(ta, path)
-        next_tree = find_realizing_tree(ta)
-        assert next_tree is not None, "assignment after augmenting path is unrealizable"
-        tree = next_tree
+        if not is_realizable(ta, blocks):
+            raise CertificateError("assignment after augmenting path is unrealizable")
         after = ta.leaf_count()
-        assert after == before - 1
-        assert all(ta.vertex_leaf_count(u) <= before_vertex[u] for u in vertices)
+        if after != before - 1:
+            raise CertificateError(
+                f"host leaf count went from {before} to {after}, not down by one"
+            )
+        vertex_leaves = ta.vertex_leaf_counts()
+        risen = sorted(u for u, n in vertex_leaves.items() if n > before_vertex[u])
+        if risen:
+            raise CertificateError(f"subtree leaf count rose for vertices {risen}")
         trace.append(IterationRecord(path, before, after))
+    if not trace:
+        return t, trace
+    tree = find_realizing_tree(ta, blocks)
+    if tree is None:
+        raise CertificateError("no clique tree realizes the final assignment")
     return tree, trace

@@ -207,13 +207,17 @@ def candidate_branch_sets(
         c: _admissible_stars(cg, c, budget) for c in range(len(cg.cliques))
     }
 
-    def extend(centers: list[int], f: frozenset, used_slack: int) -> None:
-        if centers:
+    # An explicit stack, not a recursive closure: the closure's reference
+    # cycle would keep ``results`` alive until the next garbage collection.
+    # Entries: (centers so far, last center, edge set, slack used).
+    stack: list[tuple[int, int, BranchEdgeSet, int]] = [(0, -1, frozenset(), 0)]
+    while stack:
+        count, last, f, used_slack = stack.pop()
+        if count:
             results.add(f)
-        if len(centers) == max_centers:
-            return
-        start = centers[-1] + 1 if centers else 0
-        for c in range(start, len(cg.cliques)):
+        if count == max_centers:
+            continue
+        for c in range(last + 1, len(cg.cliques)):
             for star in star_table[c]:
                 combined = f | frozenset(star)
                 degree = sum(1 for e in combined if c in e)
@@ -221,9 +225,7 @@ def candidate_branch_sets(
                     continue
                 if used_slack + degree - 2 > slack:
                     continue
-                extend(centers + [c], combined, used_slack + degree - 2)
-
-    extend([], frozenset(), 0)
+                stack.append((count + 1, c, combined, used_slack + degree - 2))
     filtered = []
     for f in results:
         if f and not _branch_shape_ok(f):
@@ -267,13 +269,13 @@ def vertex_leafage_bounded(
     if len(cliques) == 1:
         tree = CliqueTree(cliques, frozenset())
         return VlCertificate(0, tree, {u: 0 for u in g.vertices})
-    tmin = minimize_leafage(build_clique_tree(clique_graph(cliques)))
+    cg = clique_graph(cliques)
+    tmin = minimize_leafage(build_clique_tree(cg))
     leafage = len(tmin.leaves())
     if ell is not None and leafage > ell:
         return None
     budget = (leafage - 2) if budget_mode == "paper" else 3 * (leafage - 2)
     budget = min(budget, len(cliques) - 1)
-    cg = clique_graph(cliques)
     best: tuple[int, CliqueTree] | None = None
     for f in candidate_branch_sets(cg, leafage, budget):
         tree = clique_tree_with_branching(g, f, cliques)

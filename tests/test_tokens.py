@@ -1,11 +1,20 @@
 """Token assignments, realizability, and augmenting-path minimization."""
 
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import leafage
 from leafage.cliquetrees import CliqueTree, verify_clique_tree
 from leafage.demo import demo_clique_tree, demo_graph
-from leafage.graphs import chordal_cliques, clique_graph
+from leafage.gadget import NaeInstance, build_gadget
+from leafage.graphs import Graph, chordal_cliques, clique_graph
 from leafage.cliquetrees import build_clique_tree
+from leafage.oracle import enumerate_clique_trees
 from leafage.tokens import (
     AugmentingPath,
     TokenAssignment,
@@ -221,3 +230,137 @@ class TestMinimizeLeafage:
             assert len(final.leaves()) == result.leafage
             for rec in trace:
                 assert rec.leaves_before - rec.leaves_after == 1
+
+    @pytest.mark.parametrize("m", [48, 128])
+    def test_large_star_without_recursion(self, m):
+        g = Graph.from_edges(
+            ["c"] + [f"l{i}" for i in range(m)], [("c", f"l{i}") for i in range(m)]
+        )
+        t = build_clique_tree(clique_graph(chordal_cliques(g)))
+        final, trace = minimize_leafage_with_trace(t)
+        assert len(final.leaves()) == 2
+        assert len(trace) == m - 3
+
+
+# Each script forces one bad minimization step by replacing ``apply_path``;
+# run under ``python -O``, so a check written as ``assert`` would vanish.
+_BAD_STEPS = {
+    "unrealizable": """
+def bad(ta, path):
+    ta = original(ta, path)
+    i = next(i for i, toks in ta.tokens.items() if toks)
+    return tk.TokenAssignment.create(ta.cliques, {**ta.tokens, i: ta.tokens[i][1:]})
+""",
+    "not down by one": """
+def bad(ta, path):
+    return original(ta, tk.AugmentingPath(path.moves[:-1]))
+""",
+    "rose": """
+from leafage.oracle import enumerate_clique_trees
+before = tk.tokens_from_tree(t)
+worse = next(
+    ta for ta in map(tk.tokens_from_tree, enumerate_clique_trees(demo_graph()))
+    if ta.leaf_count() == before.leaf_count() - 1
+    and any(n > before.vertex_leaf_counts()[u] for u, n in ta.vertex_leaf_counts().items())
+)
+def bad(ta, path):
+    return worse
+""",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_STEPS))
+def test_certificate_error_survives_optimize(case):
+    script = (
+        "import leafage.tokens as tk\n"
+        "from leafage.demo import demo_clique_tree, demo_graph\n"
+        "assert False, 'not run under -O'\n"
+        "t = demo_clique_tree()\n"
+        "original = tk.apply_path\n"
+        + _BAD_STEPS[case]
+        + "tk.apply_path = bad\n"
+        "try:\n"
+        "    tk.minimize_leafage_with_trace(t)\n"
+        "except tk.CertificateError as exc:\n"
+        "    print('CertificateError:', exc)\n"
+    )
+    src = str(Path(leafage.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("CertificateError:") and case in out.stdout
+
+
+def _spider(legs, length):
+    edges = []
+    for leg in range(legs):
+        prev = "c"
+        for step in range(length):
+            edges.append((prev, f"a{leg}x{step}"))
+            prev = f"a{leg}x{step}"
+    return Graph.from_edges(sorted({v for e in edges for v in e}), edges)
+
+
+def _gadget(*clauses):
+    return build_gadget(NaeInstance.create([frozenset(c) for c in clauses], 3)).graph
+
+
+def _key(ta):
+    return tuple(ta.tokens[i] for i in range(len(ta.cliques)))
+
+
+def _random_spanning_tree(cliques, rng):
+    # Kruskal on random weights over the intersecting clique pairs.
+    pairs = [e for e in clique_graph(cliques).weights]
+    rng.shuffle(pairs)
+    parent = list(range(len(cliques)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    edges = []
+    for i, j in pairs:
+        if find(i) != find(j):
+            parent[find(i)] = find(j)
+            edges.append((i, j))
+    return CliqueTree(cliques, frozenset(edges))
+
+
+def _random_move(ta, rng):
+    src = rng.choice([i for i, toks in ta.tokens.items() if toks])
+    s = rng.choice(ta.tokens[src])
+    dst = rng.choice([i for i, c in enumerate(ta.cliques) if s <= c])
+    return apply_move(ta, TokenMove(src, dst, s))
+
+
+def test_separator_decision_matches_clique_trees(corpus):
+    """``is_realizable`` is true exactly on assignments of enumerated clique trees."""
+    graphs = [g for g, _ in corpus if 2 <= len(chordal_cliques(g)) <= 7]
+    graphs += [
+        _spider(4, 2),
+        _spider(5, 2),
+        _gadget(("v1", "v2", "v3"), ("v1", "v4", "v5"), ("v2", "v4", "v6"), ("v3", "v5", "v6")),
+        _gadget(("v1", "v2", "v3"), ("v1", "v4", "v5"), ("v2", "v4", "v6")),
+    ]
+    rng = random.Random(3)
+    realizable = unrealizable = 0
+    for g in graphs:
+        cliques = chordal_cliques(g)
+        reference = {_key(tokens_from_tree(t)) for t in enumerate_clique_trees(g)}
+        tried = [tokens_from_tree(_random_spanning_tree(cliques, rng)) for _ in range(12)]
+        tried += [_random_move(rng.choice(tried), rng) for _ in range(12)]
+        for ta in tried:
+            expected = _key(ta) in reference
+            assert is_realizable(ta) == expected
+            tree = find_realizing_tree(ta)
+            assert (tree is not None) == expected
+            if tree is not None:
+                assert tokens_from_tree(tree) == ta
+            realizable += expected
+            unrealizable += not expected
+    assert realizable > 100 and unrealizable > 100
