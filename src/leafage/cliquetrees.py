@@ -1,22 +1,30 @@
-"""Clique trees, tree models, minimal-model contraction, and leaf statistics."""
+"""Clique trees, the forest that grows them, tree models, and leaf statistics."""
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import AbstractSet, Any, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from .graphs import CliqueGraph, Graph, chordal_cliques
+from .graphs import CliqueGraph, Graph, _path, _reach, _sorted_adjacency, chordal_cliques
 
 
-def _sorted_adjacency(nodes: Iterable, edges: Iterable[tuple]) -> dict[Any, tuple]:
-    """Node -> sorted tuple of its neighbours, for ``nodes`` and edge ends."""
-    adj: dict[Any, list] = {x: [] for x in nodes}
-    for a, b in edges:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    return {x: tuple(sorted(ws)) for x, ws in adj.items()}
+def _count_vertex_leaves(tokens: Iterable[Iterable[frozenset[str]]]) -> Counter[str]:
+    """Subtree leaf count of every vertex from each clique's neighbour tokens.
+
+    ``tokens`` gives, per clique, the intersections with its tree neighbours.
+    A clique is a leaf of u's subtree when exactly one of them holds u.
+    """
+    counts: Counter[str] = Counter()
+    for toks in tokens:
+        # ``once``: the vertices held by exactly one token so far.
+        seen = once = frozenset()
+        for s in toks:
+            once = (once - s) | (s - seen)
+            seen |= s
+        counts.update(once)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -55,58 +63,93 @@ class CliqueTree:
 
     def path(self, src: int, dst: int) -> list[int]:
         """Node sequence of the unique src-dst path."""
-        adj = self.adjacency
-        prev: dict[int, int | None] = {src: None}
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            if u == dst:
-                out = []
-                node: int | None = u
-                while node is not None:
-                    out.append(node)
-                    node = prev[node]
-                out.reverse()
-                return out
-            for w in adj[u]:
-                if w not in prev:
-                    prev[w] = u
-                    queue.append(w)
-        raise ValueError(f"no path between nodes {src} and {dst}")
+        path = _path(self.adjacency, src, dst, range(len(self.cliques)))
+        if path is None:
+            raise ValueError(f"no path between nodes {src} and {dst}")
+        return path
 
-    def vertex_nodes(self, u: str) -> list[int]:
-        """Ids of the cliques containing vertex ``u`` (the subtree of ``u``)."""
-        return [i for i, c in enumerate(self.cliques) if u in c]
+    @cached_property
+    def _vertex_leaves(self) -> Counter[str]:
+        # One pass over the neighbour intersections, O(sum |C_a & C_b|).
+        c = self.cliques
+        return _count_vertex_leaves(
+            [[c[i] & c[j] for j in ws] for i, ws in enumerate(self.adjacency)]
+        )
 
     def vertex_leaf_count(self, u: str) -> int:
         """Leaves of the subtree induced by the cliques containing ``u``."""
-        nodes = self.vertex_nodes(u)
-        if len(nodes) <= 1:
-            return 0
-        adj = self.adjacency
-        node_set = set(nodes)
-        return sum(
-            1 for i in nodes if sum(1 for w in adj[i] if w in node_set) == 1
-        )
+        return self._vertex_leaves[u]
 
     def max_vertex_leaf_count(self, vertices: Iterable[str]) -> int:
-        return max((self.vertex_leaf_count(u) for u in vertices), default=0)
+        counts = self._vertex_leaves
+        return max((counts[u] for u in vertices), default=0)
 
 
-def _reach(
-    adj: Mapping[Any, Iterable] | Sequence[Iterable[int]],
-    start: Any,
-    allowed: AbstractSet,
-) -> set:
-    """Nodes reachable from ``start`` through nodes of ``allowed`` only."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w in allowed and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
+class Forest:
+    """Union-find on clique ids that can undo its links; grows clique trees.
+
+    Links by size and never compresses paths, so ``find`` costs O(log k)
+    and ``undo`` takes back the most recent link.  Every root also keeps the
+    vertex union of its component's cliques; a link merges the smaller
+    union into the larger one, O(min(|A|, |B|)).
+    """
+
+    def __init__(self, cliques: tuple[frozenset[str], ...]):
+        self.cliques = cliques
+        self.parent = list(range(len(cliques)))
+        self.size = [1] * len(cliques)
+        self.vertices = [set(c) for c in cliques]
+        # Per link: (kept root, absorbed root, kept root's old union,
+        # the union that grew, the vertices it gained).
+        self._links: list[tuple[int, int, set, set, set]] = []
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> bool:
+        """Link the components of ``a`` and ``b``; False if they are one."""
+        return self._link(self.find(a), self.find(b))
+
+    def join(self, a: int, b: int) -> bool:
+        """Add the edge a-b if the forest stays part of some clique tree.
+
+        When every vertex's cliques are connected inside each component
+        (the connected-subtree criterion, Blair & Peyton 1993), joining
+        components A and B by a-b keeps that so iff every vertex in both
+        components lies in C_a and C_b: (U A) & (U B) <= C_a & C_b.  False,
+        and nothing changes, on a cycle or a violation.
+        """
+        ra, rb = self.find(a), self.find(b)
+        common = self.cliques[a] & self.cliques[b]
+        if ra != rb and not self.vertices[ra] & self.vertices[rb] <= common:
+            return False
+        return self._link(ra, rb)
+
+    def _link(self, ra: int, rb: int) -> bool:
+        if ra == rb:
+            return False
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        kept, other = self.vertices[ra], self.vertices[rb]
+        small, big = (kept, other) if len(kept) < len(other) else (other, kept)
+        added = small - big
+        big |= added
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        self.vertices[ra] = big
+        self._links.append((ra, rb, kept, big, added))
+        return True
+
+    def undo(self) -> None:
+        """Take back the most recent link."""
+        ra, rb, kept, big, added = self._links.pop()
+        big -= added
+        self.vertices[ra] = kept
+        self.parent[rb] = rb
+        self.size[ra] -= self.size[rb]
 
 
 def path_containment_violation(
@@ -184,24 +227,10 @@ def build_clique_tree(cg: CliqueGraph) -> CliqueTree:
     graph is disconnected or the spanning tree is not a clique tree (the
     cliques do not come from a chordal graph).
     """
-    k = len(cg.cliques)
-    if k == 1:
-        return CliqueTree(cg.cliques, frozenset())
-    parent = list(range(k))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    chosen = []
-    for i, j in sorted(cg.weights, key=lambda e: (-cg.weights[e], e)):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            chosen.append((i, j))
-    if len(chosen) != k - 1:
+    forest = Forest(cg.cliques)
+    edges = sorted(cg.weights, key=lambda e: (-cg.weights[e], e))
+    chosen = [(i, j) for i, j in edges if forest.union(i, j)]
+    if len(chosen) != len(cg.cliques) - 1:
         raise ValueError("clique graph is disconnected")
     tree = CliqueTree(cg.cliques, frozenset(chosen))
     violation = path_containment_violation(tree)
@@ -295,61 +324,6 @@ def _is_connected_in_host(m: TreeModel, nodes: frozenset[str]) -> bool:
     if not nodes <= m.adjacency.keys():
         return False
     return len(_reach(m.adjacency, next(iter(nodes)), nodes)) == len(nodes)
-
-
-def _contract_edge(m: TreeModel, edge: tuple[str, str]) -> TreeModel:
-    keep, drop = min(edge), max(edge)
-    nodes = tuple(x for x in m.nodes if x != drop)
-    new_edges = set()
-    for a, b in m.edges:
-        a2 = keep if a == drop else a
-        b2 = keep if b == drop else b
-        if a2 != b2:
-            new_edges.add((a2, b2) if a2 < b2 else (b2, a2))
-    subtrees = {
-        u: frozenset(keep if x == drop else x for x in s)
-        for u, s in m.subtrees.items()
-    }
-    return TreeModel(nodes, frozenset(new_edges), subtrees)
-
-
-def contract_to_minimal(g: Graph, m: TreeModel) -> TreeModel:
-    """Contract host edges while the intersection graph stays equal to ``g``.
-
-    Edges are scanned in canonical order and the first admissible one is
-    contracted; the result is a minimal model whose nodes biject with the
-    maximal cliques.  Host and per-vertex leaf counts never increase.
-    """
-    if not is_tree_model(g, m):
-        raise ValueError("input is not a tree model of the graph")
-    before_host = m.host_leaf_count()
-    before_vertex = {u: m.subtree_leaf_count(u) for u in g.vertices}
-    changed = True
-    while changed:
-        changed = False
-        for edge in sorted(m.edges):
-            candidate = _contract_edge(m, edge)
-            if is_tree_model(g, candidate):
-                m = candidate
-                changed = True
-                break
-    assert m.host_leaf_count() <= before_host
-    assert all(m.subtree_leaf_count(u) <= before_vertex[u] for u in g.vertices)
-    _assert_minimal(g, m)
-    return m
-
-
-def _assert_minimal(g: Graph, m: TreeModel) -> None:
-    # Minimality certificate: node -> {u : node in subtree(u)} must be a
-    # bijection onto the maximal cliques.
-    realized = [
-        frozenset(u for u in g.vertices if x in m.subtrees[u]) for x in m.nodes
-    ]
-    expected = chordal_cliques(g)
-    assert sorted(realized, key=lambda c: tuple(sorted(c))) == list(expected), (
-        "contracted model nodes do not biject with the maximal cliques"
-    )
-    assert len(set(realized)) == len(realized)
 
 
 def leaf_report(m: TreeModel) -> LeafReport:

@@ -10,7 +10,8 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from functools import cached_property
+from typing import Any, Container, Iterable, Mapping, Sequence
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
 
@@ -74,15 +75,51 @@ class Graph:
     def is_connected(self) -> bool:
         if not self.vertices:
             return True
-        seen = {self.vertices[0]}
-        queue = deque(seen)
-        while queue:
-            u = queue.popleft()
-            for w in self.adjacency[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == self.n
+        return len(_reach(self.adjacency, self.vertices[0], self.adjacency.keys())) == self.n
+
+
+def _sorted_adjacency(nodes: Iterable, edges: Iterable[tuple]) -> dict[Any, tuple]:
+    """Node -> sorted tuple of its neighbours, for ``nodes`` and edge ends."""
+    adj: dict[Any, list] = {x: [] for x in nodes}
+    for a, b in edges:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    return {x: tuple(sorted(ws)) for x, ws in adj.items()}
+
+
+def _reach(adj: Mapping | Sequence, start: Any, allowed: Container) -> set:
+    """Nodes reachable from ``start`` through nodes of ``allowed`` only."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w in allowed and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def _path(adj: Mapping | Sequence, src: Any, dst: Any, allowed: Container) -> list | None:
+    """A shortest src-dst path through nodes of ``allowed``, or None.
+
+    Breadth-first in the order of ``adj``, so with sorted neighbour lists
+    the result is the canonical one.
+    """
+    prev: dict[Any, Any] = {src: None}
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        if u == dst:
+            out = [u]
+            while prev[out[-1]] is not None:
+                out.append(prev[out[-1]])
+            out.reverse()
+            return out
+        for w in adj[u]:
+            if w in allowed and w not in prev:
+                prev[w] = u
+                queue.append(w)
+    return None
 
 
 @dataclass(frozen=True)
@@ -187,39 +224,20 @@ def _find_hole(g: Graph) -> tuple[str, ...] | None:
     # induced cycle of length >= 4 through v.  If the graph has a hole, taking
     # v on the hole with its two hole-neighbours succeeds, so the scan is
     # exhaustive.
+    adj = _sorted_adjacency(g.vertices, g.edges())
     for v in g.vertices:
-        nbrs = sorted(g.adjacency[v])
+        nbrs = adj[v]
         for i in range(len(nbrs)):
             for j in range(i + 1, len(nbrs)):
                 x, y = nbrs[i], nbrs[j]
                 if g.has_edge(x, y):
                     continue
                 allowed = (set(g.vertices) - g.adjacency[v] - {v}) | {x, y}
-                path = _shortest_path_within(g, x, y, allowed)
+                path = _path(adj, x, y, allowed)
                 if path is not None:
                     cycle = (v, *path)
                     assert _is_induced_cycle(g, cycle)
                     return cycle
-    return None
-
-
-def _shortest_path_within(g: Graph, src: str, dst: str, allowed: set[str]) -> list[str] | None:
-    prev: dict[str, str | None] = {src: None}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        if u == dst:
-            path = []
-            node: str | None = u
-            while node is not None:
-                path.append(node)
-                node = prev[node]
-            path.reverse()
-            return path
-        for w in sorted(g.adjacency[u]):
-            if w in allowed and w not in prev:
-                prev[w] = u
-                queue.append(w)
     return None
 
 
@@ -285,17 +303,14 @@ class CliqueGraph:
     def edges(self) -> list[tuple[int, int]]:
         return sorted(self.weights)
 
-    def incident(self, i: int) -> list[tuple[int, int]]:
-        return [e for e in self.edges() if i in e]
+    @cached_property
+    def adjacency(self) -> dict[int, tuple[int, ...]]:
+        """Sorted neighbour ids of every clique, built once per graph."""
+        return _sorted_adjacency(range(len(self.cliques)), self.weights)
 
-    def neighbors(self, i: int) -> list[int]:
-        out = []
-        for a, b in self.weights:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
+    def incident(self, i: int) -> list[tuple[int, int]]:
+        """Edges at clique ``i``, in sorted order."""
+        return [(j, i) if j < i else (i, j) for j in self.adjacency[i]]
 
 
 def clique_graph(cliques: Iterable[frozenset[str]]) -> CliqueGraph:

@@ -7,8 +7,9 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .cliquetrees import CliqueTree
+from .cliquetrees import CliqueTree, Forest
 from .graphs import Graph, chordal_cliques, clique_graph
+from .tokens import CertificateError
 
 DEFAULT_TREE_LIMIT = 10**6
 
@@ -25,71 +26,45 @@ def enumerate_clique_trees(g: Graph, limit: int | None = None) -> Iterator[Cliqu
     """All clique trees of ``g``, each exactly once, in canonical order.
 
     Spanning trees of the clique graph are generated by edge
-    inclusion/exclusion with connectivity pruning; path containment is
-    checked incrementally on every newly connected clique pair, so invalid
-    branches die early.  Raises :class:`OracleLimitError` past the cap.
+    inclusion/exclusion, taking each edge before skipping it, with
+    connectivity pruning; :meth:`Forest.join` admits an edge only while
+    every vertex's cliques stay connected inside each component, so
+    invalid branches die early.  The search keeps its own stack, so long
+    inputs cannot hit the recursion limit.  Raises :class:`OracleLimitError`
+    past the cap.
     """
     if not g.is_connected():
         raise ValueError("graph is disconnected")
     cap = tree_limit() if limit is None else limit
     cliques = chordal_cliques(g)
-    cg = clique_graph(cliques)
     k = len(cliques)
-    if k == 1:
-        yield CliqueTree(cliques, frozenset())
-        return
-    edge_list = cg.edges()
-    adj: dict[int, set[int]] = {i: set() for i in range(k)}
-    component: dict[int, set[int]] = {i: {i} for i in range(k)}
+    edge_list = clique_graph(cliques).edges()
+    forest = Forest(cliques)
     chosen: list[tuple[int, int]] = []
     count = 0
 
-    def tree_path(src: int, dst: int) -> list[int]:
-        stack = [(src, -1)]
-        prev = {src: -1}
-        while stack:
-            node, par = stack.pop()
-            if node == dst:
-                out = [node]
-                while prev[out[-1]] != -1:
-                    out.append(prev[out[-1]])
-                return out
-            for w in adj[node]:
-                if w != par:
-                    prev[w] = node
-                    stack.append((w, node))
-        raise AssertionError("nodes not connected in partial forest")
-
-    def containment_ok(a: int, b: int) -> bool:
-        # Check all pairs newly joined by edge (a, b); once a pair is
-        # connected its path never changes, so violations are permanent.
-        for x in component[a]:
-            for y in component[b]:
-                common = cliques[x] & cliques[y]
-                if not common:
-                    continue
-                for node in tree_path(x, y):
-                    if not common <= cliques[node]:
-                        return False
-        return True
-
     def can_connect(idx: int) -> bool:
-        parent = {}
+        # Whether the undecided edges still join the chosen ones into a
+        # spanning tree: link them in until they do, then take the links back.
+        linked = 0
+        for a, b in edge_list[idx:]:
+            if len(chosen) + linked == k - 1:
+                break
+            linked += forest.union(a, b)
+        for _ in range(linked):
+            forest.undo()
+        return len(chosen) + linked == k - 1
 
-        def find(v: int) -> int:
-            while parent.get(v, v) != v:
-                v = parent[v]
-            return v
-
-        for a, b in chosen + edge_list[idx:]:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        root = find(0)
-        return all(find(i) == root for i in range(k))
-
-    def generate(idx: int) -> Iterator[CliqueTree]:
-        nonlocal count
+    # Frames: (idx, False) decides edge idx; (idx, True) undoes taking it
+    # and then skips it.
+    stack = [(0, False)]
+    while stack:
+        idx, taken = stack.pop()
+        if taken:
+            forest.undo()
+            chosen.pop()
+            stack.append((idx + 1, False))
+            continue
         if len(chosen) == k - 1:
             count += 1
             if count > cap:
@@ -97,30 +72,13 @@ def enumerate_clique_trees(g: Graph, limit: int | None = None) -> Iterator[Cliqu
                     f"clique-tree enumeration exceeded {cap} trees"
                 )
             yield CliqueTree(cliques, frozenset(chosen))
-            return
+            continue
         if idx == len(edge_list) or not can_connect(idx):
-            return
-        a, b = edge_list[idx]
-        if component[a] is not component[b]:
-            adj[a].add(b)
-            adj[b].add(a)
-            if containment_ok(a, b):
-                merged = component[a] | component[b]
-                saved_a, saved_b = component[a], component[b]
-                for node in merged:
-                    component[node] = merged
-                chosen.append((a, b))
-                yield from generate(idx + 1)
-                chosen.pop()
-                for node in saved_a:
-                    component[node] = saved_a
-                for node in saved_b:
-                    component[node] = saved_b
-            adj[a].discard(b)
-            adj[b].discard(a)
-        yield from generate(idx + 1)
-
-    yield from generate(0)
+            continue
+        if forest.join(*edge_list[idx]):
+            chosen.append(edge_list[idx])
+            stack.append((idx, True))
+        stack.append((idx + 1, False))
 
 
 @dataclass(frozen=True)
@@ -150,11 +108,11 @@ def oracle_optima(g: Graph, limit: int | None = None) -> OracleResult:
             best_vl = (vl, tree)
         if best_joint is None or (leaves, vl) < best_joint[0]:
             best_joint = ((leaves, vl), tree)
-    assert best_leaf and best_vl and best_joint
+    if best_joint is None:  # all three are set by the first tree
+        raise CertificateError("the enumeration produced no clique tree")
     # A tree optimal for both criteria simultaneously must exist.
-    assert best_joint[0] == (best_leaf[0], best_vl[0]), (
-        "no enumerated tree achieves both minima simultaneously"
-    )
+    if best_joint[0] != (best_leaf[0], best_vl[0]):
+        raise CertificateError("no enumerated tree achieves both minima simultaneously")
     return OracleResult(
         leafage=best_leaf[0],
         vertex_leafage=best_vl[0],

@@ -26,7 +26,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
-from .cliquetrees import CliqueTree, _reach, path_containment_violation
+from .cliquetrees import CliqueTree, Forest, _count_vertex_leaves, path_containment_violation
+from .graphs import _reach
 
 Token = frozenset[str]
 
@@ -76,21 +77,6 @@ class TokenAssignment:
     def total(self) -> int:
         return sum(len(t) for t in self.tokens.values())
 
-    def degrees(self, u: str | None = None) -> dict[int, int]:
-        """|tokens(C)| per clique, or restricted to tokens containing ``u``.
-
-        With ``u`` given, only cliques containing ``u`` are reported; for
-        assignments arising from clique trees the values equal host-tree and
-        subtree degrees.
-        """
-        if u is None:
-            return {i: len(toks) for i, toks in self.tokens.items()}
-        return {
-            i: sum(1 for s in toks if u in s)
-            for i, toks in self.tokens.items()
-            if u in self.cliques[i]
-        }
-
     def leaf_count(self) -> int:
         """Host leaves of any realizing tree: cliques holding one token."""
         if len(self.cliques) == 1:
@@ -98,20 +84,8 @@ class TokenAssignment:
         return sum(1 for toks in self.tokens.values() if len(toks) == 1)
 
     def vertex_leaf_counts(self) -> Counter[str]:
-        """Subtree leaf count of every vertex, in one pass over the tokens.
-
-        A clique is a leaf of u's subtree when exactly one of its tokens
-        holds u.
-        """
-        counts: Counter[str] = Counter()
-        for toks in self.tokens.values():
-            # ``once``: the vertices held by exactly one token so far.
-            seen = once = frozenset()
-            for s in toks:
-                once = (once - s) | (s - seen)
-                seen |= s
-            counts.update(once)
-        return counts
+        """Subtree leaf count of every vertex, in one pass over the tokens."""
+        return _count_vertex_leaves(self.tokens.values())
 
     def vertex_leaf_count(self, u: str) -> int:
         return self.vertex_leaf_counts()[u]
@@ -265,21 +239,16 @@ def find_realizing_tree(
         avail[j][s] += 1
 
     chosen: list[tuple[int, int]] = []
-    parent = list(range(k))
+    forest = Forest(cliques)
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    # Frames: (ENTER, idx, _) decides candidate idx; (UNTAKE, idx, root)
-    # undoes taking it and then tries skipping it; (UNSKIP, idx, _) undoes
-    # the skip.  Both undo frames are popped only once every branch below
-    # them has failed.
+    # Frames: (ENTER, idx) decides candidate idx; (UNTAKE, idx) undoes
+    # taking it and then tries skipping it; (UNSKIP, idx) undoes the skip.
+    # Both undo frames are popped only once every branch below them has
+    # failed, so links are undone last in, first out.
     ENTER, UNTAKE, UNSKIP = range(3)
-    stack = [(ENTER, 0, -1)]
+    stack = [(ENTER, 0)]
     while stack:
-        action, idx, root = stack.pop()
+        action, idx = stack.pop()
         if action == ENTER:
             if len(chosen) == k - 1:
                 tree = CliqueTree(cliques, frozenset(chosen))
@@ -290,20 +259,18 @@ def find_realizing_tree(
                 continue
         i, j, s = candidates[idx]
         if action == ENTER:
-            ri, rj = find(i), find(j)
-            if remaining[i][s] and remaining[j][s] and ri != rj:
+            if remaining[i][s] and remaining[j][s] and forest.union(i, j):
                 remaining[i][s] -= 1
                 remaining[j][s] -= 1
                 avail[i][s] -= 1
                 avail[j][s] -= 1
-                parent[ri] = rj
                 chosen.append((i, j))
-                stack.append((UNTAKE, idx, ri))
-                stack.append((ENTER, idx + 1, -1))
+                stack.append((UNTAKE, idx))
+                stack.append((ENTER, idx + 1))
                 continue
         elif action == UNTAKE:
             chosen.pop()
-            parent[root] = root
+            forest.undo()
             remaining[i][s] += 1
             remaining[j][s] += 1
             avail[i][s] += 1
@@ -316,8 +283,8 @@ def find_realizing_tree(
         avail[i][s] -= 1
         avail[j][s] -= 1
         if avail[i][s] >= remaining[i][s] and avail[j][s] >= remaining[j][s]:
-            stack.append((UNSKIP, idx, -1))
-            stack.append((ENTER, idx + 1, -1))
+            stack.append((UNSKIP, idx))
+            stack.append((ENTER, idx + 1))
         else:
             avail[i][s] += 1
             avail[j][s] += 1

@@ -16,6 +16,7 @@ from typing import Mapping
 
 from .cliquetrees import (
     CliqueTree,
+    Forest,
     TreeModel,
     branching_sets,
     build_clique_tree,
@@ -31,7 +32,7 @@ from .graphs import (
     clique_graph,
     maximal_cliques,
 )
-from .tokens import minimize_leafage
+from .tokens import CertificateError, minimize_leafage
 
 BranchEdgeSet = frozenset[tuple[int, int]]
 
@@ -143,51 +144,11 @@ def _admissible_stars(
     return out
 
 
-def _forest_containment_ok(cg: CliqueGraph, f: BranchEdgeSet) -> bool:
-    # F must embed in a clique tree, so it must be a forest whose internal
-    # paths already satisfy path containment.
-    parent: dict[int, int] = {}
-
-    def find(v: int) -> int:
-        while parent.setdefault(v, v) != v:
-            v = parent[v]
-        return v
-
-    adj: dict[int, set[int]] = {}
-    for a, b in sorted(f):
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False  # cycle
-        parent[ra] = rb
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-
-    def forest_path(src: int, dst: int) -> list[int] | None:
-        prev: dict[int, int | None] = {src: None}
-        stack = [src]
-        while stack:
-            node = stack.pop()
-            if node == dst:
-                out = [node]
-                while prev[out[-1]] is not None:
-                    out.append(prev[out[-1]])
-                return out
-            for w in adj[node]:
-                if w not in prev:
-                    prev[w] = node
-                    stack.append(w)
-        return None
-
-    for x, y in itertools.combinations(sorted(adj), 2):
-        common = cg.cliques[x] & cg.cliques[y]
-        if not common:
-            continue
-        path = forest_path(x, y)
-        if path is None:
-            continue
-        if any(not common <= cg.cliques[node] for node in path):
-            return False
-    return True
+def _fits_clique_tree(cg: CliqueGraph, f: BranchEdgeSet) -> bool:
+    # F must embed in a clique tree: a forest in which every vertex's
+    # cliques are connected inside each component.
+    forest = Forest(cg.cliques)
+    return all(forest.join(a, b) for a, b in sorted(f))
 
 
 def candidate_branch_sets(
@@ -230,7 +191,7 @@ def candidate_branch_sets(
     for f in results:
         if f and not _branch_shape_ok(f):
             continue
-        if f and not _forest_containment_ok(cg, f):
+        if f and not _fits_clique_tree(cg, f):
             continue
         filtered.append(f)
     filtered.sort(key=lambda f: (len(f), sorted(f)))
@@ -303,7 +264,12 @@ def simultaneous_optimum(g: Graph) -> tuple[TreeModel, CliqueTree]:
     at once in the result.
     """
     cert = vertex_leafage_bounded(g)
-    assert cert is not None
+    if cert is None:
+        raise CertificateError("no vertex-leafage certificate without a leafage bound")
     tree = minimize_leafage(cert.tree)
-    assert tree.max_vertex_leaf_count(g.vertices) == cert.value
+    vl = tree.max_vertex_leaf_count(g.vertices)
+    if vl != cert.value:
+        raise CertificateError(
+            f"leafage minimization moved the vertex leafage from {cert.value} to {vl}"
+        )
     return model_from_clique_tree(tree), tree

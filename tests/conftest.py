@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import leafage
 
 from leafage.graphs import Graph, check_chordal, PerfectEliminationOrder
 from leafage.oracle import oracle_optima, random_chordal
@@ -38,6 +44,21 @@ def build_corpus(size: int = CORPUS_SIZE):
 @pytest.fixture(scope="session")
 def corpus():
     return build_corpus()
+
+
+@pytest.fixture
+def run_optimized():
+    """Run a Python script under ``python -O`` (asserts stripped); return it done."""
+    src = str(Path(leafage.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def run(script: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    return run
 
 
 def brute_force_maximal_cliques(g: Graph) -> list[frozenset[str]]:

@@ -1,4 +1,4 @@
-"""Clique trees, tree models, contraction, and branching sets."""
+"""Clique trees, tree models, and branching sets."""
 
 import itertools
 import random
@@ -10,7 +10,6 @@ from leafage.cliquetrees import (
     TreeModel,
     branching_sets,
     build_clique_tree,
-    contract_to_minimal,
     is_tree_model,
     leaf_report,
     model_from_clique_tree,
@@ -176,56 +175,6 @@ class TestTreeModel:
             {"a": frozenset({"x"}), "b": frozenset({"z"})},
         )
         assert not is_tree_model(g, m)
-
-
-def _subdivide(m: TreeModel, edge, new_name):
-    """Insert a host node in the middle of an edge, growing all subtrees
-    that span both endpoints across the new node."""
-    a, b = edge
-    nodes = m.nodes + (new_name,)
-    edges = (m.edges - {edge}) | {
-        tuple(sorted((a, new_name))),
-        tuple(sorted((b, new_name))),
-    }
-    subtrees = {
-        u: s | {new_name} if a in s and b in s else s
-        for u, s in m.subtrees.items()
-    }
-    return TreeModel(nodes, frozenset(edges), subtrees)
-
-
-class TestContraction:
-    def test_contract_subdivided_model(self, demo):
-        g, t = demo
-        m = model_from_clique_tree(t)
-        edge = sorted(m.edges)[0]
-        big = _subdivide(m, edge, "x_extra")
-        assert is_tree_model(g, big)
-        small = contract_to_minimal(g, big)
-        assert len(small.nodes) == len(chordal_cliques(g))
-        assert small.host_leaf_count() <= big.host_leaf_count()
-
-    def test_minimal_model_is_fixed_point(self, demo):
-        g, t = demo
-        m = model_from_clique_tree(t)
-        assert contract_to_minimal(g, m) == m
-
-    def test_rejects_non_model(self, demo):
-        g, _ = demo
-        m = TreeModel(("x",), frozenset(), {"a": frozenset({"x"})})
-        with pytest.raises(ValueError, match="not a tree model"):
-            contract_to_minimal(g, m)
-
-    def test_corpus_contraction_preserves_counts(self, corpus):
-        for g, _ in corpus[:20]:
-            from leafage.graphs import chordal_cliques as cc
-            from leafage.cliquetrees import build_clique_tree
-            t = build_clique_tree(clique_graph(cc(g)))
-            m = model_from_clique_tree(t)
-            if m.edges:
-                m = _subdivide(m, sorted(m.edges)[0], "x_extra")
-            small = contract_to_minimal(g, m)
-            assert len(small.nodes) == len(cc(g))
 
 
 class TestBranchingSets:

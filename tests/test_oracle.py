@@ -125,3 +125,52 @@ class TestRandomChordal:
             random_chordal(9, seed=3) != random_chordal(9, seed=s)
             for s in range(4, 10)
         )
+
+
+_CORRUPT_ENUMERATIONS = {
+    # Leaf optimum (4 leaves) and vertex-leafage optimum (vl 2) in
+    # different trees, so no tree attains both.
+    "both minima": """
+trees = list(oracle.enumerate_clique_trees(g))
+pick = [
+    next(t for t in trees if (len(t.leaves()), t.max_vertex_leaf_count(g.vertices)) == key)
+    for key in ((4, 3), (5, 2))
+]
+oracle.enumerate_clique_trees = lambda g, limit=None: iter(pick)
+""",
+    "no clique tree": """
+oracle.enumerate_clique_trees = lambda g, limit=None: iter(())
+""",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CORRUPT_ENUMERATIONS))
+def test_joint_optimum_check_survives_optimize(case, run_optimized):
+    out = run_optimized(
+        "import leafage.oracle as oracle\n"
+        "from leafage.demo import demo_graph\n"
+        "from leafage.tokens import CertificateError\n"
+        "assert False, 'not run under -O'\n"
+        "g = demo_graph()\n"
+        + _CORRUPT_ENUMERATIONS[case]
+        + "try:\n"
+        "    oracle.oracle_optima(g)\n"
+        "except CertificateError as exc:\n"
+        "    print('CertificateError:', exc)\n"
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("CertificateError:") and case in out.stdout
+
+
+def test_long_path_needs_no_recursion(run_optimized):
+    # P_300 has one clique tree; the enumeration must not recurse per edge.
+    out = run_optimized(
+        "import sys\n"
+        "from leafage.graphs import Graph\n"
+        "from leafage.oracle import oracle_optima\n"
+        "g = Graph.from_edges([], [(f'p{i:03d}', f'p{i + 1:03d}') for i in range(299)])\n"
+        "sys.setrecursionlimit(200)\n"
+        "print(oracle_optima(g).tree_count)\n"
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "1\n"

@@ -201,3 +201,31 @@ class TestSimultaneousOptimum:
             report = leaf_report(m)
             assert report.host_leaves == result.leafage
             assert report.max_vertex_leaves == result.vertex_leafage
+
+
+_CORRUPT_CERTIFICATES = {
+    "no vertex-leafage certificate": """
+vl.vertex_leafage_bounded = lambda g: None
+""",
+    "moved the vertex leafage": """
+import dataclasses
+original = vl.vertex_leafage_bounded
+vl.vertex_leafage_bounded = lambda g: dataclasses.replace(original(g), value=1)
+""",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CORRUPT_CERTIFICATES))
+def test_simultaneous_optimum_check_survives_optimize(case, run_optimized):
+    out = run_optimized(
+        "import leafage.vertex_leafage as vl\n"
+        "from leafage.demo import demo_graph\n"
+        "assert False, 'not run under -O'\n"
+        + _CORRUPT_CERTIFICATES[case]
+        + "try:\n"
+        "    vl.simultaneous_optimum(demo_graph())\n"
+        "except vl.CertificateError as exc:\n"
+        "    print('CertificateError:', exc)\n"
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("CertificateError:") and case in out.stdout
