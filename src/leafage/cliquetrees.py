@@ -7,7 +7,16 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .graphs import CliqueGraph, Graph, _path, _reach, _sorted_adjacency, chordal_cliques
+from .graphs import (
+    CertificateError,
+    CliqueGraph,
+    Graph,
+    _holders,
+    _path,
+    _reach,
+    _sorted_adjacency,
+    chordal_cliques,
+)
 
 
 def _count_vertex_leaves(tokens: Iterable[Iterable[frozenset[str]]]) -> Counter[str]:
@@ -179,10 +188,7 @@ def path_containment_violation(
     edge_count: Counter[str] = Counter()
     for a, b in t.edges:
         edge_count.update(cliques[a] & cliques[b])
-    holders: dict[str, list[int]] = {}
-    for i, c in enumerate(cliques):
-        for u in c:
-            holders.setdefault(u, []).append(i)
+    holders = _holders(cliques)
     u = min(v for v, ids in holders.items() if edge_count[v] != len(ids) - 1)
     i = holders[u][0]
     seen = _reach(t.adjacency, i, set(holders[u]))
@@ -288,11 +294,8 @@ def model_from_clique_tree(t: CliqueTree) -> TreeModel:
         (names[a], names[b]) if names[a] < names[b] else (names[b], names[a])
         for a, b in t.edges
     )
-    vertices = sorted(set().union(*t.cliques))
-    subtrees = {
-        u: frozenset(names[i] for i, c in enumerate(t.cliques) if u in c)
-        for u in vertices
-    }
+    holders = _holders(t.cliques)
+    subtrees = {u: frozenset(names[i] for i in holders[u]) for u in sorted(holders)}
     return TreeModel(names, edges, subtrees)
 
 
@@ -346,9 +349,9 @@ class BranchingSets:
 def branching_sets(t: CliqueTree) -> BranchingSets:
     high = frozenset(i for i in range(len(t.cliques)) if t.degree(i) >= 3)
     incident = frozenset(e for e in t.edges if e[0] in high or e[1] in high)
-    if len(t.cliques) >= 2:
-        # Branching nodes are bounded by the leaf count; the edge set is
-        # recorded but deliberately not bounded the same way (a star already
-        # has more branching edges than leaves minus two).
-        assert len(high) <= len(t.leaves()) - 2 or not high
+    # Branching nodes are bounded by the leaf count; the edge set is
+    # recorded but deliberately not bounded the same way (a star already has
+    # more branching edges than leaves minus two).
+    if high and len(high) > len(t.leaves()) - 2:
+        raise CertificateError(f"{len(high)} branching nodes but {len(t.leaves())} leaves")
     return BranchingSets(high, incident)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .cliquetrees import CliqueTree, verify_clique_tree
-from .graphs import _NAME_RE, Graph, chordal_cliques
+from .graphs import _NAME_RE, CertificateError, Graph, chordal_cliques
 from .oracle import oracle_optima
 
 
@@ -160,14 +160,15 @@ def normalize_star(inst: NaeInstance) -> NaeInstance:
 class GadgetGraph:
     """Split graph of an instance, with named maximal cliques.
 
-    ``clique_names`` maps "A", "B", and "Q_<variable>" to clique member sets.
+    ``clique_names`` maps "A", "B", and "Q_<variable>" to clique member sets;
+    ``inst`` is the instance the graph encodes and ``cliques`` its canonical
+    maximal clique list.
     """
 
     graph: Graph
     clique_names: Mapping[str, frozenset[str]]
-
-    def clause_vertex(self, j: int) -> str:
-        return f"y{j + 1}"
+    inst: NaeInstance
+    cliques: tuple[frozenset[str], ...]
 
 
 def build_gadget(inst: NaeInstance) -> GadgetGraph:
@@ -207,15 +208,14 @@ def build_gadget(inst: NaeInstance) -> GadgetGraph:
     }
     for v in inst.variables:
         names[f"Q_{v}"] = frozenset([v] + [ys[j] for j in sorted(inst.clause_set(v))])
-    assert sorted(names.values(), key=lambda c: tuple(sorted(c))) == list(
-        chordal_cliques(graph)
-    ), "named cliques do not match the maximal cliques"
-    return GadgetGraph(graph, names)
+    cliques = chordal_cliques(graph)
+    if sorted(names.values(), key=lambda c: tuple(sorted(c))) != list(cliques):
+        raise ValueError("named cliques do not match the maximal cliques")
+    return GadgetGraph(graph, names, inst, cliques)
 
 
 def _clique_ids(gg: GadgetGraph) -> dict[str, int]:
-    cliques = chordal_cliques(gg.graph)
-    index = {c: i for i, c in enumerate(cliques)}
+    index = {c: i for i, c in enumerate(gg.cliques)}
     return {name: index[c] for name, c in gg.clique_names.items()}
 
 
@@ -225,25 +225,21 @@ def solution_to_tree(gg: GadgetGraph, s: frozenset[str]) -> CliqueTree:
     The resulting model has every subtree with at most k leaves; in
     particular each clause vertex's subtree has exactly k leaves.
     """
-    inst_vars = sorted(
-        name[2:] for name in gg.clique_names if name.startswith("Q_")
-    )
-    if not s <= set(inst_vars):
+    if not s <= set(gg.inst.variables):
         raise ValueError("chosen set contains unknown variables")
-    for c in _clauses_from_gadget(gg):
+    for c in gg.inst.clauses:
         if not (c & s and c - s):
             raise ValueError(
                 f"clause {sorted(c)} is monochromatic under the chosen set"
             )
     ids = _clique_ids(gg)
-    cliques = chordal_cliques(gg.graph)
     a, b = ids["A"], ids["B"]
     edges = {(min(a, b), max(a, b))}
-    for v in inst_vars:
+    for v in gg.inst.variables:
         anchor = a if v in s else b
         q = ids[f"Q_{v}"]
         edges.add((min(anchor, q), max(anchor, q)))
-    tree = CliqueTree(cliques, frozenset(edges))
+    tree = CliqueTree(gg.cliques, frozenset(edges))
     ok, witness = verify_clique_tree(gg.graph, tree)
     if not ok:
         raise ValueError(f"chosen set does not induce a clique tree: {witness}")
@@ -256,11 +252,7 @@ def tree_to_solution(gg: GadgetGraph, t: CliqueTree) -> frozenset[str]:
     Requires every subtree of the model to have at most k leaves; the
     extracted set is validated as a solution.
     """
-    inst_vars = sorted(
-        name[2:] for name in gg.clique_names if name.startswith("Q_")
-    )
-    clauses = _clauses_from_gadget(gg)
-    k = len(clauses[0]) if clauses else 0
+    k = gg.inst.k
     ok, witness = verify_clique_tree(gg.graph, t)
     if not ok:
         raise ValueError(f"not a clique tree: {witness}")
@@ -273,27 +265,12 @@ def tree_to_solution(gg: GadgetGraph, t: CliqueTree) -> frozenset[str]:
     a = ids["A"]
     s = frozenset(
         v
-        for v in inst_vars
+        for v in gg.inst.variables
         if (min(a, ids[f"Q_{v}"]), max(a, ids[f"Q_{v}"])) in t.edges
     )
-    assert all(c & s and c - s for c in clauses), (
-        "extracted set is not a solution"
-    )
+    if not is_solution(gg.inst, s):
+        raise CertificateError(f"extracted set {sorted(s)} is not a solution")
     return s
-
-
-def _clauses_from_gadget(gg: GadgetGraph) -> list[frozenset[str]]:
-    inst_vars = {
-        name[2:] for name in gg.clique_names if name.startswith("Q_")
-    }
-    clause_vertices = sorted(
-        (u for u in gg.graph.vertices if u not in inst_vars | {"z1", "z2"}),
-        key=lambda u: int(u[1:]),
-    )
-    return [
-        frozenset(v for v in gg.graph.neighbors(y) if v in inst_vars)
-        for y in clause_vertices
-    ]
 
 
 def verify_reduction(inst: NaeInstance) -> dict:
@@ -301,7 +278,8 @@ def verify_reduction(inst: NaeInstance) -> dict:
 
     Compares brute-force solvability against the exact-oracle vertex leafage
     of the gadget: the latter is always at most k + 1, and at most k exactly
-    when the instance is solvable.  Both facts are asserted and reported.
+    when the instance is solvable.  Both facts are checked (raising
+    :class:`CertificateError`) and reported.
     """
     gg = build_gadget(inst)
     solution = solve_brute_force(inst)
@@ -309,10 +287,12 @@ def verify_reduction(inst: NaeInstance) -> dict:
     vl = result.vertex_leafage
     upper_ok = vl <= inst.k + 1
     equivalence_ok = (vl <= inst.k) == (solution is not None)
-    assert upper_ok, f"vertex leafage {vl} exceeds k + 1 = {inst.k + 1}"
-    assert equivalence_ok, (
-        f"vertex leafage {vl} vs solvable={solution is not None} breaks the biconditional"
-    )
+    if not upper_ok:
+        raise CertificateError(f"vertex leafage {vl} exceeds k + 1 = {inst.k + 1}")
+    if not equivalence_ok:
+        raise CertificateError(
+            f"vertex leafage {vl} vs solvable={solution is not None} breaks the biconditional"
+        )
     return {
         "k": inst.k,
         "n": inst.n,

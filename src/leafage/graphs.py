@@ -7,13 +7,18 @@ deterministic.
 
 from __future__ import annotations
 
+import itertools
 import re
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Container, Iterable, Mapping, Sequence
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
+
+
+class CertificateError(RuntimeError):
+    """A computed result broke an invariant it is certified by."""
 
 
 class GraphFormatError(ValueError):
@@ -204,26 +209,42 @@ def _mcs_order(g: Graph) -> list[str]:
     return visit
 
 
+def _peo_cliques(g: Graph, order: Sequence[str]) -> tuple[frozenset[str], ...] | None:
+    """The maximal cliques, canonically sorted, or None if ``order`` is no PEO.
+
+    One pass (Rose, Tarjan & Lueker 1976).  With p the earliest later
+    neighbour of v, the order is perfect iff later(v) - {p} <= later(p) for
+    every v.  Then {v} | later(v) is a maximal clique unless some u with
+    p(u) = v has exactly one more later neighbour than v.
+    """
+    if sorted(order) != list(g.vertices):
+        return None
+    position = {v: i for i, v in enumerate(order)}
+    later = {v: {w for w in g.adjacency[v] if position[w] > position[v]} for v in order}
+    absorbed = set()
+    for v in order:
+        if later[v]:
+            p = min(later[v], key=position.__getitem__)
+            if not later[v] - {p} <= later[p]:
+                return None
+            if len(later[v]) == len(later[p]) + 1:
+                absorbed.add(p)
+    cliques = [frozenset(later[v] | {v}) for v in order if v not in absorbed]
+    cliques.sort(key=lambda c: tuple(sorted(c)))
+    return tuple(cliques)
+
+
 def is_valid_peo(g: Graph, order: Iterable[str]) -> bool:
-    seq = list(order)
-    if sorted(seq) != list(g.vertices):
-        return False
-    position = {v: i for i, v in enumerate(seq)}
-    for i, v in enumerate(seq):
-        later = [w for w in g.adjacency[v] if position[w] > i]
-        for a in range(len(later)):
-            for b in range(a + 1, len(later)):
-                if not g.has_edge(later[a], later[b]):
-                    return False
-    return True
+    return _peo_cliques(g, list(order)) is not None
 
 
-def _find_hole(g: Graph) -> tuple[str, ...] | None:
+def _find_hole(g: Graph) -> tuple[str, ...]:
     # Scan every pair of nonadjacent common neighbours x, y of a vertex v and
     # look for an x-y path avoiding N[v] \ {x, y}; any such path closes an
     # induced cycle of length >= 4 through v.  If the graph has a hole, taking
     # v on the hole with its two hole-neighbours succeeds, so the scan is
-    # exhaustive.
+    # exhaustive.  Only called once an MCS order failed, so finding no hole
+    # is an error.
     adj = _sorted_adjacency(g.vertices, g.edges())
     for v in g.vertices:
         nbrs = adj[v]
@@ -236,9 +257,10 @@ def _find_hole(g: Graph) -> tuple[str, ...] | None:
                 path = _path(adj, x, y, allowed)
                 if path is not None:
                     cycle = (v, *path)
-                    assert _is_induced_cycle(g, cycle)
+                    if not _is_induced_cycle(g, cycle):
+                        raise CertificateError(f"witness {list(cycle)} is not an induced cycle")
                     return cycle
-    return None
+    raise CertificateError("MCS order is not perfect but the graph has no hole")
 
 
 def _is_induced_cycle(g: Graph, cycle: tuple[str, ...]) -> bool:
@@ -261,11 +283,9 @@ def check_chordal(g: Graph) -> PerfectEliminationOrder | tuple[str, ...]:
     otherwise an induced cycle of length >= 4 as a witness tuple.
     """
     order = _mcs_order(g)
-    if is_valid_peo(g, order):
+    if _peo_cliques(g, order) is not None:
         return PerfectEliminationOrder(tuple(order))
-    hole = _find_hole(g)
-    assert hole is not None, "MCS order invalid but no hole found"
-    return hole
+    return _find_hole(g)
 
 
 def maximal_cliques(g: Graph, peo: PerfectEliminationOrder) -> tuple[frozenset[str], ...]:
@@ -274,19 +294,10 @@ def maximal_cliques(g: Graph, peo: PerfectEliminationOrder) -> tuple[frozenset[s
     The position of a clique in the returned tuple is its canonical id used
     throughout the rest of the library.
     """
-    if not is_valid_peo(g, peo.order):
+    cliques = _peo_cliques(g, peo.order)
+    if cliques is None:
         raise ValueError("order is not a perfect elimination order for this graph")
-    position = {v: i for i, v in enumerate(peo.order)}
-    candidates = set()
-    for i, v in enumerate(peo.order):
-        later = frozenset(w for w in g.adjacency[v] if position[w] > i)
-        candidates.add(later | {v})
-    cliques = [
-        c for c in candidates
-        if not any(c < other for other in candidates)
-    ]
-    cliques.sort(key=lambda c: tuple(sorted(c)))
-    return tuple(cliques)
+    return cliques
 
 
 @dataclass(frozen=True)
@@ -313,16 +324,22 @@ class CliqueGraph:
         return [(j, i) if j < i else (i, j) for j in self.adjacency[i]]
 
 
+def _holders(cliques: Iterable[frozenset[str]]) -> dict[str, list[int]]:
+    """Each vertex -> the increasing ids of the cliques that hold it."""
+    holders: dict[str, list[int]] = {}
+    for i, c in enumerate(cliques):
+        for u in c:
+            holders.setdefault(u, []).append(i)
+    return holders
+
+
 def clique_graph(cliques: Iterable[frozenset[str]]) -> CliqueGraph:
-    """Build the intersection graph of the given maximal cliques."""
+    """Intersection graph of the cliques, counted from each vertex's cliques."""
     nodes = tuple(cliques)
-    weights = {}
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            common = nodes[i] & nodes[j]
-            if common:
-                weights[(i, j)] = len(common)
-    return CliqueGraph(nodes, weights)
+    shared: Counter[tuple[int, int]] = Counter()
+    for ids in _holders(nodes).values():
+        shared.update(itertools.combinations(ids, 2))
+    return CliqueGraph(nodes, dict(sorted(shared.items())))
 
 
 def chordal_cliques(g: Graph) -> tuple[frozenset[str], ...]:

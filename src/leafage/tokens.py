@@ -27,13 +27,9 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .cliquetrees import CliqueTree, Forest, _count_vertex_leaves, path_containment_violation
-from .graphs import _reach
+from .graphs import CertificateError, _reach
 
 Token = frozenset[str]
-
-
-class CertificateError(RuntimeError):
-    """A minimization step broke an invariant its result is certified by."""
 
 
 def _token_key(s: Token) -> tuple[str, ...]:
@@ -103,9 +99,6 @@ class TokenMove:
 @dataclass(frozen=True)
 class AugmentingPath:
     moves: tuple[TokenMove, ...]
-
-    def clique_sequence(self) -> tuple[int, ...]:
-        return tuple([self.moves[0].from_clique] + [m.to_clique for m in self.moves])
 
 
 def tokens_from_tree(t: CliqueTree) -> TokenAssignment:

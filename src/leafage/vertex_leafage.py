@@ -182,31 +182,12 @@ def candidate_branch_sets(
             for star in star_table[c]:
                 combined = f | frozenset(star)
                 degree = sum(1 for e in combined if c in e)
-                if degree < 3 or len(combined) > budget:
-                    continue
-                if used_slack + degree - 2 > slack:
+                if len(combined) > budget or used_slack + degree - 2 > slack:
                     continue
                 stack.append((count + 1, c, combined, used_slack + degree - 2))
-    filtered = []
-    for f in results:
-        if f and not _branch_shape_ok(f):
-            continue
-        if f and not _fits_clique_tree(cg, f):
-            continue
-        filtered.append(f)
+    filtered = [f for f in results if not f or _fits_clique_tree(cg, f)]
     filtered.sort(key=lambda f: (len(f), sorted(f)))
     return filtered
-
-
-def _branch_shape_ok(f: BranchEdgeSet) -> bool:
-    degree: dict[int, int] = {}
-    for a, b in f:
-        degree[a] = degree.get(a, 0) + 1
-        degree[b] = degree.get(b, 0) + 1
-    high = {v for v, d in degree.items() if d >= 3}
-    if not high:
-        return False
-    return all(a in high or b in high for a, b in f)
 
 
 def vertex_leafage_bounded(
@@ -227,18 +208,20 @@ def vertex_leafage_bounded(
     if not g.is_connected():
         raise ValueError("graph is disconnected")
     cliques = chordal_cliques(g)
-    if len(cliques) == 1:
-        tree = CliqueTree(cliques, frozenset())
-        return VlCertificate(0, tree, {u: 0 for u in g.vertices})
     cg = clique_graph(cliques)
     tmin = minimize_leafage(build_clique_tree(cg))
     leafage = len(tmin.leaves())
     if ell is not None and leafage > ell:
         return None
+    if leafage <= 2:
+        # A path, whose subtrees are paths: no clique tree does better.
+        per_vertex = {u: tmin.vertex_leaf_count(u) for u in g.vertices}
+        return VlCertificate(max(per_vertex.values(), default=0), tmin, per_vertex)
     budget = (leafage - 2) if budget_mode == "paper" else 3 * (leafage - 2)
     budget = min(budget, len(cliques) - 1)
     best: tuple[int, CliqueTree] | None = None
-    for f in candidate_branch_sets(cg, leafage, budget):
+    # The first candidate, the empty set, only fits a path.
+    for f in candidate_branch_sets(cg, leafage, budget)[1:]:
         tree = clique_tree_with_branching(g, f, cliques)
         if tree is None:
             continue

@@ -7,6 +7,7 @@ import pytest
 
 from leafage.cliquetrees import (
     CliqueTree,
+    Forest,
     TreeModel,
     branching_sets,
     build_clique_tree,
@@ -213,21 +214,10 @@ def _pairwise_violation(t: CliqueTree):
 
 
 def _random_spanning_tree(cg, rng):
-    parent = list(range(len(cg.cliques)))
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
     edges = cg.edges()
     rng.shuffle(edges)
-    chosen = []
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            chosen.append((a, b))
+    forest = Forest(cg.cliques)
+    chosen = [(a, b) for a, b in edges if forest.union(a, b)]
     return CliqueTree(cg.cliques, frozenset(chosen))
 
 
@@ -257,3 +247,21 @@ class TestLinearContainmentCheck:
                 assert k in tree.path(i, j)
                 assert not tree.cliques[i] & tree.cliques[j] <= tree.cliques[k]
         assert invalid >= 100
+
+
+def test_branching_bound_survives_optimize(run_optimized):
+    # The demo tree has two branching nodes; with its leaves hidden the
+    # bound "branching nodes <= leaves - 2" must fail loudly.
+    out = run_optimized(
+        "import leafage.cliquetrees as ct\n"
+        "from leafage.demo import demo_clique_tree\n"
+        "from leafage.graphs import CertificateError\n"
+        "assert False, 'not run under -O'\n"
+        "ct.CliqueTree.leaves = lambda self: []\n"
+        "try:\n"
+        "    ct.branching_sets(demo_clique_tree())\n"
+        "except CertificateError as exc:\n"
+        "    print('CertificateError:', exc)\n"
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("CertificateError:") and "branching nodes" in out.stdout

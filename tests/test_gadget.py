@@ -152,6 +152,11 @@ class TestBuildGadget:
         assert g.n == 6
         assert g.neighbors("y1") == frozenset({"v1", "v2", "v3", "z1", "z2"})
 
+    def test_keeps_instance_and_cliques(self):
+        gg = build_gadget(STAR_OK)
+        assert gg.inst is STAR_OK
+        assert gg.cliques == chordal_cliques(gg.graph)
+
     def test_clique_membership_rule(self):
         inst = inst_of(("v1", "v2", "v3"), ("v2", "v3", "v4"))
         gg = build_gadget(inst)
@@ -289,3 +294,50 @@ class TestVerifyReduction:
             vl = t.max_vertex_leaf_count(gg.graph.vertices)
             best = vl if best is None else min(best, vl)
         assert best == FANO.k + 1
+
+
+_CORRUPT_REDUCTIONS = {
+    # build_gadget: the graph's cliques disagree with the named ones.
+    "named cliques do not match": """
+gadget.chordal_cliques = lambda g: ()
+gadget.build_gadget(STAR_OK)
+""",
+    # tree_to_solution: a lopsided tree (every variable clique on B) passes
+    # a corrupted leaf count, and the extracted empty set is no solution.
+    "is not a solution": """
+gg = gadget.build_gadget(STAR_OK)
+ids = {name: gg.cliques.index(c) for name, c in gg.clique_names.items()}
+b = ids["B"]
+edges = frozenset((min(b, q), max(b, q)) for name, q in ids.items() if name != "B")
+CliqueTree.max_vertex_leaf_count = lambda self, vertices: 0
+gadget.tree_to_solution(gg, CliqueTree(gg.cliques, edges))
+""",
+    "exceeds k + 1": """
+gadget.oracle_optima = lambda g: SimpleNamespace(vertex_leafage=5)
+gadget.verify_reduction(STAR_OK)
+""",
+    "breaks the biconditional": """
+gadget.oracle_optima = lambda g: SimpleNamespace(vertex_leafage=4)
+gadget.verify_reduction(STAR_OK)
+""",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CORRUPT_REDUCTIONS))
+def test_reduction_checks_survive_optimize(case, run_optimized):
+    out = run_optimized(
+        "from types import SimpleNamespace\n"
+        "import leafage.gadget as gadget\n"
+        "from leafage.cliquetrees import CliqueTree\n"
+        "from leafage.graphs import CertificateError\n"
+        "assert False, 'not run under -O'\n"
+        "STAR_OK = gadget.NaeInstance.create([frozenset(c) for c in (\n"
+        "    ('v1', 'v2', 'v3'), ('v1', 'v4', 'v5'), ('v2', 'v4', 'v6'), ('v3', 'v5', 'v6'))], 3)\n"
+        "try:\n"
+        + "".join(f"    {line}\n" for line in _CORRUPT_REDUCTIONS[case].strip().splitlines())
+        + "except (CertificateError, ValueError) as exc:\n"
+        "    print(type(exc).__name__ + ':', exc)\n"
+    )
+    assert out.returncode == 0, out.stderr
+    expected = "ValueError:" if case == "named cliques do not match" else "CertificateError:"
+    assert out.stdout.startswith(expected) and case in out.stdout

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import leafage
-from leafage.cliquetrees import CliqueTree, verify_clique_tree
+from leafage.cliquetrees import CliqueTree, Forest, verify_clique_tree
 from leafage.demo import demo_clique_tree, demo_graph
 from leafage.gadget import NaeInstance, build_gadget
 from leafage.graphs import Graph, chordal_cliques, clique_graph
@@ -316,18 +316,8 @@ def _random_spanning_tree(cliques, rng):
     # Kruskal on random weights over the intersecting clique pairs.
     pairs = [e for e in clique_graph(cliques).weights]
     rng.shuffle(pairs)
-    parent = list(range(len(cliques)))
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    edges = []
-    for i, j in pairs:
-        if find(i) != find(j):
-            parent[find(i)] = find(j)
-            edges.append((i, j))
+    forest = Forest(cliques)
+    edges = [(i, j) for i, j in pairs if forest.union(i, j)]
     return CliqueTree(cliques, frozenset(edges))
 
 

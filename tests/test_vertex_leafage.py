@@ -8,6 +8,7 @@ from leafage.cliquetrees import branching_sets, build_clique_tree, leaf_report, 
 from leafage.demo import demo_graph
 from leafage.graphs import Graph, chordal_cliques, clique_graph, parse_graph
 from leafage.oracle import enumerate_clique_trees
+from leafage.tokens import minimize_leafage
 from leafage.vertex_leafage import (
     NoFeasibleBranchingError,
     augmented_graph,
@@ -133,6 +134,27 @@ class TestVertexLeafageBounded:
         cert = vertex_leafage_bounded(g)
         assert cert.value == 0
         assert all(v == 0 for v in cert.per_vertex.values())
+
+    def test_path_runs_front_end_once(self, monkeypatch):
+        # For leafage <= 2 the minimized leafage tree is the answer; the
+        # graph's cliques must not be derived a second time.
+        import leafage.graphs
+        import leafage.vertex_leafage
+
+        calls = []
+        original = leafage.graphs.maximal_cliques
+
+        def counting(g, peo):
+            calls.append(g)
+            return original(g, peo)
+
+        for module in (leafage.graphs, leafage.vertex_leafage):
+            monkeypatch.setattr(module, "maximal_cliques", counting)
+        g = parse_graph(PATH_GRAPH)
+        cert = vertex_leafage_bounded(g)
+        assert len(calls) == 1
+        assert cert.value == 2
+        assert cert.tree == minimize_leafage(build_clique_tree(clique_graph(chordal_cliques(g))))
 
     def test_ell_bound_returns_none(self):
         assert vertex_leafage_bounded(demo_graph(), ell=2) is None
