@@ -2,7 +2,9 @@
 
 Subcommands wrap the library one-to-one and print deterministic JSON, DOT,
 or plain text.  Exit codes: 0 success, 1 negative decision (non-chordal
-input, bound exceeded), 2 usage or format error, 3 oracle limit exceeded.
+input, bound exceeded), 2 usage or format error (including an empty or
+disconnected graph where a tree model is asked for), 3 oracle limit
+exceeded.
 """
 
 from __future__ import annotations
@@ -34,11 +36,7 @@ from .graphs import (
 )
 from .oracle import OracleLimitError, oracle_optima
 from .tokens import minimize_leafage_with_trace, tokens_from_tree
-from .vertex_leafage import (
-    NoFeasibleBranchingError,
-    simultaneous_optimum,
-    vertex_leafage_bounded,
-)
+from .vertex_leafage import simultaneous_optimum, vertex_leafage_bounded
 
 EXIT_NEGATIVE = 1
 EXIT_FORMAT = 2
@@ -62,6 +60,16 @@ def _read_graph(file) -> Graph:
         return parse_graph(file.read())
     except GraphFormatError as exc:
         _fail(exc, EXIT_FORMAT)
+
+
+def _read_connected_graph(file) -> Graph:
+    # Every command that builds a tree model needs one nonempty connected graph.
+    g = _read_graph(file)
+    if not g.vertices:
+        _fail("graph is empty", EXIT_FORMAT)
+    if not g.is_connected():
+        _fail("graph is disconnected", EXIT_FORMAT)
+    return g
 
 
 def _clique_label(c: frozenset[str]) -> str:
@@ -114,13 +122,11 @@ def check(graph_file) -> None:
 @click.argument("graph_file", type=click.File("r"))
 def leafage(graph_file) -> None:
     """Minimum host-tree leaf count, with witness tree and iteration trace."""
-    g = _read_graph(graph_file)
+    g = _read_connected_graph(graph_file)
     try:
         cliques = chordal_cliques(g)
     except ValueError as exc:
         _fail(exc, EXIT_NEGATIVE)
-    if not g.is_connected():
-        _fail("graph is disconnected", EXIT_FORMAT)
     start = build_clique_tree(clique_graph(cliques))
     tree, trace = minimize_leafage_with_trace(start)
     iterations = [
@@ -150,19 +156,12 @@ def leafage(graph_file) -> None:
 @main.command(name="vertex-leafage")
 @click.argument("graph_file", type=click.File("r"))
 @click.option("--ell", type=int, default=None, help="Skip graphs whose leafage exceeds this bound.")
-@click.option(
-    "--budget-mode",
-    type=click.Choice(["safe", "paper"]),
-    default="safe",
-    show_default=True,
-    help="Branching-set enumeration budget.",
-)
-def vertex_leafage(graph_file, ell, budget_mode) -> None:
+def vertex_leafage(graph_file, ell) -> None:
     """Exact vertex leafage with a certificate tree."""
-    g = _read_graph(graph_file)
+    g = _read_connected_graph(graph_file)
     try:
-        cert = vertex_leafage_bounded(g, ell=ell, budget_mode=budget_mode)
-    except (NoFeasibleBranchingError, ValueError) as exc:
+        cert = vertex_leafage_bounded(g, ell=ell)
+    except ValueError as exc:
         _fail(exc, EXIT_NEGATIVE)
     if cert is None:
         _fail(f"leafage exceeds the bound {ell}", EXIT_NEGATIVE)
@@ -187,7 +186,7 @@ def vertex_leafage(graph_file, ell, budget_mode) -> None:
 @click.option("--dot", is_flag=True, help="Emit the host tree in DOT format.")
 def model(graph_file, dot) -> None:
     """Tree model optimal for leafage and vertex leafage simultaneously."""
-    g = _read_graph(graph_file)
+    g = _read_connected_graph(graph_file)
     try:
         m, tree = simultaneous_optimum(g)
     except ValueError as exc:
@@ -245,7 +244,7 @@ def gadget_verify(clause_file) -> None:
 @click.argument("graph_file", type=click.File("r"))
 def oracle(graph_file) -> None:
     """Brute-force enumeration: exact optima with witness trees."""
-    g = _read_graph(graph_file)
+    g = _read_connected_graph(graph_file)
     try:
         result = oracle_optima(g)
     except OracleLimitError as exc:

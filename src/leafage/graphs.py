@@ -7,6 +7,7 @@ deterministic.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import re
 from collections import Counter, deque
@@ -194,17 +195,23 @@ def format_edge_list(g: Graph) -> str:
 
 def _mcs_order(g: Graph) -> list[str]:
     # Maximum-cardinality search; ties broken by lexicographically least name.
+    # ``weight`` holds the unvisited vertices; the heap is keyed (-weight,
+    # name).  Weights only grow, so a vertex's current entry pops before its
+    # stale ones, which are skipped once it is visited.
     # The elimination order is the reverse of the visit order.
-    weight = {v: 0 for v in g.vertices}
-    unvisited = set(g.vertices)
+    weight = dict.fromkeys(g.vertices, 0)
+    heap = [(0, v) for v in g.vertices]  # sorted, hence a heap
     visit: list[str] = []
-    while unvisited:
-        best = min(unvisited, key=lambda v: (-weight[v], v))
-        unvisited.discard(best)
+    while heap:
+        _, best = heapq.heappop(heap)
+        if best not in weight:
+            continue
+        del weight[best]
         visit.append(best)
         for w in g.adjacency[best]:
-            if w in unvisited:
+            if w in weight:
                 weight[w] += 1
+                heapq.heappush(heap, (-weight[w], w))
     visit.reverse()
     return visit
 
@@ -232,6 +239,11 @@ def _peo_cliques(g: Graph, order: Sequence[str]) -> tuple[frozenset[str], ...] |
     cliques = [frozenset(later[v] | {v}) for v in order if v not in absorbed]
     cliques.sort(key=lambda c: tuple(sorted(c)))
     return tuple(cliques)
+
+
+def _mcs_cliques(g: Graph) -> tuple[frozenset[str], ...] | None:
+    """The canonical maximal cliques from one MCS pass, or None if not chordal."""
+    return _peo_cliques(g, _mcs_order(g))
 
 
 def is_valid_peo(g: Graph, order: Iterable[str]) -> bool:
@@ -343,12 +355,11 @@ def clique_graph(cliques: Iterable[frozenset[str]]) -> CliqueGraph:
 
 
 def chordal_cliques(g: Graph) -> tuple[frozenset[str], ...]:
-    """Convenience: check chordality and return the canonical clique list.
+    """The canonical clique list, decided and built in one elimination pass.
 
-    Raises ``ValueError`` with the witness cycle when the graph is not
-    chordal.
+    Raises ``ValueError`` with a witness cycle when the graph is not chordal.
     """
-    result = check_chordal(g)
-    if not isinstance(result, PerfectEliminationOrder):
-        raise ValueError(f"graph is not chordal; induced cycle: {list(result)}")
-    return maximal_cliques(g, result)
+    cliques = _mcs_cliques(g)
+    if cliques is None:
+        raise ValueError(f"graph is not chordal; induced cycle: {list(_find_hole(g))}")
+    return cliques

@@ -23,26 +23,10 @@ from .cliquetrees import (
     model_from_clique_tree,
     path_containment_violation,
 )
-from .graphs import (
-    CliqueGraph,
-    Graph,
-    PerfectEliminationOrder,
-    check_chordal,
-    chordal_cliques,
-    clique_graph,
-    maximal_cliques,
-)
+from .graphs import CliqueGraph, Graph, _mcs_cliques, chordal_cliques, clique_graph
 from .tokens import CertificateError, minimize_leafage
 
 BranchEdgeSet = frozenset[tuple[int, int]]
-
-
-class NoFeasibleBranchingError(RuntimeError):
-    """No candidate branching set within the budget admits a clique tree.
-
-    Only reachable in "paper" budget mode, whose tighter size bound is too
-    small to describe any branching node once the leafage exceeds 2.
-    """
 
 
 @dataclass(frozen=True)
@@ -97,12 +81,8 @@ def clique_tree_with_branching(
     for i, j in f:
         if not cliques[i] & cliques[j]:
             raise ValueError(f"({i}, {j}) is not a clique-graph edge")
-    gp = augmented_graph(g, cliques, f)
-    peo = check_chordal(gp)
-    if not isinstance(peo, PerfectEliminationOrder):
-        return None
-    cliques_p = maximal_cliques(gp, peo)
-    if len(cliques_p) != len(cliques):
+    cliques_p = _mcs_cliques(augmented_graph(g, cliques, f))
+    if cliques_p is None or len(cliques_p) != len(cliques):
         return None
     tmin = minimize_leafage(build_clique_tree(clique_graph(cliques_p)))
     vertex_set = set(g.vertices)
@@ -190,21 +170,14 @@ def candidate_branch_sets(
     return filtered
 
 
-def vertex_leafage_bounded(
-    g: Graph,
-    ell: int | None = None,
-    budget_mode: str = "safe",
-) -> VlCertificate | None:
+def vertex_leafage_bounded(g: Graph, ell: int | None = None) -> VlCertificate | None:
     """Exact vertex leafage of a connected chordal graph with small leafage.
 
-    Returns None when the leafage exceeds ``ell``.  ``budget_mode`` bounds
-    the branching-set enumeration: "safe" uses 3 * (leafage - 2), which
-    provably covers every branching set of a simultaneously optimal tree;
-    "paper" uses leafage - 2, which is too small whenever the leafage is at
-    least 3 and then raises :class:`NoFeasibleBranchingError`.
+    Returns None when the leafage exceeds ``ell``.  Branching sets are
+    enumerated up to 3 * (leafage - 2) edges, which covers every branching
+    set of a simultaneously optimal tree; the paper's leafage - 2 bounds the
+    branching *nodes*, which ``candidate_branch_sets`` enforces.
     """
-    if budget_mode not in ("safe", "paper"):
-        raise ValueError(f"unknown budget mode {budget_mode!r}")
     if not g.is_connected():
         raise ValueError("graph is disconnected")
     cliques = chordal_cliques(g)
@@ -217,8 +190,7 @@ def vertex_leafage_bounded(
         # A path, whose subtrees are paths: no clique tree does better.
         per_vertex = {u: tmin.vertex_leaf_count(u) for u in g.vertices}
         return VlCertificate(max(per_vertex.values(), default=0), tmin, per_vertex)
-    budget = (leafage - 2) if budget_mode == "paper" else 3 * (leafage - 2)
-    budget = min(budget, len(cliques) - 1)
+    budget = min(3 * (leafage - 2), len(cliques) - 1)
     best: tuple[int, CliqueTree] | None = None
     # The first candidate, the empty set, only fits a path.
     for f in candidate_branch_sets(cg, leafage, budget)[1:]:
@@ -231,9 +203,8 @@ def vertex_leafage_bounded(
         if best[0] <= 2:
             break
     if best is None:
-        raise NoFeasibleBranchingError(
-            f"no branching set of size <= {budget} admits a clique tree "
-            f"(budget mode {budget_mode!r}, leafage {leafage})"
+        raise CertificateError(
+            f"no branching set of size <= {budget} admits a clique tree (leafage {leafage})"
         )
     per_vertex = {u: best[1].vertex_leaf_count(u) for u in g.vertices}
     return VlCertificate(best[0], best[1], per_vertex)
@@ -244,12 +215,13 @@ def simultaneous_optimum(g: Graph) -> tuple[TreeModel, CliqueTree]:
 
     Starts leafage minimization from a vertex-leafage-optimal tree; the
     iteration never increases any subtree's leaf count, so both optima hold
-    at once in the result.
+    at once in the result.  A tree with at most two leaves is a path and
+    already has minimum leafage, so it is not minimized again.
     """
     cert = vertex_leafage_bounded(g)
     if cert is None:
         raise CertificateError("no vertex-leafage certificate without a leafage bound")
-    tree = minimize_leafage(cert.tree)
+    tree = cert.tree if len(cert.tree.leaves()) <= 2 else minimize_leafage(cert.tree)
     vl = tree.max_vertex_leaf_count(g.vertices)
     if vl != cert.value:
         raise CertificateError(

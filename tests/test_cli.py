@@ -107,18 +107,6 @@ class TestVertexLeafage:
         )
         assert res.exit_code == 1
 
-    def test_paper_budget_failure_exit_one(self, runner, tmp_path):
-        res = invoke(
-            runner,
-            [
-                "vertex-leafage",
-                "--budget-mode", "paper",
-                write(tmp_path, "g.txt", DEMO_EDGE_LIST),
-            ],
-        )
-        assert res.exit_code == 1
-        assert "no branching set" in res.output
-
 
 class TestModel:
     def test_interval_graph_json(self, runner, tmp_path):
@@ -174,6 +162,21 @@ class TestOracleCommand:
     def test_non_chordal_exit_one(self, runner, tmp_path):
         res = invoke(runner, ["oracle", write(tmp_path, "g.txt", FOUR_CYCLE)])
         assert res.exit_code == 1
+
+
+@pytest.mark.parametrize("command", ["leafage", "vertex-leafage", "model", "oracle"])
+@pytest.mark.parametrize(
+    "text, message",
+    [("", "graph is empty"), ("# no edges\n", "graph is empty"),
+     ("e a b\ne c d\n", "graph is disconnected"),
+     # Checked before chordality: the 4-cycle alone would exit 1.
+     (FOUR_CYCLE + "v z\n", "graph is disconnected")],
+)
+def test_empty_or_disconnected_exit_two(runner, command, text, message):
+    res = invoke(runner, [command, "-"], stdin=text)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == f"error: {message}\n"
 
 
 class TestRepro:
@@ -252,6 +255,19 @@ NAE_6 = "k 3\nv1 v2 v3\nv1 v4 v5\nv2 v4 v6\nv3 v5 v6\n"
 # sha256 of each command's stdout.  CLI output must stay byte-identical
 # across internal changes, so any change to these bytes fails here.
 GOLDEN = {
+    # ``check`` prints the MCS elimination order, so these pin its tie-break.
+    "check-demo": (
+        ["check", "-"], DEMO_EDGE_LIST,
+        "7865ce412dc7103f534866ee7503655fe1a13ea02c699920f29a1545422fa744",
+    ),
+    "check-caterpillar-8x2": (
+        ["check", "-"], _caterpillar(8, 2),
+        "288821c46eb37c1eb8be63c1985b78d6ff064b81aaa8bce540d9ab11cd3818d7",
+    ),
+    "check-nae-gadget": (
+        ["check", "-"], format_edge_list(build_gadget(parse_clause_file(NAE_K4)).graph),
+        "9c9c51426df57ca859d63b23a313b9fd46d6036fb18e816d763b01869d9df42c",
+    ),
     "leafage-star-12": (
         ["leafage", "-"], _star(12),
         "4b193c68227acc2350cfc934169e7883b852ab70372cf0405a01a9fb32087586",
@@ -267,6 +283,11 @@ GOLDEN = {
     "vertex-leafage-nae-gadget": (
         ["vertex-leafage", "-"], format_edge_list(build_gadget(parse_clause_file(NAE_K4)).graph),
         "421c6e93395cefedbfd9f04cf72a212f04161eb1f387b08d1f6472c77fc810d6",
+    ),
+    # Leafage 4: the model's final minimization starts from a branching tree.
+    "model-spider-4x3": (
+        ["model", "-"], _spider(4, 3),
+        "b1b139511fe7698da35f3d7211d05b27b9aaf4a66308a49e3864ca1d028f403a",
     ),
     "model-path-60": (
         ["model", "-"], _path(60),

@@ -328,6 +328,43 @@ class TestOnePassFrontEnd:
         assert valid > 100 and invalid > 100
 
 
+def _scan_mcs_order(g):
+    # Reference: maximum-cardinality search picking the next vertex by a
+    # scan of all unvisited ones, as before the heap.
+    weight = {v: 0 for v in g.vertices}
+    unvisited = set(g.vertices)
+    visit = []
+    while unvisited:
+        best = min(unvisited, key=lambda v: (-weight[v], v))
+        unvisited.discard(best)
+        visit.append(best)
+        for w in g.adjacency[best]:
+            if w in unvisited:
+                weight[w] += 1
+    visit.reverse()
+    return visit
+
+
+class TestMcsOrder:
+    """The heap search visits in the same order as the full scan, ties included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs(max_n=9))
+    def test_arbitrary_graphs(self, g):
+        assert _mcs_order(g) == _scan_mcs_order(g)
+
+    def test_corpus_and_larger_graphs(self, corpus):
+        graphs = [g for g, _ in corpus]
+        graphs.append(Graph.from_edges([], [(f"p{i:03d}", f"p{i + 1:03d}") for i in range(299)]))
+        rng = random.Random(3)
+        for n in (40, 80):
+            verts = [f"x{i}" for i in range(n)]
+            pairs = itertools.combinations(verts, 2)
+            graphs.append(Graph.from_edges(verts, [p for p in pairs if rng.random() < 0.1]))
+        for g in graphs:
+            assert _mcs_order(g) == _scan_mcs_order(g)
+
+
 _CORRUPT_HOLE_SEARCHES = {
     # A hole search whose witness fails the induced-cycle check.
     "is not an induced cycle": """

@@ -4,13 +4,14 @@ from collections import defaultdict
 
 import pytest
 
+import leafage.graphs
+import leafage.vertex_leafage
 from leafage.cliquetrees import branching_sets, build_clique_tree, leaf_report, verify_clique_tree
 from leafage.demo import demo_graph
 from leafage.graphs import Graph, chordal_cliques, clique_graph, parse_graph
 from leafage.oracle import enumerate_clique_trees
 from leafage.tokens import minimize_leafage
 from leafage.vertex_leafage import (
-    NoFeasibleBranchingError,
     augmented_graph,
     candidate_branch_sets,
     clique_tree_with_branching,
@@ -19,6 +20,19 @@ from leafage.vertex_leafage import (
 )
 
 PATH_GRAPH = "e a b\ne b c\ne c d\n"
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` for this test; return the list of its calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 class TestAugmentedGraph:
@@ -73,6 +87,16 @@ class TestCliqueTreeWithBranching:
         # cliques 3 (ag) and 8 (de) are disjoint.
         with pytest.raises(ValueError, match="not a clique-graph edge"):
             clique_tree_with_branching(g, frozenset({(3, 8)}), cliques)
+
+    def test_one_elimination_pass_per_call(self, monkeypatch):
+        # The augmented graph is decided chordal and split into cliques by
+        # a single pass.
+        g = demo_graph()
+        cliques = chordal_cliques(g)
+        f = branching_sets(vertex_leafage_bounded(g).tree).incident_edges
+        calls = count_calls(monkeypatch, leafage.graphs, "_peo_cliques")
+        assert clique_tree_with_branching(g, f, cliques) is not None
+        assert len(calls) == 1
 
     def test_oversized_branching_returns_none(self):
         g = parse_graph(PATH_GRAPH)
@@ -137,19 +161,8 @@ class TestVertexLeafageBounded:
 
     def test_path_runs_front_end_once(self, monkeypatch):
         # For leafage <= 2 the minimized leafage tree is the answer; the
-        # graph's cliques must not be derived a second time.
-        import leafage.graphs
-        import leafage.vertex_leafage
-
-        calls = []
-        original = leafage.graphs.maximal_cliques
-
-        def counting(g, peo):
-            calls.append(g)
-            return original(g, peo)
-
-        for module in (leafage.graphs, leafage.vertex_leafage):
-            monkeypatch.setattr(module, "maximal_cliques", counting)
+        # graph's cliques come from exactly one elimination pass.
+        calls = count_calls(monkeypatch, leafage.graphs, "_peo_cliques")
         g = parse_graph(PATH_GRAPH)
         cert = vertex_leafage_bounded(g)
         assert len(calls) == 1
@@ -158,22 +171,6 @@ class TestVertexLeafageBounded:
 
     def test_ell_bound_returns_none(self):
         assert vertex_leafage_bounded(demo_graph(), ell=2) is None
-
-    def test_interval_graph_paper_mode(self):
-        g = parse_graph(PATH_GRAPH)
-        cert = vertex_leafage_bounded(g, budget_mode="paper")
-        assert cert.value == 2
-
-    def test_paper_mode_infeasible_when_leafage_three(self):
-        # With leafage 3 the "paper" budget is 1, but any nonempty branching
-        # set has at least 3 edges; only the empty set remains and it is
-        # infeasible, so the enumeration must fail loudly.
-        with pytest.raises(NoFeasibleBranchingError):
-            vertex_leafage_bounded(demo_graph(), budget_mode="paper")
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="budget mode"):
-            vertex_leafage_bounded(demo_graph(), budget_mode="fast")
 
     def test_disconnected_rejected(self):
         g = Graph.from_edges(["a", "b"], [])
@@ -217,6 +214,14 @@ class TestSimultaneousOptimum:
         assert report.host_leaves == 3
         assert report.max_vertex_leaves == 2
 
+    def test_path_minimized_once(self, monkeypatch):
+        # The path tree of vertex_leafage_bounded already has minimum
+        # leafage; the model is not minimized a second time.
+        calls = count_calls(monkeypatch, leafage.vertex_leafage, "minimize_leafage")
+        m, tree = simultaneous_optimum(parse_graph(PATH_GRAPH))
+        assert len(calls) == 1
+        assert leaf_report(m).host_leaves == 2
+
     def test_corpus_matches_both_optima(self, corpus):
         for g, result in corpus[:60]:
             m, tree = simultaneous_optimum(g)
@@ -251,3 +256,20 @@ def test_simultaneous_optimum_check_survives_optimize(case, run_optimized):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("CertificateError:") and case in out.stdout
+
+
+def test_no_realizable_candidate_raises_under_optimize(run_optimized):
+    # Some candidate always realizes a graph of leafage >= 3; with none
+    # left the certificate is missing, which must raise even under -O.
+    out = run_optimized(
+        "import leafage.vertex_leafage as vl\n"
+        "from leafage.demo import demo_graph\n"
+        "assert False, 'not run under -O'\n"
+        "vl.candidate_branch_sets = lambda cg, leafage, budget: [frozenset()]\n"
+        "try:\n"
+        "    vl.vertex_leafage_bounded(demo_graph())\n"
+        "except vl.CertificateError as exc:\n"
+        "    print('CertificateError:', exc)\n"
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("CertificateError:") and "no branching set" in out.stdout
