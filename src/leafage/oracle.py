@@ -33,6 +33,8 @@ def enumerate_clique_trees(g: Graph, limit: int | None = None) -> Iterator[Cliqu
     inputs cannot hit the recursion limit.  Raises :class:`OracleLimitError`
     past the cap.
     """
+    if not g.vertices:
+        raise ValueError("graph is empty")
     if not g.is_connected():
         raise ValueError("graph is disconnected")
     cap = tree_limit() if limit is None else limit

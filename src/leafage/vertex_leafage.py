@@ -4,15 +4,18 @@ The key subroutine builds, for a prescribed set F of clique-graph edges, a
 clique tree whose branching edges (edges incident to nodes of degree >= 3)
 are exactly F.  It augments the graph with one marker vertex per edge of F,
 minimizes host leaves on the augmented graph, and strips the markers back
-out.  Enumerating candidate F sets then yields the exact vertex leafage,
-together with a tree model realizing both optima simultaneously.
+out.  F alone fixes every leaf count of such a tree, so candidate F sets are
+ranked without building anything and built best first; the first one
+realized gives the exact vertex leafage, together with a tree model
+realizing both optima simultaneously.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .cliquetrees import (
     CliqueTree,
@@ -23,7 +26,7 @@ from .cliquetrees import (
     model_from_clique_tree,
     path_containment_violation,
 )
-from .graphs import CliqueGraph, Graph, _mcs_cliques, chordal_cliques, clique_graph
+from .graphs import CliqueGraph, Graph, _holders, _mcs_cliques, chordal_cliques, clique_graph
 from .tokens import CertificateError, minimize_leafage
 
 BranchEdgeSet = frozenset[tuple[int, int]]
@@ -124,11 +127,67 @@ def _admissible_stars(
     return out
 
 
-def _fits_clique_tree(cg: CliqueGraph, f: BranchEdgeSet) -> bool:
-    # F must embed in a clique tree: a forest in which every vertex's
-    # cliques are connected inside each component.
-    forest = Forest(cg.cliques)
-    return all(forest.join(a, b) for a, b in sorted(f))
+def _join_all(forest: Forest, edges: BranchEdgeSet) -> bool:
+    """Join all of ``edges`` into ``forest``, or take back the ones joined.
+
+    The joins succeed iff the forest plus ``edges`` still embeds in a clique
+    tree: a forest in which every vertex's cliques are connected inside each
+    component.  That is a property of the edge set, so the order is free.
+    """
+    for done, (a, b) in enumerate(edges):
+        if not forest.join(a, b):
+            for _ in range(done):
+                forest.undo()
+            return False
+    return True
+
+
+def _branching_leaf_counts(
+    cliques: tuple[frozenset[str], ...], f: BranchEdgeSet
+) -> tuple[int, Counter[str]]:
+    """Leaf counts of any clique tree whose branching edge set is ``f``.
+
+    Returns the tree's leaves and, per vertex, its subtree's leaves beyond
+    two.  A tree has 2 + sum(deg(x) - 2) leaves over its nodes x of degree
+    >= 3, and every edge at such a node is in ``f``.  The same holds for
+    the subtree of a vertex u in two or more cliques, whose degree at x
+    counts the edges of ``f`` at x whose other end also holds u.  So both
+    counts follow from ``f`` and the cliques alone, with no tree built.
+    """
+    degree: Counter[int] = Counter()
+    held: Counter[tuple[str, int]] = Counter()
+    for a, b in f:
+        degree[a] += 1
+        degree[b] += 1
+        for u in cliques[a] & cliques[b]:
+            held[u, a] += 1
+            held[u, b] += 1
+    extra: Counter[str] = Counter()
+    for (u, _), d in held.items():
+        if d > 2:
+            extra[u] += d - 2
+    return 2 + sum(d - 2 for d in degree.values() if d > 2), extra
+
+
+def _extensions(
+    star_table: list[list[BranchEdgeSet]],
+    budget: int,
+    slack: int,
+    state: tuple[int, int, BranchEdgeSet, int],
+) -> Iterator[tuple[tuple[int, int, BranchEdgeSet, int], BranchEdgeSet]]:
+    # Each state one more star adds, with the edges the star brings in.
+    # States: (centers so far, last center, edge set, slack used).
+    count, last, f, used_slack = state
+    degree = Counter(x for e in f for x in e)
+    for c in range(last + 1, len(star_table)):
+        for star in star_table[c]:
+            added = star - f
+            if len(f) + len(added) > budget:
+                continue
+            # Every edge of the star is at c: c's degree in the union.
+            used = used_slack + degree[c] + len(added) - 2
+            if used <= slack:
+                yield (count + 1, c, f | added, used), added
 
 
 def candidate_branch_sets(
@@ -139,35 +198,47 @@ def candidate_branch_sets(
     A branching edge set of a tree is a union of full stars around its
     high-degree nodes, with degree slack summing to at most leafage - 2; the
     enumeration covers exactly those shapes (plus the empty set) up to the
-    size budget and filters out sets no clique tree could carry.
-    """
-    results: set[BranchEdgeSet] = {frozenset()}
-    max_centers = max(0, leafage - 2)
-    slack = leafage - 2
-    star_table = {
-        c: _admissible_stars(cg, c, budget) for c in range(len(cg.cliques))
-    }
+    size budget and keeps only sets some clique tree could carry.
 
-    # An explicit stack, not a recursive closure: the closure's reference
-    # cycle would keep ``results`` alive until the next garbage collection.
-    # Entries: (centers so far, last center, edge set, slack used).
-    stack: list[tuple[int, int, BranchEdgeSet, int]] = [(0, -1, frozenset(), 0)]
-    while stack:
-        count, last, f, used_slack = stack.pop()
-        if count:
-            results.add(f)
-        if count == max_centers:
+    The search is depth first over one ``Forest`` that holds the current
+    set, so a star is checked by joining only the edges it adds.  Two cuts
+    leave the list unchanged: a set that no clique tree carries is not
+    extended, since no superset of it fits either, and a search state
+    already reached is not expanded again.
+    """
+    slack = leafage - 2
+    max_centers = max(0, slack)
+    star_table = [
+        [frozenset(s) for s in _admissible_stars(cg, c, budget)]
+        for c in range(len(cg.cliques))
+    ]
+    seen: set[tuple[int, int, BranchEdgeSet, int]] = set()
+    forest = Forest(cg.cliques)
+    # An explicit stack, not recursion.  Frames: (the extensions of a
+    # state, the links that made its set, to undo once they are done).
+    frames = []
+    if max_centers:
+        frames.append((_extensions(star_table, budget, slack, (0, -1, frozenset(), 0)), 0))
+    while frames:
+        extensions, links = frames[-1]
+        step = next(extensions, None)
+        if step is None:
+            frames.pop()
+            for _ in range(links):
+                forest.undo()
             continue
-        for c in range(last + 1, len(cg.cliques)):
-            for star in star_table[c]:
-                combined = f | frozenset(star)
-                degree = sum(1 for e in combined if c in e)
-                if len(combined) > budget or used_slack + degree - 2 > slack:
-                    continue
-                stack.append((count + 1, c, combined, used_slack + degree - 2))
-    filtered = [f for f in results if not f or _fits_clique_tree(cg, f)]
-    filtered.sort(key=lambda f: (len(f), sorted(f)))
-    return filtered
+        state, added = step
+        if state in seen or not _join_all(forest, added):
+            continue
+        seen.add(state)
+        if state[0] < max_centers:
+            frames.append((_extensions(star_table, budget, slack, state), len(added)))
+        else:
+            for _ in range(len(added)):
+                forest.undo()
+    out = list({frozenset()} | {state[2] for state in seen})
+    out.sort(key=lambda f: (len(f), sorted(f)))
+    return out
 
 
 def vertex_leafage_bounded(g: Graph, ell: int | None = None) -> VlCertificate | None:
@@ -177,7 +248,17 @@ def vertex_leafage_bounded(g: Graph, ell: int | None = None) -> VlCertificate | 
     enumerated up to 3 * (leafage - 2) edges, which covers every branching
     set of a simultaneously optimal tree; the paper's leafage - 2 bounds the
     branching *nodes*, which ``candidate_branch_sets`` enforces.
+
+    The host and vertex leaf counts of a tree follow from its branching set
+    (``_branching_leaf_counts``), so no tree is built to rank a candidate:
+    sets whose trees would have fewer leaves than the leafage are dropped,
+    the rest are tried in (vertex leafage, size, sorted edges) order, and
+    the first one that ``clique_tree_with_branching`` realizes is optimal.
+    Its tree's per-vertex leaf counts must match the formula's, or
+    ``CertificateError`` is raised.
     """
+    if not g.vertices:
+        raise ValueError("graph is empty")
     if not g.is_connected():
         raise ValueError("graph is disconnected")
     cliques = chordal_cliques(g)
@@ -188,26 +269,33 @@ def vertex_leafage_bounded(g: Graph, ell: int | None = None) -> VlCertificate | 
         return None
     if leafage <= 2:
         # A path, whose subtrees are paths: no clique tree does better.
-        per_vertex = {u: tmin.vertex_leaf_count(u) for u in g.vertices}
-        return VlCertificate(max(per_vertex.values(), default=0), tmin, per_vertex)
-    budget = min(3 * (leafage - 2), len(cliques) - 1)
-    best: tuple[int, CliqueTree] | None = None
-    # The first candidate, the empty set, only fits a path.
-    for f in candidate_branch_sets(cg, leafage, budget)[1:]:
-        tree = clique_tree_with_branching(g, f, cliques)
-        if tree is None:
-            continue
-        vl = tree.max_vertex_leaf_count(g.vertices)
-        if best is None or vl < best[0]:
-            best = (vl, tree)
-        if best[0] <= 2:
-            break
-    if best is None:
+        tree, f = tmin, frozenset()
+    else:
+        budget = min(3 * (leafage - 2), len(cliques) - 1)
+        ranked = []
+        # The first candidate, the empty set, only fits a path.
+        for f in candidate_branch_sets(cg, leafage, budget)[1:]:
+            host, extra = _branching_leaf_counts(cliques, f)
+            if host >= leafage:
+                ranked.append((max(extra.values(), default=0), f))
+        # Stable: candidates of equal vertex leafage keep (|F|, sorted F) order.
+        ranked.sort(key=lambda r: r[0])
+        for _, f in ranked:
+            tree = clique_tree_with_branching(g, f, cliques)
+            if tree is not None:
+                break
+        else:
+            raise CertificateError(
+                f"no branching set of size <= {budget} admits a clique tree (leafage {leafage})"
+            )
+    per_vertex = {u: tree.vertex_leaf_count(u) for u in g.vertices}
+    extra = _branching_leaf_counts(cliques, f)[1]
+    expected = {u: 2 + extra[u] if len(ids) > 1 else 0 for u, ids in _holders(cliques).items()}
+    if per_vertex != expected:
         raise CertificateError(
-            f"no branching set of size <= {budget} admits a clique tree (leafage {leafage})"
+            "the tree's vertex leaf counts differ from those of its branching set"
         )
-    per_vertex = {u: best[1].vertex_leaf_count(u) for u in g.vertices}
-    return VlCertificate(best[0], best[1], per_vertex)
+    return VlCertificate(max(per_vertex.values()), tree, per_vertex)
 
 
 def simultaneous_optimum(g: Graph) -> tuple[TreeModel, CliqueTree]:

@@ -12,6 +12,7 @@ import pytest
 
 import leafage
 
+from leafage.gadget import NaeInstance, satisfies_star
 from leafage.graphs import Graph, check_chordal, PerfectEliminationOrder
 from leafage.oracle import oracle_optima, random_chordal
 
@@ -44,6 +45,31 @@ def build_corpus(size: int = CORPUS_SIZE):
 @pytest.fixture(scope="session")
 def corpus():
     return build_corpus()
+
+
+def nae_families() -> list[NaeInstance]:
+    """The 31 domination-free 3-uniform families with n <= 6, m <= 4."""
+    out = []
+    for n in range(3, 7):
+        variables = [f"v{i}" for i in range(1, n + 1)]
+        subsets = [frozenset(c) for c in itertools.combinations(variables, 3)]
+        for m in range(1, 5):
+            for fam in itertools.combinations(subsets, m):
+                inst = NaeInstance.create(list(fam), 3)
+                if inst.n == n and satisfies_star(inst):
+                    out.append(inst)
+    return out
+
+
+def spider_graph(legs: int, length: int) -> Graph:
+    """A centre vertex ``c`` with ``legs`` paths of ``length`` edges hanging off it."""
+    edges = []
+    for leg in range(legs):
+        prev = "c"
+        for step in range(length):
+            edges.append((prev, f"a{leg}x{step}"))
+            prev = f"a{leg}x{step}"
+    return Graph.from_edges([], edges)
 
 
 @pytest.fixture

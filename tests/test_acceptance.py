@@ -10,12 +10,12 @@ import time
 
 import pytest
 
+from conftest import nae_families
 from leafage.cliquetrees import branching_sets, build_clique_tree, leaf_report
 from leafage.demo import demo_clique_tree, demo_graph
 from leafage.gadget import (
     NaeInstance,
     build_gadget,
-    satisfies_star,
     solution_to_tree,
     solve_brute_force,
     tree_to_solution,
@@ -125,24 +125,10 @@ def test_criterion_4_simultaneous_optimum(corpus):
         assert report.max_vertex_leaves == result.vertex_leafage
 
 
-def _star_families():
-    """All domination-free 3-uniform families with n <= 6, m <= 4."""
-    out = []
-    for n in range(3, 7):
-        variables = [f"v{i}" for i in range(1, n + 1)]
-        subsets = [frozenset(c) for c in itertools.combinations(variables, 3)]
-        for m in range(1, 5):
-            for fam in itertools.combinations(subsets, m):
-                inst = NaeInstance.create(list(fam), 3)
-                if inst.n == n and satisfies_star(inst):
-                    out.append(inst)
-    return out
-
-
 def test_criterion_5_reduction_equivalence_sweep():
     """Gadget equivalence over all (star)-instances with n <= 6, m <= 4, < 10 min."""
     start = time.monotonic()
-    families = _star_families()
+    families = nae_families()
     assert families
     for inst in families:
         report = verify_reduction(inst)

@@ -284,6 +284,19 @@ GOLDEN = {
         ["vertex-leafage", "-"], format_edge_list(build_gadget(parse_clause_file(NAE_K4)).graph),
         "421c6e93395cefedbfd9f04cf72a212f04161eb1f387b08d1f6472c77fc810d6",
     ),
+    # Leafage 6, vertex leafage 3: the branching search builds a tree.
+    "vertex-leafage-nae-6": (
+        ["vertex-leafage", "-"], format_edge_list(build_gadget(parse_clause_file(NAE_6)).graph),
+        "5df39a9a4c8e9d8037d10a77d5fe13857edfa56f7e01dbc0a32fa053bf668036",
+    ),
+    "vertex-leafage-spider-5x3": (
+        ["vertex-leafage", "-"], _spider(5, 3),
+        "be6d1cb85bd9bef4745b37e891a0086a0421c85be156850577c2bbe3a4234d31",
+    ),
+    "model-nae-6": (
+        ["model", "-"], format_edge_list(build_gadget(parse_clause_file(NAE_6)).graph),
+        "54db4ce30f590de42a0e28c33b78b326b93db66752266965c98b27a8dad7ce4b",
+    ),
     # Leafage 4: the model's final minimization starts from a branching tree.
     "model-spider-4x3": (
         ["model", "-"], _spider(4, 3),

@@ -12,12 +12,13 @@ import random
 
 import pytest
 
+from conftest import nae_families, spider_graph
 from leafage.cliquetrees import CliqueTree, Forest
 from leafage.demo import demo_graph
-from leafage.gadget import NaeInstance, build_gadget, satisfies_star
-from leafage.graphs import Graph, chordal_cliques, clique_graph
+from leafage.gadget import NaeInstance, build_gadget
+from leafage.graphs import chordal_cliques, clique_graph
 from leafage.oracle import enumerate_clique_trees
-from leafage.vertex_leafage import _fits_clique_tree
+from leafage.vertex_leafage import _join_all
 
 
 def reference_enumerate(g):
@@ -141,16 +142,6 @@ def reference_forest_ok(cg, f):
     return True
 
 
-def _spider(legs, length):
-    edges = []
-    for leg in range(legs):
-        prev = "c"
-        for step in range(length):
-            edges.append((prev, f"a{leg}x{step}"))
-            prev = f"a{leg}x{step}"
-    return Graph.from_edges([], edges)
-
-
 SPIDER_SHAPES = [(6, 2), (5, 5), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3)]
 
 FANO = [("p1", "p2", "p3"), ("p1", "p4", "p5"), ("p1", "p6", "p7"), ("p2", "p4", "p6"),
@@ -159,15 +150,7 @@ FANO = [("p1", "p2", "p3"), ("p1", "p4", "p5"), ("p1", "p6", "p7"), ("p2", "p4",
 
 def _gadgets():
     """The 31 domination-free 3-uniform families with n <= 6, m <= 4, then Fano."""
-    out = []
-    for n in range(3, 7):
-        variables = [f"v{i}" for i in range(1, n + 1)]
-        subsets = [frozenset(c) for c in itertools.combinations(variables, 3)]
-        for m in range(1, 5):
-            for fam in itertools.combinations(subsets, m):
-                inst = NaeInstance.create(list(fam), 3)
-                if inst.n == n and satisfies_star(inst):
-                    out.append(inst)
+    out = nae_families()
     out.append(NaeInstance.create([frozenset(c) for c in FANO], 3))
     return [build_gadget(inst).graph for inst in out]
 
@@ -176,7 +159,7 @@ def _gadgets():
 def graphs(corpus):
     gadgets = _gadgets()
     assert len(gadgets) == 32
-    return [g for g, _ in corpus] + [_spider(*s) for s in SPIDER_SHAPES] + gadgets
+    return [g for g, _ in corpus] + [spider_graph(*s) for s in SPIDER_SHAPES] + gadgets
 
 
 class TestForest:
@@ -225,7 +208,7 @@ def test_enumeration_matches_pairwise_reference(graphs):
 
 
 def test_forest_check_matches_pairwise_reference(graphs):
-    """``_fits_clique_tree`` decides random edge sets as the pairwise scan."""
+    """``_join_all`` decides random edge sets as the pairwise scan."""
     rng = random.Random(5)
     rejected = accepted = 0
     for g in graphs:
@@ -235,7 +218,7 @@ def test_forest_check_matches_pairwise_reference(graphs):
             continue
         for _ in range(40):
             f = frozenset(rng.sample(edges, rng.randint(2, min(len(edges), len(cg.cliques)))))
-            ok = _fits_clique_tree(cg, f)
+            ok = _join_all(Forest(cg.cliques), f)
             assert ok == reference_forest_ok(cg, f)
             accepted += ok
             rejected += not ok

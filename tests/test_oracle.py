@@ -82,6 +82,10 @@ class TestOracleOptima:
         assert (r.leafage, r.vertex_leafage) == (3, 2)
         assert r.tree_count == 180
 
+    def test_empty_graph_rejected(self):
+        with pytest.raises(ValueError, match="graph is empty"):
+            oracle_optima(Graph.from_edges([], []))
+
     def test_witnesses_achieve_their_optima(self):
         g = demo_graph()
         r = oracle_optima(g)

@@ -6,12 +6,15 @@ import pytest
 
 import leafage.graphs
 import leafage.vertex_leafage
+from conftest import spider_graph
 from leafage.cliquetrees import branching_sets, build_clique_tree, leaf_report, verify_clique_tree
 from leafage.demo import demo_graph
+from leafage.gadget import build_gadget, parse_clause_file
 from leafage.graphs import Graph, chordal_cliques, clique_graph, parse_graph
 from leafage.oracle import enumerate_clique_trees
 from leafage.tokens import minimize_leafage
 from leafage.vertex_leafage import (
+    _branching_leaf_counts,
     augmented_graph,
     candidate_branch_sets,
     clique_tree_with_branching,
@@ -20,6 +23,7 @@ from leafage.vertex_leafage import (
 )
 
 PATH_GRAPH = "e a b\ne b c\ne c d\n"
+NAE_6 = "k 3\nv1 v2 v3\nv1 v4 v5\nv2 v4 v6\nv3 v5 v6\n"
 
 
 def count_calls(monkeypatch, module, name):
@@ -169,6 +173,22 @@ class TestVertexLeafageBounded:
         assert cert.value == 2
         assert cert.tree == minimize_leafage(build_clique_tree(clique_graph(chordal_cliques(g))))
 
+    def test_spider_builds_one_tree(self, monkeypatch):
+        # The best-ranked candidate of spider(5, 3) is realizable, so exactly
+        # one tree is built (building every candidate's tree took 321).
+        calls = count_calls(monkeypatch, leafage.vertex_leafage, "clique_tree_with_branching")
+        assert vertex_leafage_bounded(spider_graph(5, 3)).value == 2
+        assert len(calls) == 1
+
+    def test_candidates_below_the_leafage_are_never_built(self, monkeypatch):
+        # A set whose trees would have fewer leaves than the leafage cannot be
+        # realized, so its tree is never asked for.
+        g = build_gadget(parse_clause_file(NAE_6)).graph
+        calls = count_calls(monkeypatch, leafage.vertex_leafage, "clique_tree_with_branching")
+        assert vertex_leafage_bounded(g).value == 3
+        cliques = chordal_cliques(g)
+        assert calls and all(_branching_leaf_counts(cliques, f)[0] >= 6 for _, f, _ in calls)
+
     def test_ell_bound_returns_none(self):
         assert vertex_leafage_bounded(demo_graph(), ell=2) is None
 
@@ -176,6 +196,10 @@ class TestVertexLeafageBounded:
         g = Graph.from_edges(["a", "b"], [])
         with pytest.raises(ValueError, match="disconnected"):
             vertex_leafage_bounded(g)
+
+    def test_empty_graph_rejected(self):
+        with pytest.raises(ValueError, match="graph is empty"):
+            vertex_leafage_bounded(Graph.from_edges([], []))
 
     def test_corpus_matches_oracle(self, corpus):
         for g, result in corpus[:60]:
@@ -221,6 +245,10 @@ class TestSimultaneousOptimum:
         m, tree = simultaneous_optimum(parse_graph(PATH_GRAPH))
         assert len(calls) == 1
         assert leaf_report(m).host_leaves == 2
+
+    def test_empty_graph_rejected(self):
+        with pytest.raises(ValueError, match="graph is empty"):
+            simultaneous_optimum(Graph.from_edges([], []))
 
     def test_corpus_matches_both_optima(self, corpus):
         for g, result in corpus[:60]:
@@ -273,3 +301,23 @@ def test_no_realizable_candidate_raises_under_optimize(run_optimized):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("CertificateError:") and "no branching set" in out.stdout
+
+
+def test_wrong_tree_raises_under_optimize(run_optimized):
+    # A tree whose leaf counts differ from its branching set's is caught by
+    # the second derivation even with asserts stripped.
+    out = run_optimized(
+        "import leafage.vertex_leafage as vl\n"
+        "from leafage.demo import demo_graph\n"
+        "from leafage.oracle import enumerate_clique_trees\n"
+        "assert False, 'not run under -O'\n"
+        "g = demo_graph()\n"
+        "worst = max(enumerate_clique_trees(g), key=lambda t: t.max_vertex_leaf_count(g.vertices))\n"
+        "vl.clique_tree_with_branching = lambda g, f, cliques: worst\n"
+        "try:\n"
+        "    vl.vertex_leafage_bounded(g)\n"
+        "except vl.CertificateError as exc:\n"
+        "    print('CertificateError:', exc)\n"
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("CertificateError:") and "leaf counts differ" in out.stdout
