@@ -4,10 +4,11 @@ The key subroutine builds, for a prescribed set F of clique-graph edges, a
 clique tree whose branching edges (edges incident to nodes of degree >= 3)
 are exactly F.  It augments the graph with one marker vertex per edge of F,
 minimizes host leaves on the augmented graph, and strips the markers back
-out.  F alone fixes every leaf count of such a tree, so candidate F sets are
-ranked without building anything and built best first; the first one
-realized gives the exact vertex leafage, together with a tree model
-realizing both optima simultaneously.
+out.  The candidates are the branching sets of the trees with exactly
+leafage leaves, each generated once.  F alone fixes every leaf count of such
+a tree, so the candidates are ranked without building anything and built
+best first; the first one realized gives the exact vertex leafage, together
+with a tree model realizing both optima simultaneously.
 """
 
 from __future__ import annotations
@@ -106,27 +107,6 @@ def clique_tree_with_branching(
     return tree
 
 
-def _admissible_stars(
-    cg: CliqueGraph, center: int, max_size: int
-) -> list[tuple[tuple[int, int], ...]]:
-    # Sets of >= 3 edges at one node that a clique tree could carry: any two
-    # leaves hanging off the same node must have their intersection inside it.
-    incident = cg.incident(center)
-    out = []
-    for size in range(3, min(max_size, len(incident)) + 1):
-        for combo in itertools.combinations(incident, size):
-            ok = True
-            for (a1, b1), (a2, b2) in itertools.combinations(combo, 2):
-                x = b1 if a1 == center else a1
-                y = b2 if a2 == center else a2
-                if not cg.cliques[x] & cg.cliques[y] <= cg.cliques[center]:
-                    ok = False
-                    break
-            if ok:
-                out.append(combo)
-    return out
-
-
 def _join_all(forest: Forest, edges: BranchEdgeSet) -> bool:
     """Join all of ``edges`` into ``forest``, or take back the ones joined.
 
@@ -169,74 +149,71 @@ def _branching_leaf_counts(
     return 2 + sum(d - 2 for d in degree.values() if d > 2), extra
 
 
-def _extensions(
-    star_table: list[list[BranchEdgeSet]],
-    budget: int,
-    slack: int,
-    state: tuple[int, int, BranchEdgeSet, int],
-) -> Iterator[tuple[tuple[int, int, BranchEdgeSet, int], BranchEdgeSet]]:
-    # Each state one more star adds, with the edges the star brings in.
-    # States: (centers so far, last center, edge set, slack used).
-    count, last, f, used_slack = state
-    degree = Counter(x for e in f for x in e)
-    for c in range(last + 1, len(star_table)):
-        for star in star_table[c]:
-            added = star - f
-            if len(f) + len(added) > budget:
-                continue
-            # Every edge of the star is at c: c's degree in the union.
-            used = used_slack + degree[c] + len(added) - 2
-            if used <= slack:
-                yield (count + 1, c, f | added, used), added
+def candidate_branch_sets(cg: CliqueGraph, leafage: int) -> list[BranchEdgeSet]:
+    """Branching sets of the clique trees with ``leafage`` leaves, each once.
 
-
-def candidate_branch_sets(
-    cg: CliqueGraph, leafage: int, budget: int
-) -> list[BranchEdgeSet]:
-    """Branching-set candidates, smallest first, deterministic order.
-
-    A branching edge set of a tree is a union of full stars around its
-    high-degree nodes, with degree slack summing to at most leafage - 2; the
-    enumeration covers exactly those shapes (plus the empty set) up to the
-    size budget and keeps only sets some clique tree could carry.
+    A tree's branching set F is the union of the full stars at its nodes of
+    degree >= 3, its centres, and the tree has 2 + sum(deg(x) - 2) leaves
+    over them.  Centres are picked in increasing order, each with its whole
+    star, so each F comes from one sequence of choices: an earlier centre's
+    star is final and a node passed over keeps degree <= 2, so a star adds
+    an edge to an earlier node only while that node has degree < 2, and a
+    node of degree >= 3 cannot be passed over.  F is kept once the excess
+    sum(deg(x) - 2) is leafage - 2 and no later node has degree >= 3, so
+    |F| <= 3 * (leafage - 2).  Smallest first, then by sorted edges.
 
     The search is depth first over one ``Forest`` that holds the current
-    set, so a star is checked by joining only the edges it adds.  Two cuts
-    leave the list unchanged: a set that no clique tree carries is not
-    extended, since no superset of it fits either, and a search state
-    already reached is not expanded again.
+    set, so a star is checked by joining only the edges it adds, and a set
+    that no clique tree carries is not extended: no superset of it fits.
     """
+    n = len(cg.cliques)
     slack = leafage - 2
-    max_centers = max(0, slack)
-    star_table = [
-        [frozenset(s) for s in _admissible_stars(cg, c, budget)]
-        for c in range(len(cg.cliques))
-    ]
-    seen: set[tuple[int, int, BranchEdgeSet, int]] = set()
     forest = Forest(cg.cliques)
-    # An explicit stack, not recursion.  Frames: (the extensions of a
-    # state, the links that made its set, to undo once they are done).
-    frames = []
-    if max_centers:
-        frames.append((_extensions(star_table, budget, slack, (0, -1, frozenset(), 0)), 0))
+    degree = [0] * n
+
+    def stars(start: int, excess: int) -> Iterator[tuple[int, tuple, int]]:
+        # (centre, edges its star adds, excess after it) for centres >= start.
+        # The edges at c already in the set are those of earlier centres.
+        # Read lazily: deeper stars are taken back before it resumes.
+        for c in range(start, n):
+            held = degree[c]
+            free = [e for e in cg.incident(c) if e[0] == c or degree[e[0]] < 2]
+            for k in range(max(0, 3 - held), min(len(free), slack - excess - held + 2) + 1):
+                for added in itertools.combinations(free, k):
+                    yield c, added, excess + held + k - 2
+            if held >= 3:
+                return
+
+    def count(edges: tuple, step: int) -> None:
+        for a, b in edges:
+            degree[a] += step
+            degree[b] += step
+
+    out = []
+    # An explicit stack, not recursion.  Frames: (the stars at the next
+    # centre, the edges that made the current set, to take back after).
+    frames = [(stars(0, 0), ())] if slack > 0 else []
     while frames:
-        extensions, links = frames[-1]
-        step = next(extensions, None)
-        if step is None:
-            frames.pop()
-            for _ in range(links):
-                forest.undo()
-            continue
-        state, added = step
-        if state in seen or not _join_all(forest, added):
-            continue
-        seen.add(state)
-        if state[0] < max_centers:
-            frames.append((_extensions(star_table, budget, slack, state), len(added)))
+        options, links = frames[-1]
+        step = next(options, None)
+        if step is not None:
+            c, added, excess = step
+            if not _join_all(forest, added):
+                continue
+            count(added, 1)
+            if excess < slack:
+                frames.append((stars(c + 1, excess), added))
+                continue
+            if max(degree[c + 1:], default=0) < 3:
+                out.append(frozenset(e for _, made in frames for e in made).union(added))
         else:
-            for _ in range(len(added)):
-                forest.undo()
-    out = list({frozenset()} | {state[2] for state in seen})
+            frames.pop()
+            added = links
+        # Take back the last star: the one a set was just kept with, or the
+        # one whose extensions are all done.
+        for _ in added:
+            forest.undo()
+        count(added, -1)
     out.sort(key=lambda f: (len(f), sorted(f)))
     return out
 
@@ -244,18 +221,17 @@ def candidate_branch_sets(
 def vertex_leafage_bounded(g: Graph, ell: int | None = None) -> VlCertificate | None:
     """Exact vertex leafage of a connected chordal graph with small leafage.
 
-    Returns None when the leafage exceeds ``ell``.  Branching sets are
-    enumerated up to 3 * (leafage - 2) edges, which covers every branching
-    set of a simultaneously optimal tree; the paper's leafage - 2 bounds the
-    branching *nodes*, which ``candidate_branch_sets`` enforces.
+    Returns None when the leafage exceeds ``ell``.  The candidates are the
+    branching sets of the trees with exactly leafage leaves
+    (``candidate_branch_sets``): at most leafage - 2 branching nodes, the
+    paper's bound, and so at most 3 * (leafage - 2) edges.
 
-    The host and vertex leaf counts of a tree follow from its branching set
+    The vertex leaf counts of a tree follow from its branching set
     (``_branching_leaf_counts``), so no tree is built to rank a candidate:
-    sets whose trees would have fewer leaves than the leafage are dropped,
-    the rest are tried in (vertex leafage, size, sorted edges) order, and
-    the first one that ``clique_tree_with_branching`` realizes is optimal.
-    Its tree's per-vertex leaf counts must match the formula's, or
-    ``CertificateError`` is raised.
+    they are tried in (vertex leafage, size, sorted edges) order, and the
+    first one that ``clique_tree_with_branching`` realizes is optimal.  Its
+    tree's per-vertex leaf counts must match the formula's, and it must have
+    exactly leafage leaves, or ``CertificateError`` is raised.
     """
     if not g.vertices:
         raise ValueError("graph is empty")
@@ -271,23 +247,17 @@ def vertex_leafage_bounded(g: Graph, ell: int | None = None) -> VlCertificate | 
         # A path, whose subtrees are paths: no clique tree does better.
         tree, f = tmin, frozenset()
     else:
-        budget = min(3 * (leafage - 2), len(cliques) - 1)
-        ranked = []
-        # The first candidate, the empty set, only fits a path.
-        for f in candidate_branch_sets(cg, leafage, budget)[1:]:
-            host, extra = _branching_leaf_counts(cliques, f)
-            if host >= leafage:
-                ranked.append((max(extra.values(), default=0), f))
         # Stable: candidates of equal vertex leafage keep (|F|, sorted F) order.
-        ranked.sort(key=lambda r: r[0])
-        for _, f in ranked:
+        ranked = sorted(
+            candidate_branch_sets(cg, leafage),
+            key=lambda f: max(_branching_leaf_counts(cliques, f)[1].values(), default=0),
+        )
+        for f in ranked:
             tree = clique_tree_with_branching(g, f, cliques)
             if tree is not None:
                 break
         else:
-            raise CertificateError(
-                f"no branching set of size <= {budget} admits a clique tree (leafage {leafage})"
-            )
+            raise CertificateError(f"no branching set of a tree with {leafage} leaves is realized")
     per_vertex = {u: tree.vertex_leaf_count(u) for u in g.vertices}
     extra = _branching_leaf_counts(cliques, f)[1]
     expected = {u: 2 + extra[u] if len(ids) > 1 else 0 for u, ids in _holders(cliques).items()}
@@ -295,24 +265,24 @@ def vertex_leafage_bounded(g: Graph, ell: int | None = None) -> VlCertificate | 
         raise CertificateError(
             "the tree's vertex leaf counts differ from those of its branching set"
         )
+    if len(tree.leaves()) != leafage:
+        raise CertificateError(f"the tree has {len(tree.leaves())} leaves, not the leafage {leafage}")
     return VlCertificate(max(per_vertex.values()), tree, per_vertex)
 
 
 def simultaneous_optimum(g: Graph) -> tuple[TreeModel, CliqueTree]:
     """Tree model realizing minimum host leaves and minimum vertex leafage.
 
-    Starts leafage minimization from a vertex-leafage-optimal tree; the
-    iteration never increases any subtree's leaf count, so both optima hold
-    at once in the result.  A tree with at most two leaves is a path and
-    already has minimum leafage, so it is not minimized again.
+    The tree of ``vertex_leafage_bounded`` has least vertex leafage and, as
+    it checks, exactly leafage leaves, so its model realizes both optima at
+    once.  Its vertex leafage is counted again from the tree as a check.
     """
     cert = vertex_leafage_bounded(g)
     if cert is None:
         raise CertificateError("no vertex-leafage certificate without a leafage bound")
-    tree = cert.tree if len(cert.tree.leaves()) <= 2 else minimize_leafage(cert.tree)
-    vl = tree.max_vertex_leaf_count(g.vertices)
+    vl = cert.tree.max_vertex_leaf_count(g.vertices)
     if vl != cert.value:
         raise CertificateError(
-            f"leafage minimization moved the vertex leafage from {cert.value} to {vl}"
+            f"recounting the tree moved the vertex leafage from {cert.value} to {vl}"
         )
-    return model_from_clique_tree(tree), tree
+    return model_from_clique_tree(cert.tree), cert.tree

@@ -12,9 +12,11 @@ import pytest
 
 import leafage
 
+from leafage.cliquetrees import Forest
 from leafage.gadget import NaeInstance, satisfies_star
-from leafage.graphs import Graph, check_chordal, PerfectEliminationOrder
+from leafage.graphs import CliqueGraph, Graph, check_chordal, PerfectEliminationOrder
 from leafage.oracle import oracle_optima, random_chordal
+from leafage.vertex_leafage import _join_all
 
 CORPUS_SIZE = 200
 
@@ -70,6 +72,60 @@ def spider_graph(legs: int, length: int) -> Graph:
             edges.append((prev, f"a{leg}x{step}"))
             prev = f"a{leg}x{step}"
     return Graph.from_edges([], edges)
+
+
+def admissible_stars(cg: CliqueGraph, center: int, max_size: int) -> list[tuple[tuple[int, int], ...]]:
+    """Sets of >= 3 edges at one node that a clique tree could carry.
+
+    Any two cliques hanging off the same node must have their intersection
+    inside it.
+    """
+    incident = cg.incident(center)
+    out = []
+    for size in range(3, min(max_size, len(incident)) + 1):
+        for combo in itertools.combinations(incident, size):
+            ok = True
+            for (a1, b1), (a2, b2) in itertools.combinations(combo, 2):
+                x = b1 if a1 == center else a1
+                y = b2 if a2 == center else a2
+                if not cg.cliques[x] & cg.cliques[y] <= cg.cliques[center]:
+                    ok = False
+                    break
+            if ok:
+                out.append(combo)
+    return out
+
+
+def reference_candidate_branch_sets(cg: CliqueGraph, leafage: int, budget: int) -> list[frozenset]:
+    """The old, uncut branching-set generator, kept as a reference.
+
+    Every union of admissible stars at up to leafage - 2 increasing centres,
+    with degree slack summing to at most leafage - 2 and at most ``budget``
+    edges, plus the empty set; then the sets some clique tree carries,
+    smallest first.  It reaches one set many times, and keeps sets that are
+    no tree's branching set or whose trees have fewer than leafage leaves.
+    """
+    results = {frozenset()}
+    max_centers = max(0, leafage - 2)
+    slack = leafage - 2
+    star_table = {c: admissible_stars(cg, c, budget) for c in range(len(cg.cliques))}
+    stack = [(0, -1, frozenset(), 0)]
+    while stack:
+        count, last, f, used_slack = stack.pop()
+        if count:
+            results.add(f)
+        if count == max_centers:
+            continue
+        for c in range(last + 1, len(cg.cliques)):
+            for star in star_table[c]:
+                combined = f | frozenset(star)
+                degree = sum(1 for e in combined if c in e)
+                if len(combined) > budget or used_slack + degree - 2 > slack:
+                    continue
+                stack.append((count + 1, c, combined, used_slack + degree - 2))
+    filtered = [f for f in results if not f or _join_all(Forest(cg.cliques), f)]
+    filtered.sort(key=lambda f: (len(f), sorted(f)))
+    return filtered
 
 
 @pytest.fixture

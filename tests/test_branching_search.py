@@ -3,20 +3,21 @@
 The exhaustive search that ``vertex_leafage_bounded`` replaced is kept here
 as a reference only: it built a tree for every candidate in (|F|, sorted F)
 order, kept the first one of least vertex leafage and stopped at vertex
-leafage 2.  So is the candidate generator without its two cuts (repeated
-search states and sets that no clique tree carries).
+leafage 2.  Its candidates come from the old generator
+(``conftest.reference_candidate_branch_sets``), which also kept sets that are
+no tree's branching set or whose trees have fewer leaves than the leafage.
 """
 
-from conftest import nae_families, spider_graph
-from leafage.cliquetrees import Forest, branching_sets, build_clique_tree
+from collections import Counter
+
+from conftest import nae_families, reference_candidate_branch_sets, spider_graph
+from leafage.cliquetrees import branching_sets, build_clique_tree
 from leafage.gadget import build_gadget, parse_clause_file
 from leafage.graphs import chordal_cliques, clique_graph
 from leafage.oracle import enumerate_clique_trees
 from leafage.tokens import minimize_leafage
 from leafage.vertex_leafage import (
-    _admissible_stars,
     _branching_leaf_counts,
-    _join_all,
     candidate_branch_sets,
     clique_tree_with_branching,
     vertex_leafage_bounded,
@@ -24,31 +25,6 @@ from leafage.vertex_leafage import (
 
 NAE_K4 = "k 3\nv1 v2 v3\nv1 v2 v4\nv1 v3 v4\nv2 v3 v4\n"
 NAE_6 = "k 3\nv1 v2 v3\nv1 v4 v5\nv2 v4 v6\nv3 v5 v6\n"
-
-
-def reference_candidate_branch_sets(cg, leafage, budget):
-    """Every star union within the slack and size budget, then the fit filter."""
-    results = {frozenset()}
-    max_centers = max(0, leafage - 2)
-    slack = leafage - 2
-    star_table = {c: _admissible_stars(cg, c, budget) for c in range(len(cg.cliques))}
-    stack = [(0, -1, frozenset(), 0)]
-    while stack:
-        count, last, f, used_slack = stack.pop()
-        if count:
-            results.add(f)
-        if count == max_centers:
-            continue
-        for c in range(last + 1, len(cg.cliques)):
-            for star in star_table[c]:
-                combined = f | frozenset(star)
-                degree = sum(1 for e in combined if c in e)
-                if len(combined) > budget or used_slack + degree - 2 > slack:
-                    continue
-                stack.append((count + 1, c, combined, used_slack + degree - 2))
-    filtered = [f for f in results if not f or _join_all(Forest(cg.cliques), f)]
-    filtered.sort(key=lambda f: (len(f), sorted(f)))
-    return filtered
 
 
 def reference_search(g, candidates):
@@ -76,8 +52,14 @@ def _search_graphs(corpus):
     return out
 
 
+def is_full_star_union(f):
+    """Every edge of ``f`` is at a node where ``f`` has degree >= 3."""
+    degree = Counter(x for e in f for x in e)
+    return all(max(degree[a], degree[b]) >= 3 for a, b in f)
+
+
 def test_search_and_generator_match_references(corpus):
-    """Same candidate list, same tree and same value as the exhaustive search."""
+    """The reference's sets of leafage-leaf trees, once each; the exhaustive search's tree."""
     graphs = _search_graphs(corpus)
     for g in graphs:
         cliques = chordal_cliques(g)
@@ -85,13 +67,28 @@ def test_search_and_generator_match_references(corpus):
         leafage = len(minimize_leafage(build_clique_tree(cg)).leaves())
         assert leafage >= 3
         budget = min(3 * (leafage - 2), len(cliques) - 1)
-        expected = reference_candidate_branch_sets(cg, leafage, budget)
-        assert candidate_branch_sets(cg, leafage, budget) == expected
-        vl, tree = reference_search(g, expected)
+        reference = reference_candidate_branch_sets(cg, leafage, budget)
+        candidates = candidate_branch_sets(cg, leafage)
+        assert len(set(candidates)) == len(candidates)
+        assert candidates == [
+            f for f in reference
+            if is_full_star_union(f) and _branching_leaf_counts(cliques, f)[0] == leafage
+        ]
+        vl, tree = reference_search(g, reference)
         cert = vertex_leafage_bounded(g)
         assert cert.value == vl
         assert cert.tree.edges == tree.edges
     assert len(graphs) >= 14 + 31 + 6
+
+
+def test_spider_sets_are_generated_once():
+    """spider(6, 2): 1,296 sets, each a union of full stars with six leaves."""
+    cliques = chordal_cliques(spider_graph(6, 2))
+    candidates = candidate_branch_sets(clique_graph(cliques), 6)
+    assert len(candidates) == len(set(candidates)) == 1296
+    for f in candidates:
+        assert is_full_star_union(f)
+        assert _branching_leaf_counts(cliques, f)[0] == 6
 
 
 def _identity_graphs(corpus):

@@ -21,9 +21,9 @@ from leafage.graphs import (
     parse_graph,
     _mcs_order,
 )
-from leafage.vertex_leafage import augmented_graph, candidate_branch_sets
+from leafage.vertex_leafage import augmented_graph
 
-from conftest import brute_force_has_hole, brute_force_maximal_cliques
+from conftest import brute_force_has_hole, brute_force_maximal_cliques, reference_candidate_branch_sets
 
 
 def small_graphs(max_n=7):
@@ -316,7 +316,7 @@ class TestOnePassFrontEnd:
             g = build_gadget(NaeInstance.create([frozenset(c) for c in clauses], 3)).graph
             cliques = chordal_cliques(g)
             cg = clique_graph(cliques)
-            for f in candidate_branch_sets(cg, leafage=len(cliques) - 1, budget=4)[:60]:
+            for f in reference_candidate_branch_sets(cg, len(cliques) - 1, 4)[:60]:
                 gp = augmented_graph(g, cliques, f)
                 orders = [_mcs_order(gp), _simplicial_order(gp, rng.choice)]
                 orders += [rng.sample(gp.vertices, gp.n) for _ in range(2)]

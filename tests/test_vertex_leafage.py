@@ -11,7 +11,7 @@ from leafage.cliquetrees import branching_sets, build_clique_tree, leaf_report, 
 from leafage.demo import demo_graph
 from leafage.gadget import build_gadget, parse_clause_file
 from leafage.graphs import Graph, chordal_cliques, clique_graph, parse_graph
-from leafage.oracle import enumerate_clique_trees
+from leafage.oracle import enumerate_clique_trees, oracle_optima
 from leafage.tokens import minimize_leafage
 from leafage.vertex_leafage import (
     _branching_leaf_counts,
@@ -23,6 +23,7 @@ from leafage.vertex_leafage import (
 )
 
 PATH_GRAPH = "e a b\ne b c\ne c d\n"
+NAE_K4 = "k 3\nv1 v2 v3\nv1 v2 v4\nv1 v3 v4\nv2 v3 v4\n"
 NAE_6 = "k 3\nv1 v2 v3\nv1 v4 v5\nv2 v4 v6\nv3 v5 v6\n"
 
 
@@ -111,16 +112,19 @@ class TestCliqueTreeWithBranching:
 
 
 class TestCandidateBranchSets:
-    def test_contains_empty_set_first(self):
+    def test_leafage_two_is_empty_and_sets_are_unique(self):
+        # A path has no branching set to enumerate, and each set of an
+        # l-leaf tree is generated once.
         cg = clique_graph(chordal_cliques(demo_graph()))
-        cands = candidate_branch_sets(cg, leafage=3, budget=3)
-        assert cands[0] == frozenset()
+        assert candidate_branch_sets(cg, leafage=2) == []
+        assert candidate_branch_sets(cg, leafage=1) == []
+        for leafage in (3, 4, 5):
+            cands = candidate_branch_sets(cg, leafage)
+            assert cands and len(set(cands)) == len(cands)
 
     def test_candidates_are_star_unions(self):
         cg = clique_graph(chordal_cliques(demo_graph()))
-        for f in candidate_branch_sets(cg, leafage=4, budget=6):
-            if not f:
-                continue
+        for f in candidate_branch_sets(cg, leafage=4):
             degree = defaultdict(int)
             for a, b in f:
                 degree[a] += 1
@@ -128,20 +132,19 @@ class TestCandidateBranchSets:
             high = {v for v, d in degree.items() if d >= 3}
             assert high
             assert all(a in high or b in high for a, b in f)
-            # Every candidate fits the size budget.
+            # |F| <= 3 * (leafage - 2).
             assert len(f) <= 6
 
     def test_covers_optimal_branching(self, corpus):
-        # For every corpus graph, the safe-budget candidate list contains
-        # the branching set of at least one vertex-leafage-optimal tree.
-        for g, result in corpus[:40]:
-            cliques = chordal_cliques(g)
-            if len(cliques) < 2:
-                continue
-            cg = clique_graph(cliques)
-            ell = result.leafage
-            budget = min(3 * max(ell - 2, 0), len(cliques) - 1)
-            cands = set(candidate_branch_sets(cg, max(ell, 2), budget))
+        # For every graph of leafage >= 3, the candidate list contains the
+        # branching set of at least one vertex-leafage-optimal tree.
+        graphs = [(g, result) for g, result in corpus if result.leafage >= 3]
+        for text in (NAE_K4, NAE_6):
+            g = build_gadget(parse_clause_file(text)).graph
+            graphs.append((g, oracle_optima(g)))
+        for g, result in graphs:
+            cg = clique_graph(chordal_cliques(g))
+            cands = set(candidate_branch_sets(cg, result.leafage))
             optimal_fs = {
                 branching_sets(t).incident_edges
                 for t in enumerate_clique_trees(g)
@@ -149,6 +152,7 @@ class TestCandidateBranchSets:
                 and len(t.leaves()) == result.leafage
             }
             assert optimal_fs & cands
+        assert len(graphs) >= 14 + 2
 
 
 class TestVertexLeafageBounded:
@@ -293,7 +297,7 @@ def test_no_realizable_candidate_raises_under_optimize(run_optimized):
         "import leafage.vertex_leafage as vl\n"
         "from leafage.demo import demo_graph\n"
         "assert False, 'not run under -O'\n"
-        "vl.candidate_branch_sets = lambda cg, leafage, budget: [frozenset()]\n"
+        "vl.candidate_branch_sets = lambda cg, leafage: [frozenset()]\n"
         "try:\n"
         "    vl.vertex_leafage_bounded(demo_graph())\n"
         "except vl.CertificateError as exc:\n"
@@ -321,3 +325,25 @@ def test_wrong_tree_raises_under_optimize(run_optimized):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("CertificateError:") and "leaf counts differ" in out.stdout
+
+
+def test_tree_with_more_leaves_raises_under_optimize(run_optimized):
+    # The demo graph has leafage 3.  A realizable branching set of a 4-leaf
+    # tree passes the per-vertex check, but not the host leaf count.
+    out = run_optimized(
+        "import leafage.vertex_leafage as vl\n"
+        "from leafage.cliquetrees import branching_sets\n"
+        "from leafage.demo import demo_graph\n"
+        "from leafage.oracle import enumerate_clique_trees\n"
+        "assert False, 'not run under -O'\n"
+        "g = demo_graph()\n"
+        "four = next(t for t in enumerate_clique_trees(g) if len(t.leaves()) == 4)\n"
+        "f = branching_sets(four).incident_edges\n"
+        "vl.candidate_branch_sets = lambda cg, leafage: [f]\n"
+        "try:\n"
+        "    vl.vertex_leafage_bounded(g)\n"
+        "except vl.CertificateError as exc:\n"
+        "    print('CertificateError:', exc)\n"
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("CertificateError:") and "4 leaves, not the leafage 3" in out.stdout
