@@ -249,8 +249,7 @@ def build_clique_tree(cg: CliqueGraph) -> CliqueTree:
 class TreeModel:
     """Host tree plus one connected subtree of it per graph vertex.
 
-    Host node ids are opaque strings, decoupled from clique ids so that
-    non-minimal models are representable.
+    Host node ids are opaque strings.
     """
 
     nodes: tuple[str, ...]
@@ -261,9 +260,6 @@ class TreeModel:
     def adjacency(self) -> Mapping[str, tuple[str, ...]]:
         """Sorted neighbours of every host node, built once per model."""
         return _sorted_adjacency(self.nodes, self.edges)
-
-    def node_neighbors(self, x: str) -> tuple[str, ...]:
-        return self.adjacency[x]
 
     def host_leaf_count(self) -> int:
         if len(self.nodes) == 1:

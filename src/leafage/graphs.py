@@ -72,12 +72,6 @@ class Graph:
     def has_edge(self, u: str, v: str) -> bool:
         return v in self.adjacency[u]
 
-    def neighbors(self, v: str) -> frozenset[str]:
-        return self.adjacency[v]
-
-    def degree(self, v: str) -> int:
-        return len(self.adjacency[v])
-
     def is_connected(self) -> bool:
         if not self.vertices:
             return True

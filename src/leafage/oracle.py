@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .cliquetrees import CliqueTree, Forest
-from .graphs import Graph, chordal_cliques, clique_graph
+from .graphs import Graph, _path, _reach, chordal_cliques, clique_graph
 from .tokens import CertificateError
 
 DEFAULT_TREE_LIMIT = 10**6
@@ -128,12 +128,25 @@ def random_chordal(n: int, density: float = 0.5, seed: int = 0) -> Graph:
 
     Built by sampling a random host tree and one random connected subtree per
     vertex and taking the intersection graph, so chordality holds by
-    construction; resampling continues until the result is connected.
+    construction.  A disconnected sample is resampled, up to 1,000 times; the
+    1,000th is connected instead: the subtree of each later component's
+    least vertex grows along the host path to the first component, so every
+    subtree stays connected and the graph chordal.  Never raises for n >= 1.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = random.Random(seed)
     names = [f"v{i:02d}" for i in range(n)]
+
+    def intersection_graph(subtrees: dict[str, set[int]]) -> Graph:
+        edges = [
+            (a, b)
+            for i, a in enumerate(names)
+            for b in names[i + 1:]
+            if subtrees[a] & subtrees[b]
+        ]
+        return Graph.from_edges(names, edges)
+
     for _ in range(1000):
         hosts = rng.randint(max(1, (3 * n) // 4), n)
         host_adj: dict[int, set[int]] = {0: set()}
@@ -149,13 +162,15 @@ def random_chordal(n: int, density: float = 0.5, seed: int = 0) -> Graph:
                 nodes.add(rng.choice(sorted(frontier)))
                 frontier = set().union(*(host_adj[x] for x in nodes)) - nodes
             subtrees[name] = nodes
-        edges = [
-            (a, b)
-            for i, a in enumerate(names)
-            for b in names[i + 1:]
-            if subtrees[a] & subtrees[b]
-        ]
-        g = Graph.from_edges(names, edges)
+        g = intersection_graph(subtrees)
         if g.is_connected():
             return g
-    raise RuntimeError(f"could not generate a connected instance for seed {seed}")
+    components: list[set[str]] = []
+    for v in names:
+        if not any(v in c for c in components):
+            components.append(_reach(g.adjacency, v, g.adjacency.keys()))
+    target = min(set().union(*(subtrees[v] for v in components[0])))
+    for c in components[1:]:
+        u = min(c)
+        subtrees[u].update(_path(host_adj, min(subtrees[u]), target, host_adj))
+    return intersection_graph(subtrees)

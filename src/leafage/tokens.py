@@ -16,8 +16,9 @@ iff its tokens total 2(k - 1) and, for every token value S, there are
 m_S >= 2 S-blocks, 2(m_S - 1) S-tokens, and at least one S-token in every
 S-block; a tree on the blocks with those degrees always exists (Prüfer).
 Deciding costs one pass over the tokens once the block table of each token
-value is built, in O(sum |C|) per value.  The backtracking search for the
-realizing tree itself runs once per minimization, on the final assignment.
+value is built, in O(sum |C|) per value.  The realizing tree itself is
+built once per minimization, on the final assignment, in one pass over the
+clique pairs that keeps a forest on the S-blocks of each token value.
 """
 
 from __future__ import annotations
@@ -26,7 +27,13 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
-from .cliquetrees import CliqueTree, Forest, _count_vertex_leaves, path_containment_violation
+from .cliquetrees import (
+    CliqueTree,
+    Forest,
+    _count_vertex_leaves,
+    _is_tree,
+    path_containment_violation,
+)
 from .graphs import CertificateError, _reach
 
 Token = frozenset[str]
@@ -82,9 +89,6 @@ class TokenAssignment:
     def vertex_leaf_counts(self) -> Counter[str]:
         """Subtree leaf count of every vertex, in one pass over the tokens."""
         return _count_vertex_leaves(self.tokens.values())
-
-    def vertex_leaf_count(self, u: str) -> int:
-        return self.vertex_leaf_counts()[u]
 
 
 @dataclass(frozen=True)
@@ -202,86 +206,53 @@ def find_realizing_tree(
 ) -> CliqueTree | None:
     """Clique tree whose neighbour intersections equal ``ta``, or None.
 
-    Returns None at once when :func:`is_realizable` says no.  Otherwise an
-    edge between cliques i and j consumes one token equal to their
-    intersection from each side, and a depth-first search over the candidate
-    pairs in canonical order, taking each pair before skipping it, returns
-    the first full pairing that is a clique tree, so the result is
-    deterministic.  The search keeps its own stack, so it does not recurse,
-    and may backtrack exponentially often; minimization calls it once, on
-    its final assignment.
+    Returns None at once when :func:`is_realizable` says no.  Otherwise the
+    realizing trees are the independent choices, one per token value S, of
+    a spanning tree on the S-blocks whose clique degrees are the S-token
+    counts (see the module docstring).  One pass over the clique pairs in
+    canonical order takes (i, j), with S = C_i & C_j, iff some realizing
+    tree holds it and every pair taken before: i and j both still hold an
+    S-token, their S-blocks lie in different components of the S-edges
+    taken, and the merged component keeps an unused S-token unless it spans
+    every S-block.  So the result is the first tree a search taking each
+    pair before skipping it would reach, with no backtracking.  Raises
+    :class:`CertificateError` if the pairs taken are not a clique tree.
     """
+    if blocks is None:
+        blocks = SeparatorBlocks(ta.cliques)
     if not is_realizable(ta, blocks):
         return None
     cliques = ta.cliques
-    k = len(cliques)
-    if k == 1:
-        return CliqueTree(cliques, frozenset())
-
-    remaining = {i: Counter(ta.tokens[i]) for i in range(k)}
-    candidates: list[tuple[int, int, Token]] = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            common = cliques[i] & cliques[j]
-            if common and remaining[i][common] and remaining[j][common]:
-                candidates.append((i, j, common))
-    # Per-clique availability of candidate edges by token value.
-    avail: dict[int, Counter] = {i: Counter() for i in range(k)}
-    for i, j, s in candidates:
-        avail[i][s] += 1
-        avail[j][s] += 1
-
+    held = [Counter(ta.tokens[i]) for i in range(len(cliques))]
+    # Per token value: its block table, a forest on its S-blocks and, at
+    # each component's root, the S-tokens its cliques still hold.
+    groups: dict[Token, tuple[dict[int, int], Forest, list[int]]] = {}
+    for s in {s for toks in ta.tokens.values() for s in toks}:
+        block, m = blocks.of(s)
+        unused = [0] * m
+        for i, b in block.items():
+            unused[b] += held[i][s]
+        groups[s] = (block, Forest((frozenset(),) * m), unused)
     chosen: list[tuple[int, int]] = []
-    forest = Forest(cliques)
-
-    # Frames: (ENTER, idx) decides candidate idx; (UNTAKE, idx) undoes
-    # taking it and then tries skipping it; (UNSKIP, idx) undoes the skip.
-    # Both undo frames are popped only once every branch below them has
-    # failed, so links are undone last in, first out.
-    ENTER, UNTAKE, UNSKIP = range(3)
-    stack = [(ENTER, 0)]
-    while stack:
-        action, idx = stack.pop()
-        if action == ENTER:
-            if len(chosen) == k - 1:
-                tree = CliqueTree(cliques, frozenset(chosen))
-                if path_containment_violation(tree) is None:
-                    return tree
+    for i in range(len(cliques)):
+        for j in range(i + 1, len(cliques)):
+            s = cliques[i] & cliques[j]
+            if not (s and held[i][s] and held[j][s]):
                 continue
-            if len(chosen) + len(candidates) - idx < k - 1:
+            block, forest, unused = groups[s]
+            a, b = forest.find(block[i]), forest.find(block[j])
+            left = unused[a] + unused[b] - 2
+            if a == b or (left == 0 and forest.size[a] + forest.size[b] < len(unused)):
                 continue
-        i, j, s = candidates[idx]
-        if action == ENTER:
-            if remaining[i][s] and remaining[j][s] and forest.union(i, j):
-                remaining[i][s] -= 1
-                remaining[j][s] -= 1
-                avail[i][s] -= 1
-                avail[j][s] -= 1
-                chosen.append((i, j))
-                stack.append((UNTAKE, idx))
-                stack.append((ENTER, idx + 1))
-                continue
-        elif action == UNTAKE:
-            chosen.pop()
-            forest.undo()
-            remaining[i][s] += 1
-            remaining[j][s] += 1
-            avail[i][s] += 1
-            avail[j][s] += 1
-        else:
-            avail[i][s] += 1
-            avail[j][s] += 1
-            continue
-        # Leave the edge out; both endpoints must still be satisfiable.
-        avail[i][s] -= 1
-        avail[j][s] -= 1
-        if avail[i][s] >= remaining[i][s] and avail[j][s] >= remaining[j][s]:
-            stack.append((UNSKIP, idx))
-            stack.append((ENTER, idx + 1))
-        else:
-            avail[i][s] += 1
-            avail[j][s] += 1
-    return None
+            forest.union(a, b)
+            unused[forest.find(a)] = left
+            held[i][s] -= 1
+            held[j][s] -= 1
+            chosen.append((i, j))
+    tree = CliqueTree(cliques, frozenset(chosen))
+    if not _is_tree(tree) or path_containment_violation(tree) is not None:
+        raise CertificateError("the pairs taken for a realizable assignment are no clique tree")
+    return tree
 
 
 def shortest_augmenting_path(
@@ -383,8 +354,8 @@ def minimize_leafage_with_trace(t: CliqueTree) -> tuple[CliqueTree, list[Iterati
     iteration must keep the assignment realizable, lower the host leaf count
     by exactly one and raise no vertex's leaf count; a step that does not
     raises :class:`CertificateError`.  The S-block table is built once per
-    call, and the realizing tree is searched for once, on the final
-    assignment; without any iteration ``t`` itself is returned.
+    call, and the realizing tree is built once, on the final assignment;
+    without any iteration ``t`` itself is returned.
     """
     blocks = SeparatorBlocks(t.cliques)
     ta = tokens_from_tree(t)
@@ -411,7 +382,5 @@ def minimize_leafage_with_trace(t: CliqueTree) -> tuple[CliqueTree, list[Iterati
         trace.append(IterationRecord(path, before, after))
     if not trace:
         return t, trace
-    tree = find_realizing_tree(ta, blocks)
-    if tree is None:
-        raise CertificateError("no clique tree realizes the final assignment")
-    return tree, trace
+    # The last iteration found ``ta`` realizable, so this returns a tree.
+    return find_realizing_tree(ta, blocks), trace

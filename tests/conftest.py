@@ -6,16 +6,18 @@ import itertools
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import leafage
 
-from leafage.cliquetrees import Forest
+from leafage.cliquetrees import CliqueTree, Forest, path_containment_violation
 from leafage.gadget import NaeInstance, satisfies_star
 from leafage.graphs import CliqueGraph, Graph, check_chordal, PerfectEliminationOrder
 from leafage.oracle import oracle_optima, random_chordal
+from leafage.tokens import is_realizable
 from leafage.vertex_leafage import _join_all
 
 CORPUS_SIZE = 200
@@ -126,6 +128,87 @@ def reference_candidate_branch_sets(cg: CliqueGraph, leafage: int, budget: int) 
     filtered = [f for f in results if not f or _join_all(Forest(cg.cliques), f)]
     filtered.sort(key=lambda f: (len(f), sorted(f)))
     return filtered
+
+
+def reference_find_realizing_tree(ta, blocks=None):
+    """The backtracking search ``find_realizing_tree`` replaced, kept as a reference.
+
+    None unless ``is_realizable``; otherwise a depth-first search over the
+    intersecting clique pairs in canonical order, taking each pair before
+    skipping it, returns the first full pairing that is a clique tree.  It
+    may backtrack exponentially often.
+    """
+    if not is_realizable(ta, blocks):
+        return None
+    cliques = ta.cliques
+    k = len(cliques)
+    if k == 1:
+        return CliqueTree(cliques, frozenset())
+
+    remaining = {i: Counter(ta.tokens[i]) for i in range(k)}
+    candidates = []
+    for i in range(k):
+        for j in range(i + 1, k):
+            common = cliques[i] & cliques[j]
+            if common and remaining[i][common] and remaining[j][common]:
+                candidates.append((i, j, common))
+    # Per-clique availability of candidate edges by token value.
+    avail = {i: Counter() for i in range(k)}
+    for i, j, s in candidates:
+        avail[i][s] += 1
+        avail[j][s] += 1
+
+    chosen = []
+    forest = Forest(cliques)
+
+    # Frames: (ENTER, idx) decides candidate idx; (UNTAKE, idx) undoes
+    # taking it and then tries skipping it; (UNSKIP, idx) undoes the skip.
+    # Both undo frames are popped only once every branch below them has
+    # failed, so links are undone last in, first out.
+    ENTER, UNTAKE, UNSKIP = range(3)
+    stack = [(ENTER, 0)]
+    while stack:
+        action, idx = stack.pop()
+        if action == ENTER:
+            if len(chosen) == k - 1:
+                tree = CliqueTree(cliques, frozenset(chosen))
+                if path_containment_violation(tree) is None:
+                    return tree
+                continue
+            if len(chosen) + len(candidates) - idx < k - 1:
+                continue
+        i, j, s = candidates[idx]
+        if action == ENTER:
+            if remaining[i][s] and remaining[j][s] and forest.union(i, j):
+                remaining[i][s] -= 1
+                remaining[j][s] -= 1
+                avail[i][s] -= 1
+                avail[j][s] -= 1
+                chosen.append((i, j))
+                stack.append((UNTAKE, idx))
+                stack.append((ENTER, idx + 1))
+                continue
+        elif action == UNTAKE:
+            chosen.pop()
+            forest.undo()
+            remaining[i][s] += 1
+            remaining[j][s] += 1
+            avail[i][s] += 1
+            avail[j][s] += 1
+        else:
+            avail[i][s] += 1
+            avail[j][s] += 1
+            continue
+        # Leave the edge out; both endpoints must still be satisfiable.
+        avail[i][s] -= 1
+        avail[j][s] -= 1
+        if avail[i][s] >= remaining[i][s] and avail[j][s] >= remaining[j][s]:
+            stack.append((UNSKIP, idx))
+            stack.append((ENTER, idx + 1))
+        else:
+            avail[i][s] += 1
+            avail[j][s] += 1
+    return None
 
 
 @pytest.fixture

@@ -150,7 +150,7 @@ class TestBuildGadget:
         gg = build_gadget(inst)
         g = gg.graph
         assert g.n == 6
-        assert g.neighbors("y1") == frozenset({"v1", "v2", "v3", "z1", "z2"})
+        assert g.adjacency["y1"] == frozenset({"v1", "v2", "v3", "z1", "z2"})
 
     def test_keeps_instance_and_cliques(self):
         gg = build_gadget(STAR_OK)

@@ -1,12 +1,13 @@
 """Exhaustive clique-tree enumeration and corpus generation."""
 
+import hashlib
 import itertools
 
 import pytest
 
 from leafage.cliquetrees import verify_clique_tree
 from leafage.demo import demo_clique_tree, demo_graph
-from leafage.graphs import Graph, PerfectEliminationOrder, check_chordal
+from leafage.graphs import Graph, PerfectEliminationOrder, check_chordal, format_edge_list
 from leafage.oracle import (
     DEFAULT_TREE_LIMIT,
     OracleLimitError,
@@ -107,6 +108,10 @@ class TestOracleOptima:
                 assert r.leafage >= 2
                 assert r.vertex_leafage >= 2
 
+# sha256 of the 200 corpus graphs' edge lists: connecting a sample that
+# would have been given up must leave every seed that succeeds unchanged.
+CORPUS_SHA256 = "9ff0a5b056ab52cf0a092832f53a0ea8177a46ab3ac3f00800ac348ba47f9708"
+
 
 class TestRandomChordal:
     def test_single_vertex(self):
@@ -122,6 +127,20 @@ class TestRandomChordal:
             g = random_chordal(8, seed=seed)
             assert g.is_connected()
             assert isinstance(check_chordal(g), PerfectEliminationOrder)
+
+    @pytest.mark.parametrize("n", [20, 40])
+    @pytest.mark.parametrize("density", [0.2, 0.3, 0.4, 0.5])
+    def test_mid_size_never_gives_up(self, n, density):
+        # Half of these seeds draw 1,000 disconnected samples; the last one
+        # is connected rather than given up.
+        for seed in range(2):
+            g = random_chordal(n, density=density, seed=seed)
+            assert g.n == n and g.is_connected()
+            assert isinstance(check_chordal(g), PerfectEliminationOrder)
+
+    def test_corpus_unchanged(self, corpus):
+        text = "".join(format_edge_list(g) for g, _ in corpus)
+        assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_SHA256
 
     def test_deterministic_per_seed(self):
         assert random_chordal(9, seed=3) == random_chordal(9, seed=3)

@@ -9,12 +9,13 @@ from pathlib import Path
 import pytest
 
 import leafage
+from conftest import reference_find_realizing_tree
 from leafage.cliquetrees import CliqueTree, Forest, verify_clique_tree
 from leafage.demo import demo_clique_tree, demo_graph
 from leafage.gadget import NaeInstance, build_gadget
 from leafage.graphs import Graph, chordal_cliques, clique_graph
 from leafage.cliquetrees import build_clique_tree
-from leafage.oracle import enumerate_clique_trees
+from leafage.oracle import enumerate_clique_trees, random_chordal
 from leafage.tokens import (
     AugmentingPath,
     TokenAssignment,
@@ -83,7 +84,7 @@ class TestTokenAssignment:
         g, t, ta = demo
         assert ta.leaf_count() == len(t.leaves()) == 5
         for u in g.vertices:
-            assert ta.vertex_leaf_count(u) == t.vertex_leaf_count(u)
+            assert ta.vertex_leaf_counts()[u] == t.vertex_leaf_count(u)
 
     def test_corpus_degree_identities(self, corpus):
         for g, _ in corpus[:40]:
@@ -191,9 +192,9 @@ class TestAugmentingPath:
         path = shortest_augmenting_path(ta)
         after = apply_path(ta, path)
         assert ta.leaf_count() == 5 and after.leaf_count() == 4
-        assert ta.vertex_leaf_count("a") == 3 and after.vertex_leaf_count("a") == 2
+        assert ta.vertex_leaf_counts()["a"] == 3 and after.vertex_leaf_counts()["a"] == 2
         for u in g.vertices:
-            assert after.vertex_leaf_count(u) <= ta.vertex_leaf_count(u)
+            assert after.vertex_leaf_counts()[u] <= ta.vertex_leaf_counts()[u]
 
     def test_every_move_individually_realizable(self, demo):
         _, _, ta = demo
@@ -349,8 +350,88 @@ def test_separator_decision_matches_clique_trees(corpus):
             assert is_realizable(ta) == expected
             tree = find_realizing_tree(ta)
             assert (tree is not None) == expected
+            assert _edges(tree) == _edges(reference_find_realizing_tree(ta))
             if tree is not None:
                 assert tokens_from_tree(tree) == ta
             realizable += expected
             unrealizable += not expected
     assert realizable > 100 and unrealizable > 100
+
+
+# The greedy pass must return the tree the backtracking search it replaced
+# (``conftest.reference_find_realizing_tree``) returns, and None with it.
+
+
+def _edges(tree):
+    return None if tree is None else tree.edges
+
+
+def _assert_reference_tree(ta):
+    assert _edges(find_realizing_tree(ta)) == _edges(reference_find_realizing_tree(ta))
+
+
+def _final_assignment(g):
+    t = build_clique_tree(clique_graph(chordal_cliques(g)))
+    _, trace = minimize_leafage_with_trace(t)
+    ta = tokens_from_tree(t)
+    for rec in trace:
+        ta = apply_path(ta, rec.path)
+    return ta
+
+
+def test_realizing_tree_matches_reference_on_clique_trees(corpus):
+    graphs = [g for g, _ in corpus]
+    graphs += [
+        _gadget(("v1", "v2", "v3"), ("v1", "v2", "v4"), ("v1", "v3", "v4"), ("v2", "v3", "v4")),
+        _gadget(("v1", "v2", "v3"), ("v1", "v4", "v5"), ("v2", "v4", "v6"), ("v3", "v5", "v6")),
+    ]
+    for g in graphs:
+        for t in enumerate_clique_trees(g):
+            _assert_reference_tree(tokens_from_tree(t))
+
+
+def test_realizing_tree_matches_reference_on_final_assignments():
+    rng = random.Random(5)
+    graphs = [
+        Graph.from_edges([], [("c", f"l{i:02d}") for i in range(m)]) for m in range(3, 65)
+    ]
+    for spine in range(3, 13):
+        s = [f"s{i:02d}" for i in range(spine)]
+        edges = list(zip(s, s[1:]))
+        edges += [(x, f"{x}q{j}") for x in s for j in range(rng.randint(2, 3))]
+        graphs.append(Graph.from_edges([], edges))
+    for g in graphs:
+        _assert_reference_tree(_final_assignment(g))
+
+
+@pytest.mark.parametrize("n", [20, 25, 30, 35, 40])
+def test_realizing_tree_matches_reference_on_random_chordal(n):
+    rng = random.Random(n)
+    for seed in range(2):
+        g = random_chordal(n, density=0.3, seed=seed)
+        cliques = chordal_cliques(g)
+        start = tokens_from_tree(build_clique_tree(clique_graph(cliques)))
+        tried = [start, _final_assignment(g)]
+        tried += [tokens_from_tree(_random_spanning_tree(cliques, rng)) for _ in range(4)]
+        tried += [_random_move(start, rng) for _ in range(4)]
+        for ta in tried:
+            _assert_reference_tree(ta)
+
+
+def test_unrealizable_pairs_raise_under_optimize(run_optimized):
+    # ``is_realizable`` is patched to accept an assignment that no clique
+    # tree induces: the pass must raise, not return a broken tree or None.
+    out = run_optimized(
+        "import leafage.tokens as tk\n"
+        "assert False, 'not run under -O'\n"
+        "cliques = (frozenset('ab'), frozenset('bc'), frozenset('cd'))\n"
+        "ta = tk.TokenAssignment.create(cliques, {0: (frozenset('b'),), 1: (frozenset('b'),)})\n"
+        "assert not tk.is_realizable(ta)\n"
+        "tk.is_realizable = lambda ta, blocks=None: True\n"
+        "try:\n"
+        "    print('returned', tk.find_realizing_tree(ta))\n"
+        "except tk.CertificateError as exc:\n"
+        "    print('CertificateError:', exc)\n"
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("CertificateError:")

@@ -48,7 +48,7 @@ class TestAugmentedGraph:
         gp = augmented_graph(g, cliques, f)
         marker = "edge:0-1"
         assert marker in gp.vertices
-        assert gp.neighbors(marker) == cliques[0] | cliques[1]
+        assert gp.adjacency[marker] == cliques[0] | cliques[1]
 
     def test_markers_of_sharing_edges_adjacent(self):
         g = demo_graph()
