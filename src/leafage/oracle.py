@@ -25,13 +25,20 @@ def tree_limit() -> int:
 def enumerate_clique_trees(g: Graph, limit: int | None = None) -> Iterator[CliqueTree]:
     """All clique trees of ``g``, each exactly once, in canonical order.
 
-    Spanning trees of the clique graph are generated by edge
-    inclusion/exclusion, taking each edge before skipping it, with
-    connectivity pruning; :meth:`Forest.join` admits an edge only while
-    every vertex's cliques stay connected inside each component, so
-    invalid branches die early.  The search keeps its own stack, so long
-    inputs cannot hit the recursion limit.  Raises :class:`OracleLimitError`
-    past the cap.
+    The clique trees are the maximum-weight spanning trees of the clique
+    graph, weighted by |C_a & C_b| (Gavril 1987, Blair & Peyton 1993).  Take
+    the weight classes from heaviest to lightest.  The nodes of class w are
+    the components of the strictly heavier edges; an edge of weight w with
+    both ends in one node lies in no clique tree.  A clique tree is one
+    spanning forest of each class's nodes, chosen independently.  So the
+    search walks the remaining edges in canonical order over one
+    :class:`Forest` on the nodes, taking each edge before skipping it.  It
+    takes an edge iff the edge's nodes are still apart, and skips it iff
+    they still meet through the chosen edges and the later edges of its
+    class; a class without a cycle is all bridges, so its edges are never
+    skipped.  Every search node thus reaches a tree.  The search keeps its
+    own stack, so long inputs cannot hit the recursion limit.  Raises
+    :class:`OracleLimitError` past the cap.
     """
     if not g.vertices:
         raise ValueError("graph is empty")
@@ -40,32 +47,56 @@ def enumerate_clique_trees(g: Graph, limit: int | None = None) -> Iterator[Cliqu
     cap = tree_limit() if limit is None else limit
     cliques = chordal_cliques(g)
     k = len(cliques)
-    edge_list = clique_graph(cliques).edges()
-    forest = Forest(cliques)
+    classes: dict[int, list[tuple[int, int]]] = {}
+    for edge, w in clique_graph(cliques).weights.items():
+        classes.setdefault(w, []).append(edge)
+    heavier = Forest((frozenset(),) * k)
+    nodes: dict[tuple[int, int], int] = {}
+
+    def node(w: int, a: int) -> int:
+        return nodes.setdefault((w, heavier.find(a)), len(nodes))
+
+    # Per remaining edge, in canonical order: the edge, its two class nodes,
+    # and its class's node pairs with the index of the next one, or None
+    # when the class has no cycle.
+    steps: list[tuple[tuple[int, int], int, int, list | None, int]] = []
+    for w in sorted(classes, reverse=True):
+        kept = [(a, b) for a, b in classes[w] if heavier.find(a) != heavier.find(b)]
+        pairs = [(node(w, a), node(w, b)) for a, b in kept]
+        cyclic = sum(heavier.union(a, b) for a, b in kept) < len(kept)
+        for pos, (edge, (x, y)) in enumerate(zip(kept, pairs)):
+            steps.append((edge, x, y, pairs if cyclic else None, pos + 1))
+    steps.sort()
+    forest = Forest((frozenset(),) * len(nodes))
     chosen: list[tuple[int, int]] = []
     count = 0
 
-    def can_connect(idx: int) -> bool:
-        # Whether the undecided edges still join the chosen ones into a
-        # spanning tree: link them in until they do, then take the links back.
+    def meet(x: int, y: int, pairs: list[tuple[int, int]], start: int) -> bool:
+        # Whether x and y meet through the chosen edges and pairs[start:]:
+        # link those in until they do, then take the links back.
         linked = 0
-        for a, b in edge_list[idx:]:
-            if len(chosen) + linked == k - 1:
-                break
-            linked += forest.union(a, b)
+        met = False
+        for p, q in pairs[start:]:
+            if forest.union(p, q):
+                linked += 1
+                met = forest.find(x) == forest.find(y)
+                if met:
+                    break
         for _ in range(linked):
             forest.undo()
-        return len(chosen) + linked == k - 1
+        return met
 
     # Frames: (idx, False) decides edge idx; (idx, True) undoes taking it
-    # and then skips it.
+    # and then skips it if a tree without it remains.
     stack = [(0, False)]
     while stack:
         idx, taken = stack.pop()
         if taken:
             forest.undo()
             chosen.pop()
-            stack.append((idx + 1, False))
+            _, x, y, pairs, start = steps[idx]
+            if pairs is not None and meet(x, y, pairs, start):
+                stack.append((idx + 1, False))
             continue
         if len(chosen) == k - 1:
             count += 1
@@ -75,10 +106,9 @@ def enumerate_clique_trees(g: Graph, limit: int | None = None) -> Iterator[Cliqu
                 )
             yield CliqueTree(cliques, frozenset(chosen))
             continue
-        if idx == len(edge_list) or not can_connect(idx):
-            continue
-        if forest.join(*edge_list[idx]):
-            chosen.append(edge_list[idx])
+        edge, x, y, _, _ = steps[idx]
+        if forest.union(x, y):
+            chosen.append(edge)
             stack.append((idx, True))
         stack.append((idx + 1, False))
 

@@ -14,7 +14,7 @@ import pytest
 import leafage
 
 from leafage.cliquetrees import CliqueTree, Forest, path_containment_violation
-from leafage.gadget import NaeInstance, satisfies_star
+from leafage.gadget import NaeInstance, build_gadget, satisfies_star
 from leafage.graphs import CliqueGraph, Graph, check_chordal, PerfectEliminationOrder
 from leafage.oracle import oracle_optima, random_chordal
 from leafage.tokens import is_realizable
@@ -74,6 +74,26 @@ def spider_graph(legs: int, length: int) -> Graph:
             edges.append((prev, f"a{leg}x{step}"))
             prev = f"a{leg}x{step}"
     return Graph.from_edges([], edges)
+
+
+SPIDER_SHAPES = [(6, 2), (5, 5), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3)]
+
+FANO = [("p1", "p2", "p3"), ("p1", "p4", "p5"), ("p1", "p6", "p7"), ("p2", "p4", "p6"),
+        ("p2", "p5", "p7"), ("p3", "p4", "p7"), ("p3", "p5", "p6")]
+
+
+@pytest.fixture(scope="session")
+def graphs(corpus):
+    """The clique-tree enumeration's test family: corpus, spiders, 32 gadgets.
+
+    The gadgets are the 31 domination-free 3-uniform families with n <= 6,
+    m <= 4, then Fano.
+    """
+    families = nae_families()
+    families.append(NaeInstance.create([frozenset(c) for c in FANO], 3))
+    gadgets = [build_gadget(inst).graph for inst in families]
+    assert len(gadgets) == 32
+    return [g for g, _ in corpus] + [spider_graph(*s) for s in SPIDER_SHAPES] + gadgets
 
 
 def admissible_stars(cg: CliqueGraph, center: int, max_size: int) -> list[tuple[tuple[int, int], ...]]:

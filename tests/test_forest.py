@@ -1,21 +1,18 @@
 """The undoable forest that grows partial clique trees.
 
-The pairwise path scans that ``Forest.join`` replaced are kept here as
-reference implementations only: the clique-tree enumeration whose
-``containment_ok`` checked the tree path of every newly connected clique
-pair, and the branching-set check (formerly ``_forest_containment_ok``)
-that did the same on a finished edge set.
+Two pairwise path scans are kept here as reference implementations only:
+the clique-tree enumeration whose ``containment_ok`` checked the tree path
+of every newly connected clique pair (the oracle now prunes by weight
+class), and the branching-set check (formerly ``_forest_containment_ok``),
+which ``Forest.join`` replaced and which did the same on a finished edge
+set.
 """
 
 import itertools
 import random
 
-import pytest
-
-from conftest import nae_families, spider_graph
 from leafage.cliquetrees import CliqueTree, Forest
 from leafage.demo import demo_graph
-from leafage.gadget import NaeInstance, build_gadget
 from leafage.graphs import chordal_cliques, clique_graph
 from leafage.oracle import enumerate_clique_trees
 from leafage.vertex_leafage import _join_all
@@ -140,26 +137,6 @@ def reference_forest_ok(cg, f):
         if path is not None and any(not common <= cg.cliques[n] for n in path):
             return False
     return True
-
-
-SPIDER_SHAPES = [(6, 2), (5, 5), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3)]
-
-FANO = [("p1", "p2", "p3"), ("p1", "p4", "p5"), ("p1", "p6", "p7"), ("p2", "p4", "p6"),
-        ("p2", "p5", "p7"), ("p3", "p4", "p7"), ("p3", "p5", "p6")]
-
-
-def _gadgets():
-    """The 31 domination-free 3-uniform families with n <= 6, m <= 4, then Fano."""
-    out = nae_families()
-    out.append(NaeInstance.create([frozenset(c) for c in FANO], 3))
-    return [build_gadget(inst).graph for inst in out]
-
-
-@pytest.fixture(scope="module")
-def graphs(corpus):
-    gadgets = _gadgets()
-    assert len(gadgets) == 32
-    return [g for g, _ in corpus] + [spider_graph(*s) for s in SPIDER_SHAPES] + gadgets
 
 
 class TestForest:

@@ -2,12 +2,21 @@
 
 import hashlib
 import itertools
+from collections import Counter
 
 import pytest
 
-from leafage.cliquetrees import verify_clique_tree
+from conftest import spider_graph
+from leafage.cliquetrees import Forest, build_clique_tree, verify_clique_tree
 from leafage.demo import demo_clique_tree, demo_graph
-from leafage.graphs import Graph, PerfectEliminationOrder, check_chordal, format_edge_list
+from leafage.graphs import (
+    Graph,
+    PerfectEliminationOrder,
+    check_chordal,
+    chordal_cliques,
+    clique_graph,
+    format_edge_list,
+)
 from leafage.oracle import (
     DEFAULT_TREE_LIMIT,
     OracleLimitError,
@@ -60,6 +69,31 @@ class TestEnumerateCliqueTrees:
         with pytest.raises(OracleLimitError):
             list(enumerate_clique_trees(demo_graph(), limit=10))
 
+    def test_limit_counts_trees(self):
+        # spider(4, 2) has 4^2 clique trees: the cap counts trees, not
+        # search nodes.
+        g = spider_graph(4, 2)
+        assert len(list(enumerate_clique_trees(g, limit=16))) == 16
+        with pytest.raises(OracleLimitError):
+            list(enumerate_clique_trees(g, limit=15))
+
+    def test_long_path_takes_linear_work(self, monkeypatch):
+        # P_2200 has one clique tree, and its one weight class has no cycle,
+        # so no edge is tested for a skip.
+        calls = Counter()
+        for name in ("union", "undo"):
+            def counted(self, *args, _name=name, _method=getattr(Forest, name)):
+                calls[_name] += 1
+                return _method(self, *args)
+
+            monkeypatch.setattr(Forest, name, counted)
+        g = Graph.from_edges([], [(f"p{i:04d}", f"p{i + 1:04d}") for i in range(2199)])
+        trees = list(enumerate_clique_trees(g))
+        assert len(trees) == 1
+        k = len(trees[0].cliques)
+        assert k == 2199
+        assert calls["union"] + calls["undo"] <= 4 * k
+
     def test_limit_env_override(self, monkeypatch):
         monkeypatch.setenv("LEAFAGE_ORACLE_LIMIT", "10")
         assert tree_limit() == 10
@@ -69,6 +103,38 @@ class TestEnumerateCliqueTrees:
     def test_default_limit(self, monkeypatch):
         monkeypatch.delenv("LEAFAGE_ORACLE_LIMIT", raising=False)
         assert tree_limit() == DEFAULT_TREE_LIMIT
+
+
+def _joined_by_heavier(cg, a, b) -> bool:
+    """Whether cliques a and b meet through edges heavier than a-b."""
+    w = cg.weights[(a, b)]
+    seen, stack = {a}, [a]
+    while stack:
+        x = stack.pop()
+        for y in cg.adjacency[x]:
+            if y not in seen and cg.weights[(min(x, y), max(x, y))] > w:
+                seen.add(y)
+                stack.append(y)
+    return b in seen
+
+
+def test_enumerated_trees_are_maximum_weight_spanning_trees(graphs):
+    """The fact the enumeration prunes by, on the corpus, spiders and gadgets.
+
+    No tree uses an edge whose ends strictly heavier edges already join,
+    and every tree has the maximum spanning weight.
+    """
+    trees = dead = 0
+    for g in graphs:
+        cg = clique_graph(chordal_cliques(g))
+        excluded = {e for e in cg.weights if _joined_by_heavier(cg, *e)}
+        dead += len(excluded)
+        best = sum(cg.weights[e] for e in build_clique_tree(cg).edges)
+        for t in enumerate_clique_trees(g):
+            assert not t.edges & excluded
+            assert sum(cg.weights[e] for e in t.edges) == best
+            trees += 1
+    assert trees > 4000 and dead > 100
 
 
 class TestOracleOptima:
