@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
+from math import prod
 from typing import Iterator
 
 from .cliquetrees import CliqueTree, Forest
@@ -22,23 +23,87 @@ def tree_limit() -> int:
     return int(os.environ.get("LEAFAGE_ORACLE_LIMIT", DEFAULT_TREE_LIMIT))
 
 
-def enumerate_clique_trees(g: Graph, limit: int | None = None) -> Iterator[CliqueTree]:
-    """All clique trees of ``g``, each exactly once, in canonical order.
+def _determinant(m: list[list[int]]) -> int:
+    """Exact determinant of a positive definite integer matrix, in place.
+
+    Bareiss' fraction-free elimination: every division is exact.  Every
+    leading minor of a positive definite matrix is positive, so no pivot is
+    zero and no row needs swapping.
+    """
+    prev = 1
+    for i, pivot_row in enumerate(m[:-1]):
+        pivot = pivot_row[i]
+        for row in m[i + 1:]:
+            f = row[i]
+            for c in range(i + 1, len(m)):
+                row[c] = (row[c] * pivot - f * pivot_row[c]) // prev
+        prev = pivot
+    return m[-1][-1]
+
+
+def _spanning_forests(pairs: list[tuple[int, int]]) -> int:
+    """Spanning forests, one tree per component, of the multigraph ``pairs``.
+
+    Each component's spanning trees number any cofactor of its Laplacian
+    (Kirchhoff's matrix-tree theorem); parallel edges count apart.  The
+    Laplacian of a connected graph without one node's row and column is
+    positive definite.
+    """
+    adj: dict[int, list[int]] = {}
+    for x, y in pairs:
+        adj.setdefault(x, []).append(y)
+        adj.setdefault(y, []).append(x)
+    count = 1
+    seen: set[int] = set()
+    for x in adj:
+        if x in seen:
+            continue
+        component = _reach(adj, x, adj)
+        seen |= component
+        index = {y: i for i, y in enumerate(component - {x})}
+        laplacian = [[0] * len(index) for _ in index]
+        for y, i in index.items():
+            row = laplacian[i]
+            row[i] = len(adj[y])
+            for z in adj[y]:
+                if z in index:
+                    row[index[z]] -= 1
+        count *= _determinant(laplacian)
+    return count
+
+
+def _walk(
+    g: Graph, limit: int | None
+) -> Iterator[tuple[int, int, tuple[frozenset[str], ...], list[tuple[int, int]]]]:
+    """Every clique tree of ``g`` once, in canonical order, with its leaf counts.
 
     The clique trees are the maximum-weight spanning trees of the clique
     graph, weighted by |C_a & C_b| (Gavril 1987, Blair & Peyton 1993).  Take
     the weight classes from heaviest to lightest.  The nodes of class w are
     the components of the strictly heavier edges; an edge of weight w with
     both ends in one node lies in no clique tree.  A clique tree is one
-    spanning forest of each class's nodes, chosen independently.  So the
-    search walks the remaining edges in canonical order over one
+    spanning forest of each class's nodes, chosen independently, so the
+    trees number the product of the classes' spanning-forest counts.  That
+    count is known before the walk: past the cap, the walk raises
+    :class:`OracleLimitError` before the first tree.  At the end it must
+    equal the trees walked, or the walk raises :class:`CertificateError`.
+
+    The walk goes over the remaining edges in canonical order with one
     :class:`Forest` on the nodes, taking each edge before skipping it.  It
     takes an edge iff the edge's nodes are still apart, and skips it iff
     they still meet through the chosen edges and the later edges of its
     class; a class without a cycle is all bridges, so its edges are never
-    skipped.  Every search node thus reaches a tree.  The search keeps its
-    own stack, so long inputs cannot hit the recursion limit.  Raises
-    :class:`OracleLimitError` past the cap.
+    skipped.  Every search node thus reaches a tree.  The walk keeps its
+    own stack, so long inputs cannot hit the recursion limit.
+
+    Consecutive trees share most of their edges, so the leaf counts are
+    kept by each take's delta and taken back on its undo.  A slot is a
+    vertex in one of its cliques; its degree is the number of chosen edges
+    at that clique whose intersection holds the vertex, and the vertex's
+    subtree leaves are its slots of degree 1.  The host tree counts as one
+    more vertex, held by every clique.  Yields (host leaves, max vertex
+    leaf count, cliques, chosen edges) per tree; the edge list is the
+    walk's own and changes as the walk goes on.
     """
     if not g.vertices:
         raise ValueError("graph is empty")
@@ -56,20 +121,45 @@ def enumerate_clique_trees(g: Graph, limit: int | None = None) -> Iterator[Cliqu
     def node(w: int, a: int) -> int:
         return nodes.setdefault((w, heavier.find(a)), len(nodes))
 
+    # One leaf counter per vertex, then the host's at n.  The host's slot at
+    # clique i is slot i; the vertices' slots follow.
+    n = len(g.vertices)
+    counter = {u: i for i, u in enumerate(g.vertices)}
+    slot: dict[tuple[str, int], int] = {}
+    for i, c in enumerate(cliques):
+        for u in c:
+            slot[u, i] = k + len(slot)
     # Per remaining edge, in canonical order: the edge, its two class nodes,
-    # and its class's node pairs with the index of the next one, or None
-    # when the class has no cycle.
-    steps: list[tuple[tuple[int, int], int, int, list | None, int]] = []
+    # its class's node pairs with the index of the next one, or None when
+    # the class has no cycle, and the (counter, slot) pairs a take shifts.
+    steps: list[tuple[tuple[int, int], int, int, list | None, int, list]] = []
+    cyclic: list[list[tuple[int, int]]] = []
     for w in sorted(classes, reverse=True):
         kept = [(a, b) for a, b in classes[w] if heavier.find(a) != heavier.find(b)]
         pairs = [(node(w, a), node(w, b)) for a, b in kept]
-        cyclic = sum(heavier.union(a, b) for a, b in kept) < len(kept)
-        for pos, (edge, (x, y)) in enumerate(zip(kept, pairs)):
-            steps.append((edge, x, y, pairs if cyclic else None, pos + 1))
+        has_cycle = sum(heavier.union(a, b) for a, b in kept) < len(kept)
+        if has_cycle:
+            cyclic.append(pairs)
+        for pos, ((a, b), (x, y)) in enumerate(zip(kept, pairs)):
+            touch = [(n, a), (n, b)]
+            for u in cliques[a] & cliques[b]:
+                touch += [(counter[u], slot[u, a]), (counter[u], slot[u, b])]
+            steps.append(((a, b), x, y, pairs if has_cycle else None, pos + 1, touch))
     steps.sort()
+    total = prod(map(_spanning_forests, cyclic))
+    if total > cap:
+        raise OracleLimitError(f"the graph has {total} clique trees, more than the cap of {cap}")
     forest = Forest((frozenset(),) * len(nodes))
     chosen: list[tuple[int, int]] = []
+    degree = [0] * (k + len(slot))
+    leaves = [0] * (n + 1)
     count = 0
+
+    def shift(touch: list[tuple[int, int]], d: int) -> None:
+        for c, s in touch:
+            old = degree[s]
+            degree[s] = old + d
+            leaves[c] += (old + d == 1) - (old == 1)
 
     def meet(x: int, y: int, pairs: list[tuple[int, int]], start: int) -> bool:
         # Whether x and y meet through the chosen edges and pairs[start:]:
@@ -94,23 +184,35 @@ def enumerate_clique_trees(g: Graph, limit: int | None = None) -> Iterator[Cliqu
         if taken:
             forest.undo()
             chosen.pop()
-            _, x, y, pairs, start = steps[idx]
+            _, x, y, pairs, start, touch = steps[idx]
+            shift(touch, -1)
             if pairs is not None and meet(x, y, pairs, start):
                 stack.append((idx + 1, False))
             continue
         if len(chosen) == k - 1:
             count += 1
-            if count > cap:
-                raise OracleLimitError(
-                    f"clique-tree enumeration exceeded {cap} trees"
-                )
-            yield CliqueTree(cliques, frozenset(chosen))
+            yield leaves[n], max(leaves[:n]), cliques, chosen
             continue
-        edge, x, y, _, _ = steps[idx]
+        edge, x, y, _, _, touch = steps[idx]
         if forest.union(x, y):
             chosen.append(edge)
+            shift(touch, 1)
             stack.append((idx, True))
         stack.append((idx + 1, False))
+    if count != total:
+        raise CertificateError(
+            f"the walk found {count} clique trees but the matrix-tree count is {total}"
+        )
+
+
+def enumerate_clique_trees(g: Graph, limit: int | None = None) -> Iterator[CliqueTree]:
+    """All clique trees of ``g``, each exactly once, in canonical order.
+
+    Raises :class:`OracleLimitError` before the first tree when ``g`` has
+    more clique trees than the cap; see :func:`_walk`.
+    """
+    for _, _, cliques, chosen in _walk(g, limit):
+        yield CliqueTree(cliques, frozenset(chosen))
 
 
 @dataclass(frozen=True)
@@ -124,31 +226,33 @@ class OracleResult:
 
 
 def oracle_optima(g: Graph, limit: int | None = None) -> OracleResult:
-    """Exact leafage and vertex leafage over the full clique-tree enumeration."""
-    vertices = list(g.vertices)
-    best_leaf: tuple[int, CliqueTree] | None = None
-    best_vl: tuple[int, CliqueTree] | None = None
-    best_joint: tuple[tuple[int, int], CliqueTree] | None = None
+    """Exact leafage and vertex leafage over the full clique-tree enumeration.
+
+    Reads each tree's leaf counts off the walk, and builds a
+    :class:`CliqueTree` only for a tree that becomes a new best witness.
+    """
+    min_leaves = min_vl = float("inf")
+    joint = (min_leaves, min_vl)
     count = 0
-    for tree in enumerate_clique_trees(g, limit):
+    for leaves, vl, cliques, chosen in _walk(g, limit):
         count += 1
-        leaves = len(tree.leaves())
-        vl = tree.max_vertex_leaf_count(vertices)
-        if best_leaf is None or leaves < best_leaf[0]:
-            best_leaf = (leaves, tree)
-        if best_vl is None or vl < best_vl[0]:
-            best_vl = (vl, tree)
-        if best_joint is None or (leaves, vl) < best_joint[0]:
-            best_joint = ((leaves, vl), tree)
-    if best_joint is None:  # all three are set by the first tree
+        if leaves < min_leaves or vl < min_vl or (leaves, vl) < joint:
+            tree = CliqueTree(cliques, frozenset(chosen))
+            if leaves < min_leaves:
+                min_leaves, leaf_tree = leaves, tree
+            if vl < min_vl:
+                min_vl, vl_tree = vl, tree
+            if (leaves, vl) < joint:
+                joint, joint_tree = (leaves, vl), tree
+    if not count:
         raise CertificateError("the enumeration produced no clique tree")
     # A tree optimal for both criteria simultaneously must exist.
-    if best_joint[0] != (best_leaf[0], best_vl[0]):
+    if joint != (min_leaves, min_vl):
         raise CertificateError("no enumerated tree achieves both minima simultaneously")
     return OracleResult(
-        leafage=best_leaf[0],
-        vertex_leafage=best_vl[0],
-        witness_trees=(best_leaf[1], best_vl[1], best_joint[1]),
+        leafage=min_leaves,
+        vertex_leafage=min_vl,
+        witness_trees=(leaf_tree, vl_tree, joint_tree),
         tree_count=count,
     )
 

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from conftest import spider_graph
-from leafage.cliquetrees import Forest, build_clique_tree, verify_clique_tree
+from leafage.cliquetrees import CliqueTree, Forest, build_clique_tree, verify_clique_tree
 from leafage.demo import demo_clique_tree, demo_graph
 from leafage.graphs import (
     Graph,
@@ -20,6 +20,7 @@ from leafage.graphs import (
 from leafage.oracle import (
     DEFAULT_TREE_LIMIT,
     OracleLimitError,
+    _walk,
     enumerate_clique_trees,
     oracle_optima,
     random_chordal,
@@ -76,6 +77,13 @@ class TestEnumerateCliqueTrees:
         assert len(list(enumerate_clique_trees(g, limit=16))) == 16
         with pytest.raises(OracleLimitError):
             list(enumerate_clique_trees(g, limit=15))
+
+    def test_cap_checked_before_the_first_tree(self):
+        # spider(9, 2) has 9^7 = 4,782,969 clique trees; counting them takes
+        # milliseconds, walking them most of a minute.
+        trees = enumerate_clique_trees(spider_graph(9, 2))
+        with pytest.raises(OracleLimitError, match="4782969 clique trees"):
+            next(trees)
 
     def test_long_path_takes_linear_work(self, monkeypatch):
         # P_2200 has one clique tree, and its one weight class has no cycle,
@@ -135,6 +143,35 @@ def test_enumerated_trees_are_maximum_weight_spanning_trees(graphs):
             assert sum(cg.weights[e] for e in t.edges) == best
             trees += 1
     assert trees > 4000 and dead > 100
+
+
+def test_tree_count_matches_enumeration(graphs):
+    """The matrix-tree count is the number of trees walked, on every graph.
+
+    The cap is checked against the count before the first tree, so the
+    count is n exactly when a cap of n lets the walk through and a cap of
+    n - 1 stops it before any tree.
+    """
+    trees = 0
+    for g in graphs:
+        n = sum(1 for _ in enumerate_clique_trees(g, limit=DEFAULT_TREE_LIMIT))
+        next(enumerate_clique_trees(g, limit=n))
+        with pytest.raises(OracleLimitError):
+            next(enumerate_clique_trees(g, limit=n - 1))
+        trees += n
+    assert trees > 4000
+
+
+def test_walk_leaf_counts_match_recount(graphs):
+    """The walk's incremental leaf counts equal a recount of every tree."""
+    trees = 0
+    for g in graphs:
+        for leaves, vl, cliques, chosen in _walk(g, None):
+            t = CliqueTree(cliques, frozenset(chosen))
+            assert leaves == len(t.leaves())
+            assert vl == t.max_vertex_leaf_count(g.vertices)
+            trees += 1
+    assert trees > 4000
 
 
 class TestOracleOptima:
@@ -220,15 +257,12 @@ _CORRUPT_ENUMERATIONS = {
     # Leaf optimum (4 leaves) and vertex-leafage optimum (vl 2) in
     # different trees, so no tree attains both.
     "both minima": """
-trees = list(oracle.enumerate_clique_trees(g))
-pick = [
-    next(t for t in trees if (len(t.leaves()), t.max_vertex_leaf_count(g.vertices)) == key)
-    for key in ((4, 3), (5, 2))
-]
-oracle.enumerate_clique_trees = lambda g, limit=None: iter(pick)
+walked = [(*stats, list(chosen)) for *stats, chosen in oracle._walk(g, None)]
+pick = [next(w for w in walked if w[:2] == key) for key in ((4, 3), (5, 2))]
+oracle._walk = lambda g, limit=None: iter(pick)
 """,
     "no clique tree": """
-oracle.enumerate_clique_trees = lambda g, limit=None: iter(())
+oracle._walk = lambda g, limit=None: iter(())
 """,
 }
 
@@ -249,6 +283,26 @@ def test_joint_optimum_check_survives_optimize(case, run_optimized):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("CertificateError:") and case in out.stdout
+
+
+def test_tree_count_check_survives_optimize(run_optimized):
+    # One more spanning forest in the count than the walk finds.
+    out = run_optimized(
+        "import leafage.oracle as oracle\n"
+        "from leafage.demo import demo_graph\n"
+        "from leafage.tokens import CertificateError\n"
+        "assert False, 'not run under -O'\n"
+        "count = oracle._spanning_forests\n"
+        "oracle._spanning_forests = lambda pairs: count(pairs) + 1\n"
+        "try:\n"
+        "    oracle.oracle_optima(demo_graph())\n"
+        "except CertificateError as exc:\n"
+        "    print('CertificateError:', exc)\n"
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == (
+        "CertificateError: the walk found 180 clique trees but the matrix-tree count is 181\n"
+    )
 
 
 def test_long_path_needs_no_recursion(run_optimized):
