@@ -5,7 +5,6 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from math import prod
 from typing import Iterator
 
 from .cliquetrees import CliqueTree, Forest
@@ -23,58 +22,125 @@ def tree_limit() -> int:
     return int(os.environ.get("LEAFAGE_ORACLE_LIMIT", DEFAULT_TREE_LIMIT))
 
 
-def _determinant(m: list[list[int]]) -> int:
-    """Exact determinant of a positive definite integer matrix, in place.
+def _blocks(pairs: list[tuple[int, int]]) -> Iterator[list[int]]:
+    """The blocks (biconnected components) of the multigraph ``pairs``.
 
-    Bareiss' fraction-free elimination: every division is exact.  Every
-    leading minor of a positive definite matrix is positive, so no pivot is
-    zero and no row needs swapping.
+    Each block is the sorted list of its edges' indices in ``pairs``;
+    parallel edges fall in one block, and a bridge is a block of its own.
+    Tarjan's low-point search, with its own stack.
     """
-    prev = 1
-    for i, pivot_row in enumerate(m[:-1]):
-        pivot = pivot_row[i]
-        for row in m[i + 1:]:
-            f = row[i]
-            for c in range(i + 1, len(m)):
-                row[c] = (row[c] * pivot - f * pivot_row[c]) // prev
-        prev = pivot
-    return m[-1][-1]
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for e, (x, y) in enumerate(pairs):
+        adj.setdefault(x, []).append((y, e))
+        adj.setdefault(y, []).append((x, e))
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    for root in adj:
+        if root in disc:
+            continue
+        disc[root] = low[root] = len(disc)
+        edges: list[int] = []
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            x, via, out = stack[-1]
+            for y, e in out:
+                if y not in disc:
+                    disc[y] = low[y] = len(disc)
+                    edges.append(e)
+                    stack.append((y, e, iter(adj[y])))
+                    break
+                if e != via and disc[y] < disc[x]:
+                    edges.append(e)
+                    low[x] = min(low[x], disc[y])
+            else:
+                stack.pop()
+                if stack:
+                    parent = stack[-1][0]
+                    low[parent] = min(low[parent], low[x])
+                    if low[x] >= disc[parent]:
+                        block: list[int] = []
+                        while not block or block[-1] != via:
+                            block.append(edges.pop())
+                        yield sorted(block)
 
 
-def _spanning_forests(pairs: list[tuple[int, int]]) -> int:
-    """Spanning forests, one tree per component, of the multigraph ``pairs``.
+def _block_trees(block: list[tuple[int, int]], cap: int) -> int:
+    """Spanning trees of the connected multigraph ``block``, or a lower bound past ``cap``.
 
-    Each component's spanning trees number any cofactor of its Laplacian
-    (Kirchhoff's matrix-tree theorem); parallel edges count apart.  The
-    Laplacian of a connected graph without one node's row and column is
-    positive definite.
+    Kirchhoff's matrix-tree theorem: the count is the determinant of the
+    Laplacian without one node's row and column, taken here with Bareiss'
+    fraction-free elimination, one row at a time so every division is
+    exact.  The matrix is symmetric, so a row's entries right of the
+    diagonal are read from the later rows' entries left of it, and only the
+    lower triangle is kept.  The leading minor of rows 0..i is the tree
+    count of the multigraph with every later node and the removed one
+    merged.  The nodes go in reverse breadth-first order from the removed
+    one, so the merged nodes are connected, the merge only contracts edges,
+    and every leading minor is at most the count: once one passes ``cap``
+    the elimination stops.
     """
     adj: dict[int, list[int]] = {}
-    for x, y in pairs:
+    for x, y in block:
         adj.setdefault(x, []).append(y)
         adj.setdefault(y, []).append(x)
+    order = [block[0][0]]
+    seen = set(order)
+    for x in order:
+        for y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                order.append(y)
+    order = order[:0:-1]
+    index = {y: i for i, y in enumerate(order)}
+    rows: list[list[int]] = []
+    minors = [1]
+    for i, y in enumerate(order):
+        row = [0] * (i + 1)
+        row[i] = len(adj[y])
+        for z in adj[y]:
+            j = index.get(z, i)
+            if j < i:
+                row[j] -= 1
+        for j in range(i):
+            pivot, prev, f = minors[j + 1], minors[j], row[j]
+            for c in range(j + 1, i):
+                row[c] = (row[c] * pivot - f * rows[c][j]) // prev
+            row[i] = (row[i] * pivot - f * f) // prev
+        rows.append(row)
+        minors.append(row[i])
+        if row[i] > cap:
+            break
+    return minors[-1]
+
+
+def _spanning_forests(blocks: list[list[tuple[int, int]]], cap: int) -> int:
+    """Spanning forests of a multigraph, one tree per component, from its blocks.
+
+    A spanning forest is one spanning tree per block, so the count is the
+    product of the blocks' counts; the bridges, which count 1, may be left
+    out.  Past ``cap`` the product may stop early at a lower bound above
+    ``cap``.
+    """
     count = 1
-    seen: set[int] = set()
-    for x in adj:
-        if x in seen:
-            continue
-        component = _reach(adj, x, adj)
-        seen |= component
-        index = {y: i for i, y in enumerate(component - {x})}
-        laplacian = [[0] * len(index) for _ in index]
-        for y, i in index.items():
-            row = laplacian[i]
-            row[i] = len(adj[y])
-            for z in adj[y]:
-                if z in index:
-                    row[index[z]] -= 1
-        count *= _determinant(laplacian)
+    for block in blocks:
+        count *= _block_trees(block, cap)
+        if count > cap:
+            break
     return count
 
 
+def _cliques(g: Graph) -> tuple[frozenset[str], ...]:
+    """The maximal cliques of ``g``, which must be nonempty and connected."""
+    if not g.vertices:
+        raise ValueError("graph is empty")
+    if not g.is_connected():
+        raise ValueError("graph is disconnected")
+    return chordal_cliques(g)
+
+
 def _walk(
-    g: Graph, limit: int | None
-) -> Iterator[tuple[int, int, tuple[frozenset[str], ...], list[tuple[int, int]]]]:
+    g: Graph, cliques: tuple[frozenset[str], ...], limit: int | None
+) -> Iterator[tuple[int, int, list[tuple[int, int]]]]:
     """Every clique tree of ``g`` once, in canonical order, with its leaf counts.
 
     The clique trees are the maximum-weight spanning trees of the clique
@@ -83,18 +149,21 @@ def _walk(
     the components of the strictly heavier edges; an edge of weight w with
     both ends in one node lies in no clique tree.  A clique tree is one
     spanning forest of each class's nodes, chosen independently, so the
-    trees number the product of the classes' spanning-forest counts.  That
-    count is known before the walk: past the cap, the walk raises
-    :class:`OracleLimitError` before the first tree.  At the end it must
-    equal the trees walked, or the walk raises :class:`CertificateError`.
+    trees number the product of the classes' spanning-forest counts, taken
+    block by block (:func:`_block_trees`).  That count is known before the
+    walk: past the cap, the walk raises :class:`OracleLimitError` before
+    the first tree.  At the end it must equal the trees walked, or the walk
+    raises :class:`CertificateError`.
 
     The walk goes over the remaining edges in canonical order with one
     :class:`Forest` on the nodes, taking each edge before skipping it.  It
     takes an edge iff the edge's nodes are still apart, and skips it iff
     they still meet through the chosen edges and the later edges of its
-    class; a class without a cycle is all bridges, so its edges are never
-    skipped.  Every search node thus reaches a tree.  The walk keeps its
-    own stack, so long inputs cannot hit the recursion limit.
+    class.  A simple path between two nodes of a block of the class's
+    multigraph stays in that block, so only the later edges of the edge's
+    own block are tried, and a bridge is never skipped.  Every search node
+    thus reaches a tree.  The walk keeps its own stack, so long inputs
+    cannot hit the recursion limit.
 
     Consecutive trees share most of their edges, so the leaf counts are
     kept by each take's delta and taken back on its undo.  A slot is a
@@ -102,15 +171,10 @@ def _walk(
     at that clique whose intersection holds the vertex, and the vertex's
     subtree leaves are its slots of degree 1.  The host tree counts as one
     more vertex, held by every clique.  Yields (host leaves, max vertex
-    leaf count, cliques, chosen edges) per tree; the edge list is the
-    walk's own and changes as the walk goes on.
+    leaf count, chosen edges) per tree, the edges indexing ``cliques``; the
+    edge list is the walk's own and changes as the walk goes on.
     """
-    if not g.vertices:
-        raise ValueError("graph is empty")
-    if not g.is_connected():
-        raise ValueError("graph is disconnected")
     cap = tree_limit() if limit is None else limit
-    cliques = chordal_cliques(g)
     k = len(cliques)
     classes: dict[int, list[tuple[int, int]]] = {}
     for edge, w in clique_graph(cliques).weights.items():
@@ -121,6 +185,29 @@ def _walk(
     def node(w: int, a: int) -> int:
         return nodes.setdefault((w, heavier.find(a)), len(nodes))
 
+    # Per class: its remaining edges, their node pairs, and per edge in a
+    # block with a cycle, the block's node pairs and the index of the next
+    # one.  The count stops at the first class that takes it past the cap.
+    layers: list[tuple[list, list, dict[int, tuple[list, int]]]] = []
+    total = 1
+    for w in sorted(classes, reverse=True):
+        if total > cap:
+            break
+        kept = [(a, b) for a, b in classes[w] if heavier.find(a) != heavier.find(b)]
+        pairs = [(node(w, a), node(w, b)) for a, b in kept]
+        for a, b in kept:
+            heavier.union(a, b)
+        blocks = []
+        later: dict[int, tuple[list, int]] = {}
+        for block in _blocks(pairs):
+            if len(block) > 1:
+                blocks.append([pairs[e] for e in block])
+                for pos, e in enumerate(block):
+                    later[e] = (blocks[-1], pos + 1)
+        total *= _spanning_forests(blocks, cap)
+        layers.append((kept, pairs, later))
+    if total > cap:
+        raise OracleLimitError(f"the graph has more than {cap} clique trees")
     # One leaf counter per vertex, then the host's at n.  The host's slot at
     # clique i is slot i; the vertices' slots follow.
     n = len(g.vertices)
@@ -130,25 +217,16 @@ def _walk(
         for u in c:
             slot[u, i] = k + len(slot)
     # Per remaining edge, in canonical order: the edge, its two class nodes,
-    # its class's node pairs with the index of the next one, or None when
-    # the class has no cycle, and the (counter, slot) pairs a take shifts.
+    # its block's node pairs with the index of the next one, or None for a
+    # bridge, and the (counter, slot) pairs a take shifts.
     steps: list[tuple[tuple[int, int], int, int, list | None, int, list]] = []
-    cyclic: list[list[tuple[int, int]]] = []
-    for w in sorted(classes, reverse=True):
-        kept = [(a, b) for a, b in classes[w] if heavier.find(a) != heavier.find(b)]
-        pairs = [(node(w, a), node(w, b)) for a, b in kept]
-        has_cycle = sum(heavier.union(a, b) for a, b in kept) < len(kept)
-        if has_cycle:
-            cyclic.append(pairs)
-        for pos, ((a, b), (x, y)) in enumerate(zip(kept, pairs)):
+    for kept, pairs, later in layers:
+        for e, ((a, b), (x, y)) in enumerate(zip(kept, pairs)):
             touch = [(n, a), (n, b)]
             for u in cliques[a] & cliques[b]:
                 touch += [(counter[u], slot[u, a]), (counter[u], slot[u, b])]
-            steps.append(((a, b), x, y, pairs if has_cycle else None, pos + 1, touch))
+            steps.append(((a, b), x, y, *later.get(e, (None, 0)), touch))
     steps.sort()
-    total = prod(map(_spanning_forests, cyclic))
-    if total > cap:
-        raise OracleLimitError(f"the graph has {total} clique trees, more than the cap of {cap}")
     forest = Forest((frozenset(),) * len(nodes))
     chosen: list[tuple[int, int]] = []
     degree = [0] * (k + len(slot))
@@ -191,7 +269,7 @@ def _walk(
             continue
         if len(chosen) == k - 1:
             count += 1
-            yield leaves[n], max(leaves[:n]), cliques, chosen
+            yield leaves[n], max(leaves[:n]), chosen
             continue
         edge, x, y, _, _, touch = steps[idx]
         if forest.union(x, y):
@@ -211,7 +289,8 @@ def enumerate_clique_trees(g: Graph, limit: int | None = None) -> Iterator[Cliqu
     Raises :class:`OracleLimitError` before the first tree when ``g`` has
     more clique trees than the cap; see :func:`_walk`.
     """
-    for _, _, cliques, chosen in _walk(g, limit):
+    cliques = _cliques(g)
+    for _, _, chosen in _walk(g, cliques, limit):
         yield CliqueTree(cliques, frozenset(chosen))
 
 
@@ -234,7 +313,8 @@ def oracle_optima(g: Graph, limit: int | None = None) -> OracleResult:
     min_leaves = min_vl = float("inf")
     joint = (min_leaves, min_vl)
     count = 0
-    for leaves, vl, cliques, chosen in _walk(g, limit):
+    cliques = _cliques(g)
+    for leaves, vl, chosen in _walk(g, cliques, limit):
         count += 1
         if leaves < min_leaves or vl < min_vl or (leaves, vl) < joint:
             tree = CliqueTree(cliques, frozenset(chosen))

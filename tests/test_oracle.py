@@ -20,6 +20,9 @@ from leafage.graphs import (
 from leafage.oracle import (
     DEFAULT_TREE_LIMIT,
     OracleLimitError,
+    _blocks,
+    _cliques,
+    _spanning_forests,
     _walk,
     enumerate_clique_trees,
     oracle_optima,
@@ -81,9 +84,27 @@ class TestEnumerateCliqueTrees:
     def test_cap_checked_before_the_first_tree(self):
         # spider(9, 2) has 9^7 = 4,782,969 clique trees; counting them takes
         # milliseconds, walking them most of a minute.
-        trees = enumerate_clique_trees(spider_graph(9, 2))
-        with pytest.raises(OracleLimitError, match="4782969 clique trees"):
+        trees = enumerate_clique_trees(spider_graph(9, 2), limit=10**6)
+        with pytest.raises(OracleLimitError, match="more than 1000000 clique trees"):
             next(trees)
+
+    def test_cap_checked_before_a_dense_count(self):
+        # K_{1,300}: the 300 edges are cliques that meet pairwise in the
+        # centre, so the one weight class is K_300 with 300^298 spanning
+        # trees.  The count stops a few rows into the elimination.
+        g = Graph.from_edges([], [("c", f"a{i:03d}") for i in range(300)])
+        with pytest.raises(OracleLimitError, match="more than 1000000 clique trees"):
+            next(enumerate_clique_trees(g, limit=10**6))
+
+    @pytest.mark.parametrize("ends, count", [((0,), 3), ((0, 2199), 9)])
+    def test_long_path_with_claws(self, ends, count):
+        # P_2200 with two pendant vertices at each end in ``ends``: three
+        # cliques share that end, a triangle in the one weight class, whose
+        # other 2,198 edges are bridges.  The count takes each triangle as a
+        # block of its own, not the whole class as one matrix.
+        edges = [(f"p{i:04d}", f"p{i + 1:04d}") for i in range(2199)]
+        edges += [(f"p{e:04d}", f"q{e}{j}") for e in ends for j in range(2)]
+        assert oracle_optima(Graph.from_edges([], edges)).tree_count == count
 
     def test_long_path_takes_linear_work(self, monkeypatch):
         # P_2200 has one clique tree, and its one weight class has no cycle,
@@ -162,11 +183,45 @@ def test_tree_count_matches_enumeration(graphs):
     assert trees > 4000
 
 
+def _complete(m: int) -> list[tuple[int, int]]:
+    return list(itertools.combinations(range(m), 2))
+
+
+@pytest.mark.parametrize(
+    "pairs, count",
+    [
+        ([(0, 1)], 1),
+        ([(0, 1), (1, 0), (0, 1)], 3),
+        ([(i, (i + 1) % 7) for i in range(7)], 7),
+        (_complete(6), 6**4),
+        ([(a, b) for a in (0, 1) for b in (2, 3, 4)], 12),
+        # Two triangles sharing node 0, then a path, then a double edge.
+        ([(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0), (4, 5), (5, 6), (6, 7), (7, 6)], 18),
+        # Two components.
+        ([(0, 1), (1, 2), (2, 0), (5, 6), (6, 5)], 6),
+    ],
+)
+def test_spanning_forests_known_counts(pairs, count):
+    blocks = [[pairs[e] for e in block] for block in _blocks(pairs)]
+    assert sorted(e for block in blocks for e in block) == sorted(pairs)
+    assert _spanning_forests(blocks, DEFAULT_TREE_LIMIT) == count
+    assert _spanning_forests(blocks, count) == count
+    assert _spanning_forests(blocks, count - 1) > count - 1
+
+
+def test_spanning_forests_stop_past_the_cap():
+    # K_60 has 60^58 spanning trees; the leading minors are lower bounds, so
+    # the count stops at the first one past the cap.
+    bound = _spanning_forests([_complete(60)], 10**6)
+    assert 10**6 < bound < 60**58
+
+
 def test_walk_leaf_counts_match_recount(graphs):
     """The walk's incremental leaf counts equal a recount of every tree."""
     trees = 0
     for g in graphs:
-        for leaves, vl, cliques, chosen in _walk(g, None):
+        cliques = _cliques(g)
+        for leaves, vl, chosen in _walk(g, cliques, None):
             t = CliqueTree(cliques, frozenset(chosen))
             assert leaves == len(t.leaves())
             assert vl == t.max_vertex_leaf_count(g.vertices)
@@ -257,12 +312,12 @@ _CORRUPT_ENUMERATIONS = {
     # Leaf optimum (4 leaves) and vertex-leafage optimum (vl 2) in
     # different trees, so no tree attains both.
     "both minima": """
-walked = [(*stats, list(chosen)) for *stats, chosen in oracle._walk(g, None)]
+walked = [(*stats, list(chosen)) for *stats, chosen in oracle._walk(g, oracle._cliques(g), None)]
 pick = [next(w for w in walked if w[:2] == key) for key in ((4, 3), (5, 2))]
-oracle._walk = lambda g, limit=None: iter(pick)
+oracle._walk = lambda g, cliques, limit: iter(pick)
 """,
     "no clique tree": """
-oracle._walk = lambda g, limit=None: iter(())
+oracle._walk = lambda g, cliques, limit: iter(())
 """,
 }
 
@@ -286,14 +341,15 @@ def test_joint_optimum_check_survives_optimize(case, run_optimized):
 
 
 def test_tree_count_check_survives_optimize(run_optimized):
-    # One more spanning forest in the count than the walk finds.
+    # One more spanning forest in the count of each class with a cycle than
+    # the walk finds; the demo graph has one such class.
     out = run_optimized(
         "import leafage.oracle as oracle\n"
         "from leafage.demo import demo_graph\n"
         "from leafage.tokens import CertificateError\n"
         "assert False, 'not run under -O'\n"
         "count = oracle._spanning_forests\n"
-        "oracle._spanning_forests = lambda pairs: count(pairs) + 1\n"
+        "oracle._spanning_forests = lambda blocks, cap: count(blocks, cap) + bool(blocks)\n"
         "try:\n"
         "    oracle.oracle_optima(demo_graph())\n"
         "except CertificateError as exc:\n"
