@@ -95,22 +95,17 @@ class CliqueTree:
 
 
 class Forest:
-    """Union-find on clique ids that can undo its links; grows clique trees.
+    """Union-find on the ids 0..n-1 that can undo its links.
 
-    Links by size and never compresses paths, so ``find`` costs O(log k)
-    and ``undo`` takes back the most recent link.  Every root also keeps the
-    vertex union of its component's cliques; a link merges the smaller
-    union into the larger one, O(min(|A|, |B|)).
+    Links by size and never compresses paths, so ``find`` costs O(log n)
+    and ``undo`` takes back the most recent link.
     """
 
-    def __init__(self, cliques: tuple[frozenset[str], ...]):
-        self.cliques = cliques
-        self.parent = list(range(len(cliques)))
-        self.size = [1] * len(cliques)
-        self.vertices = [set(c) for c in cliques]
-        # Per link: (kept root, absorbed root, kept root's old union,
-        # the union that grew, the vertices it gained).
-        self._links: list[tuple[int, int, set, set, set]] = []
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.size = [1] * n
+        # The absorbed root of every link, the latest last.
+        self._links: list[int] = []
 
     def find(self, x: int) -> int:
         parent = self.parent
@@ -120,45 +115,50 @@ class Forest:
 
     def union(self, a: int, b: int) -> bool:
         """Link the components of ``a`` and ``b``; False if they are one."""
-        return self._link(self.find(a), self.find(b))
-
-    def join(self, a: int, b: int) -> bool:
-        """Add the edge a-b if the forest stays part of some clique tree.
-
-        When every vertex's cliques are connected inside each component
-        (the connected-subtree criterion, Blair & Peyton 1993), joining
-        components A and B by a-b keeps that so iff every vertex in both
-        components lies in C_a and C_b: (U A) & (U B) <= C_a & C_b.  False,
-        and nothing changes, on a cycle or a violation.
-        """
         ra, rb = self.find(a), self.find(b)
-        common = self.cliques[a] & self.cliques[b]
-        if ra != rb and not self.vertices[ra] & self.vertices[rb] <= common:
-            return False
-        return self._link(ra, rb)
-
-    def _link(self, ra: int, rb: int) -> bool:
         if ra == rb:
             return False
         if self.size[ra] < self.size[rb]:
             ra, rb = rb, ra
-        kept, other = self.vertices[ra], self.vertices[rb]
-        small, big = (kept, other) if len(kept) < len(other) else (other, kept)
-        added = small - big
-        big |= added
         self.parent[rb] = ra
         self.size[ra] += self.size[rb]
-        self.vertices[ra] = big
-        self._links.append((ra, rb, kept, big, added))
+        self._links.append(rb)
         return True
 
     def undo(self) -> None:
         """Take back the most recent link."""
-        ra, rb, kept, big, added = self._links.pop()
-        big -= added
-        self.vertices[ra] = kept
+        rb = self._links.pop()
+        ra = self.parent[rb]
         self.parent[rb] = rb
         self.size[ra] -= self.size[rb]
+
+
+def _class_nodes(cg: CliqueGraph) -> tuple[dict[tuple[int, int], tuple[int, int]], int]:
+    """Each clique-graph edge some clique tree holds -> its two class nodes.
+
+    The clique trees are the maximum-weight spanning trees of the clique
+    graph, weighted by |C_a & C_b| (Gavril 1987, Blair & Peyton 1993).  The
+    nodes of weight class w are the components of the strictly heavier
+    edges; an edge of weight w with both ends in one node lies in no clique
+    tree and is left out.  A clique tree is one spanning forest of each
+    class's nodes, chosen independently, so a set of edges lies in some
+    clique tree iff each is in the map and they form no cycle on the class
+    nodes.  The map runs from the heaviest class down, each class in edge
+    order; also returns the number of class nodes.
+    """
+    classes: dict[int, list[tuple[int, int]]] = {}
+    for edge, w in cg.weights.items():
+        classes.setdefault(w, []).append(edge)
+    heavier = Forest(len(cg.cliques))
+    nodes: dict[tuple[int, int], int] = {}
+    ends: dict[tuple[int, int], tuple[int, int]] = {}
+    for w in sorted(classes, reverse=True):
+        kept = [(a, b) for a, b in classes[w] if heavier.find(a) != heavier.find(b)]
+        for e in kept:
+            ends[e] = tuple(nodes.setdefault((w, heavier.find(x)), len(nodes)) for x in e)
+        for a, b in kept:
+            heavier.union(a, b)
+    return ends, len(nodes)
 
 
 def path_containment_violation(
@@ -233,7 +233,7 @@ def build_clique_tree(cg: CliqueGraph) -> CliqueTree:
     graph is disconnected or the spanning tree is not a clique tree (the
     cliques do not come from a chordal graph).
     """
-    forest = Forest(cg.cliques)
+    forest = Forest(len(cg.cliques))
     edges = sorted(cg.weights, key=lambda e: (-cg.weights[e], e))
     chosen = [(i, j) for i, j in edges if forest.union(i, j)]
     if len(chosen) != len(cg.cliques) - 1:

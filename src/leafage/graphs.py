@@ -357,3 +357,12 @@ def chordal_cliques(g: Graph) -> tuple[frozenset[str], ...]:
     if cliques is None:
         raise ValueError(f"graph is not chordal; induced cycle: {list(_find_hole(g))}")
     return cliques
+
+
+def _connected_cliques(g: Graph) -> tuple[frozenset[str], ...]:
+    """The canonical clique list of ``g``, which must be nonempty and connected."""
+    if not g.vertices:
+        raise ValueError("graph is empty")
+    if not g.is_connected():
+        raise ValueError("graph is disconnected")
+    return chordal_cliques(g)

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .cliquetrees import CliqueTree, Forest
-from .graphs import Graph, _path, _reach, chordal_cliques, clique_graph
+from .cliquetrees import CliqueTree, Forest, _class_nodes
+from .graphs import Graph, _connected_cliques, _path, _reach, clique_graph
 from .tokens import CertificateError
 
 DEFAULT_TREE_LIMIT = 10**6
@@ -129,31 +130,18 @@ def _spanning_forests(blocks: list[list[tuple[int, int]]], cap: int) -> int:
     return count
 
 
-def _cliques(g: Graph) -> tuple[frozenset[str], ...]:
-    """The maximal cliques of ``g``, which must be nonempty and connected."""
-    if not g.vertices:
-        raise ValueError("graph is empty")
-    if not g.is_connected():
-        raise ValueError("graph is disconnected")
-    return chordal_cliques(g)
-
-
 def _walk(
     g: Graph, cliques: tuple[frozenset[str], ...], limit: int | None
 ) -> Iterator[tuple[int, int, list[tuple[int, int]]]]:
     """Every clique tree of ``g`` once, in canonical order, with its leaf counts.
 
-    The clique trees are the maximum-weight spanning trees of the clique
-    graph, weighted by |C_a & C_b| (Gavril 1987, Blair & Peyton 1993).  Take
-    the weight classes from heaviest to lightest.  The nodes of class w are
-    the components of the strictly heavier edges; an edge of weight w with
-    both ends in one node lies in no clique tree.  A clique tree is one
-    spanning forest of each class's nodes, chosen independently, so the
-    trees number the product of the classes' spanning-forest counts, taken
-    block by block (:func:`_block_trees`).  That count is known before the
-    walk: past the cap, the walk raises :class:`OracleLimitError` before
-    the first tree.  At the end it must equal the trees walked, or the walk
-    raises :class:`CertificateError`.
+    A clique tree is one spanning forest of each weight class's nodes,
+    chosen independently (:func:`_class_nodes`), so the trees number the
+    product of the classes' spanning-forest counts, taken block by block
+    (:func:`_block_trees`).  That count is known before the walk: past the
+    cap, the walk raises :class:`OracleLimitError` before the first tree.
+    At the end it must equal the trees walked, or the walk raises
+    :class:`CertificateError`.
 
     The walk goes over the remaining edges in canonical order with one
     :class:`Forest` on the nodes, taking each edge before skipping it.  It
@@ -176,27 +164,19 @@ def _walk(
     """
     cap = tree_limit() if limit is None else limit
     k = len(cliques)
-    classes: dict[int, list[tuple[int, int]]] = {}
-    for edge, w in clique_graph(cliques).weights.items():
-        classes.setdefault(w, []).append(edge)
-    heavier = Forest((frozenset(),) * k)
-    nodes: dict[tuple[int, int], int] = {}
-
-    def node(w: int, a: int) -> int:
-        return nodes.setdefault((w, heavier.find(a)), len(nodes))
-
-    # Per class: its remaining edges, their node pairs, and per edge in a
-    # block with a cycle, the block's node pairs and the index of the next
-    # one.  The count stops at the first class that takes it past the cap.
+    cg = clique_graph(cliques)
+    ends, node_count = _class_nodes(cg)
+    # Per class, heaviest first: its remaining edges, their node pairs, and
+    # per edge in a block with a cycle, the block's node pairs and the index
+    # of the next one.  The count stops at the first class that takes it
+    # past the cap.
     layers: list[tuple[list, list, dict[int, tuple[list, int]]]] = []
     total = 1
-    for w in sorted(classes, reverse=True):
+    for _, group in itertools.groupby(ends, key=cg.weights.get):
         if total > cap:
             break
-        kept = [(a, b) for a, b in classes[w] if heavier.find(a) != heavier.find(b)]
-        pairs = [(node(w, a), node(w, b)) for a, b in kept]
-        for a, b in kept:
-            heavier.union(a, b)
+        kept = list(group)
+        pairs = [ends[e] for e in kept]
         blocks = []
         later: dict[int, tuple[list, int]] = {}
         for block in _blocks(pairs):
@@ -227,7 +207,7 @@ def _walk(
                 touch += [(counter[u], slot[u, a]), (counter[u], slot[u, b])]
             steps.append(((a, b), x, y, *later.get(e, (None, 0)), touch))
     steps.sort()
-    forest = Forest((frozenset(),) * len(nodes))
+    forest = Forest(node_count)
     chosen: list[tuple[int, int]] = []
     degree = [0] * (k + len(slot))
     leaves = [0] * (n + 1)
@@ -289,7 +269,7 @@ def enumerate_clique_trees(g: Graph, limit: int | None = None) -> Iterator[Cliqu
     Raises :class:`OracleLimitError` before the first tree when ``g`` has
     more clique trees than the cap; see :func:`_walk`.
     """
-    cliques = _cliques(g)
+    cliques = _connected_cliques(g)
     for _, _, chosen in _walk(g, cliques, limit):
         yield CliqueTree(cliques, frozenset(chosen))
 
@@ -313,7 +293,7 @@ def oracle_optima(g: Graph, limit: int | None = None) -> OracleResult:
     min_leaves = min_vl = float("inf")
     joint = (min_leaves, min_vl)
     count = 0
-    cliques = _cliques(g)
+    cliques = _connected_cliques(g)
     for leaves, vl, chosen in _walk(g, cliques, limit):
         count += 1
         if leaves < min_leaves or vl < min_vl or (leaves, vl) < joint:

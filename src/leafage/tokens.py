@@ -232,7 +232,7 @@ def find_realizing_tree(
         unused = [0] * m
         for i, b in block.items():
             unused[b] += held[i][s]
-        groups[s] = (block, Forest((frozenset(),) * m), unused)
+        groups[s] = (block, Forest(m), unused)
     chosen: list[tuple[int, int]] = []
     for i in range(len(cliques)):
         for j in range(i + 1, len(cliques)):

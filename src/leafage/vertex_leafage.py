@@ -16,18 +16,27 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .cliquetrees import (
     CliqueTree,
     Forest,
     TreeModel,
+    _class_nodes,
     branching_sets,
     build_clique_tree,
     model_from_clique_tree,
     path_containment_violation,
 )
-from .graphs import CliqueGraph, Graph, _holders, _mcs_cliques, chordal_cliques, clique_graph
+from .graphs import (
+    CliqueGraph,
+    Graph,
+    _connected_cliques,
+    _holders,
+    _mcs_cliques,
+    chordal_cliques,
+    clique_graph,
+)
 from .tokens import CertificateError, minimize_leafage
 
 BranchEdgeSet = frozenset[tuple[int, int]]
@@ -107,15 +116,16 @@ def clique_tree_with_branching(
     return tree
 
 
-def _join_all(forest: Forest, edges: BranchEdgeSet) -> bool:
-    """Join all of ``edges`` into ``forest``, or take back the ones joined.
+def _join_all(forest: Forest, ends: Mapping, edges: Iterable) -> bool:
+    """Link all of ``edges`` on their class nodes, or take back the ones linked.
 
-    The joins succeed iff the forest plus ``edges`` still embeds in a clique
-    tree: a forest in which every vertex's cliques are connected inside each
-    component.  That is a property of the edge set, so the order is free.
+    ``ends`` and ``forest`` are :func:`_class_nodes`' map and a forest on its
+    nodes.  The links succeed iff the edges linked before plus ``edges`` lie
+    in some clique tree: every edge is in the map and none closes a cycle.
+    That is a property of the edge set, so the order is free.
     """
-    for done, (a, b) in enumerate(edges):
-        if not forest.join(a, b):
+    for done, edge in enumerate(edges):
+        if edge not in ends or not forest.union(*ends[edge]):
             for _ in range(done):
                 forest.undo()
             return False
@@ -162,13 +172,15 @@ def candidate_branch_sets(cg: CliqueGraph, leafage: int) -> list[BranchEdgeSet]:
     sum(deg(x) - 2) is leafage - 2 and no later node has degree >= 3, so
     |F| <= 3 * (leafage - 2).  Smallest first, then by sorted edges.
 
-    The search is depth first over one ``Forest`` that holds the current
-    set, so a star is checked by joining only the edges it adds, and a set
-    that no clique tree carries is not extended: no superset of it fits.
+    The search is depth first over one ``Forest`` on the class nodes that
+    holds the current set, so a star is checked by linking only the edges
+    it adds (:func:`_join_all`), and a set that no clique tree carries is
+    not extended: no superset of it fits.
     """
     n = len(cg.cliques)
     slack = leafage - 2
-    forest = Forest(cg.cliques)
+    ends, node_count = _class_nodes(cg)
+    forest = Forest(node_count)
     degree = [0] * n
 
     def stars(start: int, excess: int) -> Iterator[tuple[int, tuple, int]]:
@@ -198,7 +210,7 @@ def candidate_branch_sets(cg: CliqueGraph, leafage: int) -> list[BranchEdgeSet]:
         step = next(options, None)
         if step is not None:
             c, added, excess = step
-            if not _join_all(forest, added):
+            if not _join_all(forest, ends, added):
                 continue
             count(added, 1)
             if excess < slack:
@@ -233,11 +245,7 @@ def vertex_leafage_bounded(g: Graph, ell: int | None = None) -> VlCertificate | 
     tree's per-vertex leaf counts must match the formula's, and it must have
     exactly leafage leaves, or ``CertificateError`` is raised.
     """
-    if not g.vertices:
-        raise ValueError("graph is empty")
-    if not g.is_connected():
-        raise ValueError("graph is disconnected")
-    cliques = chordal_cliques(g)
+    cliques = _connected_cliques(g)
     cg = clique_graph(cliques)
     tmin = minimize_leafage(build_clique_tree(cg))
     leafage = len(tmin.leaves())

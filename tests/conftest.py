@@ -13,7 +13,7 @@ import pytest
 
 import leafage
 
-from leafage.cliquetrees import CliqueTree, Forest, path_containment_violation
+from leafage.cliquetrees import CliqueTree, Forest, _class_nodes, path_containment_violation
 from leafage.gadget import NaeInstance, build_gadget, satisfies_star
 from leafage.graphs import CliqueGraph, Graph, check_chordal, PerfectEliminationOrder
 from leafage.oracle import oracle_optima, random_chordal
@@ -123,9 +123,10 @@ def reference_candidate_branch_sets(cg: CliqueGraph, leafage: int, budget: int) 
 
     Every union of admissible stars at up to leafage - 2 increasing centres,
     with degree slack summing to at most leafage - 2 and at most ``budget``
-    edges, plus the empty set; then the sets some clique tree carries,
-    smallest first.  It reaches one set many times, and keeps sets that are
-    no tree's branching set or whose trees have fewer than leafage leaves.
+    edges, plus the empty set; then the sets some clique tree carries
+    (``_join_all`` on the class nodes), smallest first.  It reaches one set
+    many times, and keeps sets that are no tree's branching set or whose
+    trees have fewer than leafage leaves.
     """
     results = {frozenset()}
     max_centers = max(0, leafage - 2)
@@ -145,7 +146,8 @@ def reference_candidate_branch_sets(cg: CliqueGraph, leafage: int, budget: int) 
                 if len(combined) > budget or used_slack + degree - 2 > slack:
                     continue
                 stack.append((count + 1, c, combined, used_slack + degree - 2))
-    filtered = [f for f in results if not f or _join_all(Forest(cg.cliques), f)]
+    ends, node_count = _class_nodes(cg)
+    filtered = [f for f in results if _join_all(Forest(node_count), ends, f)]
     filtered.sort(key=lambda f: (len(f), sorted(f)))
     return filtered
 
@@ -179,7 +181,7 @@ def reference_find_realizing_tree(ta, blocks=None):
         avail[j][s] += 1
 
     chosen = []
-    forest = Forest(cliques)
+    forest = Forest(k)
 
     # Frames: (ENTER, idx) decides candidate idx; (UNTAKE, idx) undoes
     # taking it and then tries skipping it; (UNSKIP, idx) undoes the skip.

@@ -81,6 +81,18 @@ def test_search_and_generator_match_references(corpus):
     assert len(graphs) >= 14 + 31 + 6
 
 
+def test_candidates_lie_in_clique_trees(corpus):
+    """Every candidate is a subset of some enumerated clique tree."""
+    candidates = 0
+    for g in _search_graphs(corpus):
+        trees = list(enumerate_clique_trees(g))
+        leafage = min(len(t.leaves()) for t in trees)
+        for f in candidate_branch_sets(clique_graph(chordal_cliques(g)), leafage):
+            assert any(f <= t.edges for t in trees)
+            candidates += 1
+    assert candidates > 1000
+
+
 def test_spider_sets_are_generated_once():
     """spider(6, 2): 1,296 sets, each a union of full stars with six leaves."""
     cliques = chordal_cliques(spider_graph(6, 2))

@@ -216,7 +216,7 @@ def _pairwise_violation(t: CliqueTree):
 def _random_spanning_tree(cg, rng):
     edges = cg.edges()
     rng.shuffle(edges)
-    forest = Forest(cg.cliques)
+    forest = Forest(len(cg.cliques))
     chosen = [(a, b) for a, b in edges if forest.union(a, b)]
     return CliqueTree(cg.cliques, frozenset(chosen))
 

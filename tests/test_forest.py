@@ -1,19 +1,16 @@
-"""The undoable forest that grows partial clique trees.
+"""The undoable union-find, and the branching-set fit test built on it.
 
-Two pairwise path scans are kept here as reference implementations only:
-the clique-tree enumeration whose ``containment_ok`` checked the tree path
-of every newly connected clique pair (the oracle now prunes by weight
-class), and the branching-set check (formerly ``_forest_containment_ok``),
-which ``Forest.join`` replaced and which did the same on a finished edge
-set.
+The clique-tree enumeration whose ``containment_ok`` checked the tree path
+of every newly connected clique pair is kept here as a reference
+implementation only (the oracle now walks weight classes).  Both the
+oracle's trees and ``_join_all``'s decisions are checked against it.
 """
 
-import itertools
 import random
 
-from leafage.cliquetrees import CliqueTree, Forest
+from leafage.cliquetrees import CliqueTree, Forest, _class_nodes
 from leafage.demo import demo_graph
-from leafage.graphs import chordal_cliques, clique_graph
+from leafage.graphs import Graph, chordal_cliques, clique_graph
 from leafage.oracle import enumerate_clique_trees
 from leafage.vertex_leafage import _join_all
 
@@ -97,63 +94,24 @@ def reference_enumerate(g):
     yield from generate(0)
 
 
-def reference_forest_ok(cg, f):
-    """A forest whose intersecting clique pairs keep their intersection on the path."""
-    parent = {}
-
-    def find(v):
-        while parent.setdefault(v, v) != v:
-            v = parent[v]
-        return v
-
-    adj = {}
-    for a, b in sorted(f):
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-
-    def forest_path(src, dst):
-        prev = {src: None}
-        stack = [src]
-        while stack:
-            node = stack.pop()
-            if node == dst:
-                out = [node]
-                while prev[out[-1]] is not None:
-                    out.append(prev[out[-1]])
-                return out
-            for w in adj[node]:
-                if w not in prev:
-                    prev[w] = node
-                    stack.append(w)
-        return None
-
-    for x, y in itertools.combinations(sorted(adj), 2):
-        common = cg.cliques[x] & cg.cliques[y]
-        path = forest_path(x, y) if common else None
-        if path is not None and any(not common <= cg.cliques[n] for n in path):
-            return False
-    return True
+def _fits(cg, f):
+    ends, node_count = _class_nodes(cg)
+    return _join_all(Forest(node_count), ends, f)
 
 
 class TestForest:
     def _snapshot(self, f):
-        return (list(f.parent), list(f.size), [set(v) for v in f.vertices])
+        return (list(f.parent), list(f.size))
 
     def test_union_links_components_once(self):
-        cliques = chordal_cliques(demo_graph())
-        f = Forest(cliques)
+        f = Forest(4)
         assert f.union(0, 1) and f.union(1, 2)
-        assert f.find(0) == f.find(2)
+        assert f.find(0) == f.find(2) != f.find(3)
         assert not f.union(0, 2)
-        assert f.vertices[f.find(0)] == cliques[0] | cliques[1] | cliques[2]
+        assert f.size[f.find(0)] == 3
 
     def test_undo_restores_every_link(self):
-        cliques = chordal_cliques(demo_graph())
-        f = Forest(cliques)
+        f = Forest(9)
         snapshots = []
         for a, b in [(0, 1), (5, 6), (1, 2), (0, 5), (3, 4), (0, 3)]:
             snapshots.append(self._snapshot(f))
@@ -164,14 +122,18 @@ class TestForest:
 
     def test_join_rejects_separated_vertex(self):
         # demo cliques: 0 abc, 1 acd, 2 adf, 8 de.  Joining {adf, de} to
-        # {abc, acd} through abc-adf would separate d's cliques at abc.
-        f = Forest(chordal_cliques(demo_graph()))
-        assert f.join(2, 8) and f.join(0, 1)
+        # {abc, acd} through abc-adf would separate d's cliques at abc: the
+        # heavier edges abc-acd and acd-adf put abc and adf in one node.
+        ends, node_count = _class_nodes(clique_graph(chordal_cliques(demo_graph())))
+        f = Forest(node_count)
+        assert _join_all(f, ends, [(2, 8), (0, 1)])
         before = self._snapshot(f)
-        assert not f.join(0, 2)
+        assert not _join_all(f, ends, [(0, 2)])
+        assert not _join_all(f, ends, [(1, 6), (0, 2)])
         assert self._snapshot(f) == before
-        assert f.join(1, 2)
-        assert not f.join(0, 8)  # a cycle
+        assert _join_all(f, ends, [(1, 2)])
+        assert not _join_all(f, ends, [(1, 8)])  # a cycle
+        assert not _join_all(f, ends, [(0, 8)])  # no clique-graph edge
 
 
 def test_enumeration_matches_pairwise_reference(graphs):
@@ -185,7 +147,14 @@ def test_enumeration_matches_pairwise_reference(graphs):
 
 
 def test_forest_check_matches_pairwise_reference(graphs):
-    """``_join_all`` decides random edge sets as the pairwise scan."""
+    """``_join_all`` accepts an edge set iff some reference clique tree holds it."""
+    # abc, bcd, cde: every clique tree is the path through bcd.
+    path = Graph.from_edges([], [tuple(e) for e in "ab ac bc bd cd ce de".split()])
+    pinned = [(path, {(0, 2)}), (demo_graph(), {(2, 8), (0, 1), (0, 2)})]
+    assert chordal_cliques(path) == tuple(map(frozenset, ("abc", "bcd", "cde")))
+    for g, f in pinned:
+        assert not _fits(clique_graph(chordal_cliques(g)), f)
+        assert not any(f <= t.edges for t in reference_enumerate(g))
     rng = random.Random(5)
     rejected = accepted = 0
     for g in graphs:
@@ -193,10 +162,11 @@ def test_forest_check_matches_pairwise_reference(graphs):
         edges = cg.edges()
         if len(edges) < 2:
             continue
+        trees = [t.edges for t in reference_enumerate(g)]
         for _ in range(40):
             f = frozenset(rng.sample(edges, rng.randint(2, min(len(edges), len(cg.cliques)))))
-            ok = _join_all(Forest(cg.cliques), f)
-            assert ok == reference_forest_ok(cg, f)
+            ok = _fits(cg, f)
+            assert ok == any(f <= t for t in trees)
             accepted += ok
             rejected += not ok
     assert accepted > 1000 and rejected > 1000

@@ -12,6 +12,7 @@ from leafage.demo import demo_clique_tree, demo_graph
 from leafage.graphs import (
     Graph,
     PerfectEliminationOrder,
+    _connected_cliques,
     check_chordal,
     chordal_cliques,
     clique_graph,
@@ -21,7 +22,6 @@ from leafage.oracle import (
     DEFAULT_TREE_LIMIT,
     OracleLimitError,
     _blocks,
-    _cliques,
     _spanning_forests,
     _walk,
     enumerate_clique_trees,
@@ -220,7 +220,7 @@ def test_walk_leaf_counts_match_recount(graphs):
     """The walk's incremental leaf counts equal a recount of every tree."""
     trees = 0
     for g in graphs:
-        cliques = _cliques(g)
+        cliques = _connected_cliques(g)
         for leaves, vl, chosen in _walk(g, cliques, None):
             t = CliqueTree(cliques, frozenset(chosen))
             assert leaves == len(t.leaves())
@@ -312,7 +312,7 @@ _CORRUPT_ENUMERATIONS = {
     # Leaf optimum (4 leaves) and vertex-leafage optimum (vl 2) in
     # different trees, so no tree attains both.
     "both minima": """
-walked = [(*stats, list(chosen)) for *stats, chosen in oracle._walk(g, oracle._cliques(g), None)]
+walked = [(*stats, list(chosen)) for *stats, chosen in oracle._walk(g, oracle._connected_cliques(g), None)]
 pick = [next(w for w in walked if w[:2] == key) for key in ((4, 3), (5, 2))]
 oracle._walk = lambda g, cliques, limit: iter(pick)
 """,

@@ -317,7 +317,7 @@ def _random_spanning_tree(cliques, rng):
     # Kruskal on random weights over the intersecting clique pairs.
     pairs = [e for e in clique_graph(cliques).weights]
     rng.shuffle(pairs)
-    forest = Forest(cliques)
+    forest = Forest(len(cliques))
     edges = [(i, j) for i, j in pairs if forest.union(i, j)]
     return CliqueTree(cliques, frozenset(edges))
 
