@@ -16,16 +16,26 @@ iff its tokens total 2(k - 1) and, for every token value S, there are
 m_S >= 2 S-blocks, 2(m_S - 1) S-tokens, and at least one S-token in every
 S-block; a tree on the blocks with those degrees always exists (Prüfer).
 Deciding costs one pass over the tokens once the block table of each token
-value is built, in O(sum |C|) per value.  The realizing tree itself is
-built once per minimization, on the final assignment, in one pass over the
-clique pairs that keeps a forest on the S-blocks of each token value.
+value is built, in O(sum |C|) per value.
+
+A move changes two cliques and one token value, so a minimization keeps its
+counts by each move's delta (:class:`_TokenState`): the S-tokens of each
+S-block, the values whose count or coverage is wrong, the clique sizes, the
+host leaves and, per clique, how many tokens hold each vertex.  A move is
+then decided in O(1): the assignment it leads to is realizable iff the
+total is right, no other value is wrong and S still has a token in every
+S-block.  The realizing tree is built once per minimization, on the final
+assignment, in one pass per token value S over the pairs of S's holders,
+keeping a forest on the S-blocks.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping
+from functools import cached_property
+from typing import Mapping, Sequence
 
 from .cliquetrees import (
     CliqueTree,
@@ -41,6 +51,20 @@ Token = frozenset[str]
 
 def _token_key(s: Token) -> tuple[str, ...]:
     return tuple(sorted(s))
+
+
+def _normal(
+    cliques: tuple[frozenset[str], ...], i: int, toks: Sequence[Token]
+) -> tuple[Token, ...]:
+    """Clique ``i``'s tokens sorted by token key, each checked to be a nonempty subset."""
+    for s in toks:
+        if not s:
+            raise ValueError(f"empty token at clique {i}")
+        if not s <= cliques[i]:
+            raise ValueError(
+                f"token {sorted(s)} is not a subset of clique {sorted(cliques[i])}"
+            )
+    return tuple(sorted(toks, key=_token_key))
 
 
 @dataclass(frozen=True)
@@ -60,18 +84,7 @@ class TokenAssignment:
         cliques: tuple[frozenset[str], ...],
         tokens: Mapping[int, tuple[Token, ...]],
     ) -> "TokenAssignment":
-        normal = {
-            i: tuple(sorted(tokens.get(i, ()), key=_token_key))
-            for i in range(len(cliques))
-        }
-        for i, toks in normal.items():
-            for s in toks:
-                if not s:
-                    raise ValueError(f"empty token at clique {i}")
-                if not s <= cliques[i]:
-                    raise ValueError(
-                        f"token {sorted(s)} is not a subset of clique {sorted(cliques[i])}"
-                    )
+        normal = {i: _normal(cliques, i, tokens.get(i, ())) for i in range(len(cliques))}
         return cls(cliques, normal)
 
     def size(self, i: int) -> int:
@@ -115,21 +128,23 @@ def tokens_from_tree(t: CliqueTree) -> TokenAssignment:
 
 
 def apply_move(ta: TokenAssignment, mv: TokenMove) -> TokenAssignment:
-    """Remove one instance of the token at the source, add one at the target."""
-    src = list(ta.tokens[mv.from_clique])
+    """Remove one instance of the token at the source, add one at the target.
+
+    Only the two cliques the move changes are re-sorted and checked.
+    """
+    i, j = mv.from_clique, mv.to_clique
+    src = list(ta.tokens[i])
     try:
         src.remove(mv.token)
     except ValueError:
-        raise ValueError(
-            f"token {sorted(mv.token)} absent at clique {mv.from_clique}"
-        ) from None
+        raise ValueError(f"token {sorted(mv.token)} absent at clique {i}") from None
     tokens = dict(ta.tokens)
-    tokens[mv.from_clique] = tuple(src)
-    if mv.to_clique != mv.from_clique:
-        tokens[mv.to_clique] = ta.tokens[mv.to_clique] + (mv.token,)
+    if j == i:
+        src.append(mv.token)
     else:
-        tokens[mv.from_clique] = tuple(src) + (mv.token,)
-    return TokenAssignment.create(ta.cliques, tokens)
+        tokens[j] = _normal(ta.cliques, j, ta.tokens[j] + (mv.token,))
+    tokens[i] = _normal(ta.cliques, i, src)
+    return TokenAssignment(ta.cliques, tokens)
 
 
 def apply_path(ta: TokenAssignment, path: AugmentingPath) -> TokenAssignment:
@@ -176,6 +191,20 @@ class SeparatorBlocks:
         return block, m
 
 
+def _holders(ta: TokenAssignment) -> dict[Token, list[int]]:
+    """Token value -> the cliques holding it, in increasing order, once per token."""
+    holders: dict[Token, list[int]] = {}
+    for i in range(len(ta.cliques)):
+        for s in ta.tokens[i]:
+            holders.setdefault(s, []).append(i)
+    return holders
+
+
+def _fits(per_block: list[int]) -> bool:
+    """2(m - 1) tokens of one value with one in each of its m blocks (so m >= 2)."""
+    return sum(per_block) == 2 * (len(per_block) - 1) and min(per_block) > 0
+
+
 def is_realizable(ta: TokenAssignment, blocks: SeparatorBlocks | None = None) -> bool:
     """Whether some clique tree induces ``ta``, decided per separator block.
 
@@ -189,11 +218,7 @@ def is_realizable(ta: TokenAssignment, blocks: SeparatorBlocks | None = None) ->
         return False
     if blocks is None:
         blocks = SeparatorBlocks(ta.cliques)
-    holders: dict[Token, list[int]] = {}
-    for i, toks in ta.tokens.items():
-        for s in toks:
-            holders.setdefault(s, []).append(i)
-    for s, ids in holders.items():
+    for s, ids in _holders(ta).items():
         block, m = blocks.of(s)
         # len(ids) >= 1, so len(ids) == 2(m - 1) already forces m >= 2.
         if len(ids) != 2 * (m - 1) or len({block[i] for i in ids}) != m:
@@ -209,54 +234,157 @@ def find_realizing_tree(
     Returns None at once when :func:`is_realizable` says no.  Otherwise the
     realizing trees are the independent choices, one per token value S, of
     a spanning tree on the S-blocks whose clique degrees are the S-token
-    counts (see the module docstring).  One pass over the clique pairs in
-    canonical order takes (i, j), with S = C_i & C_j, iff some realizing
-    tree holds it and every pair taken before: i and j both still hold an
-    S-token, their S-blocks lie in different components of the S-edges
-    taken, and the merged component keeps an unused S-token unless it spans
-    every S-block.  So the result is the first tree a search taking each
-    pair before skipping it would reach, with no backtracking.  Raises
+    counts (see the module docstring).  So each S is decided on its own, in
+    one pass over the pairs (i, j) of S's holders in increasing order: it
+    takes (i, j) iff some realizing tree holds it and every pair taken
+    before: i and j both still hold an S-token, their S-blocks lie in
+    different components of the S-edges taken, and the merged component
+    keeps an unused S-token unless it spans every S-block.  Cliques of
+    different S-blocks meet in exactly S, and the pairs of one S-block are
+    never taken, so these are the pairs whose intersection is S.  The result
+    is the first tree a search taking each clique pair, in canonical order,
+    before skipping it would reach, with no backtracking.  Raises
     :class:`CertificateError` if the pairs taken are not a clique tree.
     """
     if blocks is None:
         blocks = SeparatorBlocks(ta.cliques)
     if not is_realizable(ta, blocks):
         return None
-    cliques = ta.cliques
-    held = [Counter(ta.tokens[i]) for i in range(len(cliques))]
-    # Per token value: its block table, a forest on its S-blocks and, at
-    # each component's root, the S-tokens its cliques still hold.
-    groups: dict[Token, tuple[dict[int, int], Forest, list[int]]] = {}
-    for s in {s for toks in ta.tokens.values() for s in toks}:
-        block, m = blocks.of(s)
-        unused = [0] * m
-        for i, b in block.items():
-            unused[b] += held[i][s]
-        groups[s] = (block, Forest(m), unused)
     chosen: list[tuple[int, int]] = []
-    for i in range(len(cliques)):
-        for j in range(i + 1, len(cliques)):
-            s = cliques[i] & cliques[j]
-            if not (s and held[i][s] and held[j][s]):
-                continue
-            block, forest, unused = groups[s]
-            a, b = forest.find(block[i]), forest.find(block[j])
-            left = unused[a] + unused[b] - 2
-            if a == b or (left == 0 and forest.size[a] + forest.size[b] < len(unused)):
-                continue
-            forest.union(a, b)
-            unused[forest.find(a)] = left
-            held[i][s] -= 1
-            held[j][s] -= 1
-            chosen.append((i, j))
-    tree = CliqueTree(cliques, frozenset(chosen))
+    for s, ids in _holders(ta).items():
+        block, m = blocks.of(s)
+        held = Counter(ids)
+        ids = list(held)
+        # A forest on the S-blocks and, at each component's root, the
+        # S-tokens its cliques still hold.
+        forest = Forest(m)
+        unused = [0] * m
+        for i in ids:
+            unused[block[i]] += held[i]
+        for x, i in enumerate(ids):
+            for j in ids[x + 1:]:
+                if not held[i]:
+                    break
+                if not held[j]:
+                    continue
+                a, b = forest.find(block[i]), forest.find(block[j])
+                left = unused[a] + unused[b] - 2
+                if a == b or (left == 0 and forest.size[a] + forest.size[b] < m):
+                    continue
+                forest.union(a, b)
+                unused[forest.find(a)] = left
+                held[i] -= 1
+                held[j] -= 1
+                chosen.append((i, j))
+    tree = CliqueTree(ta.cliques, frozenset(chosen))
     if not _is_tree(tree) or path_containment_violation(tree) is not None:
         raise CertificateError("the pairs taken for a realizable assignment are no clique tree")
     return tree
 
 
+class _TokenState:
+    """One assignment and the counts its token moves change, kept by each move's delta.
+
+    ``sizes`` (tokens per clique), ``starts`` (cliques holding >= 3 tokens,
+    increasing) and ``leaves`` (host leaves) are counted when the state is
+    made.  The block coverage of the token values and the per-clique vertex
+    counts behind ``vertex_leaves`` need a block table per value, so they
+    are built on first use: an assignment with no path start needs neither.
+    """
+
+    def __init__(self, ta: TokenAssignment, blocks: SeparatorBlocks | None = None):
+        self.ta = ta
+        self.blocks = SeparatorBlocks(ta.cliques) if blocks is None else blocks
+        self.sizes = [len(ta.tokens[i]) for i in range(len(ta.cliques))]
+        self.starts = [i for i, n in enumerate(self.sizes) if n >= 3]
+        self.leaves = ta.leaf_count()
+        self.total_ok = sum(self.sizes) == 2 * (len(self.sizes) - 1)
+
+    @cached_property
+    def _coverage(self) -> tuple[dict[Token, tuple[dict[int, int], list[int]]], set[Token]]:
+        # Per token value S: its block table and the S-tokens in each
+        # S-block.  Then the values whose count or coverage is wrong.
+        cover = {}
+        for s, ids in _holders(self.ta).items():
+            block, m = self.blocks.of(s)
+            per_block = [0] * m
+            for i in ids:
+                per_block[block[i]] += 1
+            cover[s] = (block, per_block)
+        return cover, {s for s, (_, per_block) in cover.items() if not _fits(per_block)}
+
+    @cached_property
+    def _held(self) -> list[Counter[str]]:
+        # Per clique: how many of its tokens hold each vertex.
+        return [Counter(u for s in self.ta.tokens[i] for u in s) for i in range(len(self.sizes))]
+
+    @cached_property
+    def vertex_leaves(self) -> Counter[str]:
+        """Subtree leaf count of every vertex: the cliques where one token holds it."""
+        return Counter(u for held in self._held for u, n in held.items() if n == 1)
+
+    def realizable(self) -> bool:
+        """Whether the kept assignment is realizable, from the kept coverage."""
+        return self.total_ok and not self._coverage[1]
+
+    def can_move(self, src: int, dst: int, s: Token) -> bool:
+        """Whether moving one ``s`` from ``src`` to ``dst`` leaves a realizable assignment.
+
+        ``src`` must hold ``s`` and ``dst`` contain it.  The move changes
+        only S's coverage, so the result is realizable iff the total is
+        right, no other value is wrong and S fits after the move; O(1)
+        unless S itself is wrong.
+        """
+        cover, bad = self._coverage
+        if not self.total_ok or (bad and (len(bad) > 1 or s not in bad)):
+            return False
+        block, per_block = cover[s]
+        a, b = block[src], block[dst]
+        if s not in bad:
+            return a == b or per_block[a] >= 2
+        after = per_block.copy()
+        after[a] -= 1
+        after[b] += 1
+        return _fits(after)
+
+    def apply(self, path: AugmentingPath) -> dict[str, int]:
+        """Carry out ``path`` move by move; return each touched vertex's leaf count before it."""
+        cover, bad = self._coverage
+        vertex_leaves = self.vertex_leaves
+        before: dict[str, int] = {}
+        for mv in path.moves:
+            self.ta = apply_move(self.ta, mv)
+            s = mv.token
+            for i, d in ((mv.from_clique, -1), (mv.to_clique, 1)):
+                n = self.sizes[i]
+                self.sizes[i] = n + d
+                self.leaves += (n + d == 1) - (n == 1)
+                if d > 0 and n == 2:
+                    insort(self.starts, i)
+                elif d < 0 and n == 3:
+                    self.starts.remove(i)
+                held = self._held[i]
+                for u in s:
+                    before.setdefault(u, vertex_leaves[u])
+                    h = held[u]
+                    held[u] = h + d
+                    vertex_leaves[u] += (h + d == 1) - (h == 1)
+            block, per_block = cover[s]
+            a = block[mv.from_clique]
+            per_block[a] -= 1
+            per_block[block[mv.to_clique]] += 1
+            if s in bad or not per_block[a]:
+                if _fits(per_block):
+                    bad.discard(s)
+                else:
+                    bad.add(s)
+        return before
+
+
 def shortest_augmenting_path(
-    ta: TokenAssignment, blocks: SeparatorBlocks | None = None
+    ta: TokenAssignment,
+    blocks: SeparatorBlocks | None = None,
+    state: _TokenState | None = None,
 ) -> AugmentingPath | None:
     """Minimum-length augmenting path of ``ta``, canonical tie-break.
 
@@ -265,14 +393,14 @@ def shortest_augmenting_path(
     cliques, and every single move must alone produce a realizable
     assignment (all conditions are evaluated against ``ta`` itself).  Among
     shortest paths the lexicographically least clique-id sequence wins, and
-    each move carries the least feasible token.  ``blocks`` is passed to
-    :func:`is_realizable`.
+    each move carries the least feasible token.  ``state`` holds the kept
+    counts of ``ta`` (a minimization passes its own); without it one is
+    made from ``ta`` and ``blocks``.
     """
+    if state is None:
+        state = _TokenState(ta, blocks)
     k = len(ta.cliques)
-    if blocks is None:
-        blocks = SeparatorBlocks(ta.cliques)
-    sizes = {i: ta.size(i) for i in range(k)}
-    starts = sorted(i for i in range(k) if sizes[i] >= 3)
+    sizes, starts = state.sizes, state.starts
     if not starts:
         return None
 
@@ -281,14 +409,16 @@ def shortest_augmenting_path(
     def feasible_token(src: int, dst: int) -> Token | None:
         key = (src, dst)
         if key not in move_cache:
-            result = None
-            for s in sorted(set(ta.tokens[src]), key=_token_key):
-                if not s <= ta.cliques[dst]:
-                    continue
-                if is_realizable(apply_move(ta, TokenMove(src, dst, s)), blocks):
-                    result = s
-                    break
-            move_cache[key] = result
+            target = ta.cliques[dst]
+            # ``tokens[src]`` is sorted, so this is the least feasible value.
+            move_cache[key] = next(
+                (
+                    s
+                    for s in dict.fromkeys(ta.tokens[src])
+                    if s <= target and state.can_move(src, dst, s)
+                ),
+                None,
+            )
         return move_cache[key]
 
     def extend(start: int, length: int) -> list[int] | None:
@@ -353,34 +483,38 @@ def minimize_leafage_with_trace(t: CliqueTree) -> tuple[CliqueTree, list[Iterati
     vertex its subtree leaf count never exceeds the input tree's.  Each
     iteration must keep the assignment realizable, lower the host leaf count
     by exactly one and raise no vertex's leaf count; a step that does not
-    raises :class:`CertificateError`.  The S-block table is built once per
-    call, and the realizing tree is built once, on the final assignment;
-    without any iteration ``t`` itself is returned.
+    raises :class:`CertificateError`.  These checks read counts kept by each
+    move's delta, so an iteration costs O(|moves| * |S|) beyond its search.
+    At the end the final assignment is counted once from scratch: its leaf
+    counts must equal the kept ones, and the realizing tree, built once,
+    re-decides realizability; a mismatch raises :class:`CertificateError`.
+    Without any iteration ``t`` itself is returned.
     """
     blocks = SeparatorBlocks(t.cliques)
-    ta = tokens_from_tree(t)
+    state = _TokenState(tokens_from_tree(t), blocks)
     trace: list[IterationRecord] = []
-    vertex_leaves: Counter[str] = Counter()  # of ``ta``, once an iteration ran
     while True:
-        path = shortest_augmenting_path(ta, blocks)
+        path = shortest_augmenting_path(state.ta, state=state)
         if path is None:
             break
-        before = ta.leaf_count()
-        before_vertex = vertex_leaves if trace else ta.vertex_leaf_counts()
-        ta = apply_path(ta, path)
-        if not is_realizable(ta, blocks):
+        before = state.leaves
+        vertex_before = state.apply(path)
+        if not state.realizable():
             raise CertificateError("assignment after augmenting path is unrealizable")
-        after = ta.leaf_count()
-        if after != before - 1:
+        if state.leaves != before - 1:
             raise CertificateError(
-                f"host leaf count went from {before} to {after}, not down by one"
+                f"host leaf count went from {before} to {state.leaves}, not down by one"
             )
-        vertex_leaves = ta.vertex_leaf_counts()
-        risen = sorted(u for u, n in vertex_leaves.items() if n > before_vertex[u])
+        risen = sorted(u for u, n in vertex_before.items() if state.vertex_leaves[u] > n)
         if risen:
             raise CertificateError(f"subtree leaf count rose for vertices {risen}")
-        trace.append(IterationRecord(path, before, after))
+        trace.append(IterationRecord(path, before, state.leaves))
     if not trace:
         return t, trace
-    # The last iteration found ``ta`` realizable, so this returns a tree.
-    return find_realizing_tree(ta, blocks), trace
+    ta = state.ta
+    if state.leaves != ta.leaf_count() or state.vertex_leaves != ta.vertex_leaf_counts():
+        raise CertificateError("kept leaf counts differ from the recount of the final assignment")
+    tree = find_realizing_tree(ta, blocks)
+    if tree is None:
+        raise CertificateError("the final assignment is unrealizable")
+    return tree, trace

@@ -17,7 +17,17 @@ from leafage.cliquetrees import CliqueTree, Forest, _class_nodes, path_containme
 from leafage.gadget import NaeInstance, build_gadget, satisfies_star
 from leafage.graphs import CliqueGraph, Graph, check_chordal, PerfectEliminationOrder
 from leafage.oracle import oracle_optima, random_chordal
-from leafage.tokens import is_realizable
+from leafage.tokens import (
+    AugmentingPath,
+    IterationRecord,
+    SeparatorBlocks,
+    TokenMove,
+    _token_key,
+    apply_move,
+    apply_path,
+    is_realizable,
+    tokens_from_tree,
+)
 from leafage.vertex_leafage import _join_all
 
 CORPUS_SIZE = 200
@@ -231,6 +241,86 @@ def reference_find_realizing_tree(ta, blocks=None):
             avail[i][s] += 1
             avail[j][s] += 1
     return None
+
+
+def _reference_augmenting_path(ta, blocks):
+    """The shortest augmenting path, each move tried by applying it and re-deciding."""
+    k = len(ta.cliques)
+    sizes = {i: ta.size(i) for i in range(k)}
+    starts = sorted(i for i in range(k) if sizes[i] >= 3)
+    if not starts:
+        return None
+
+    move_cache = {}
+
+    def feasible_token(src, dst):
+        key = (src, dst)
+        if key not in move_cache:
+            result = None
+            for s in sorted(set(ta.tokens[src]), key=_token_key):
+                if not s <= ta.cliques[dst]:
+                    continue
+                if is_realizable(apply_move(ta, TokenMove(src, dst, s)), blocks):
+                    result = s
+                    break
+            move_cache[key] = result
+        return move_cache[key]
+
+    def extend(start, length):
+        path = [start]
+        cursor = [0]
+        while path:
+            if len(path) == length + 1:
+                return path
+            last = path[-1]
+            want = 1 if len(path) == length else 2
+            nxt = next(
+                (
+                    c
+                    for c in range(cursor[-1], k)
+                    if c not in path
+                    and sizes[c] == want
+                    and feasible_token(last, c) is not None
+                ),
+                None,
+            )
+            if nxt is None:
+                path.pop()
+                cursor.pop()
+            else:
+                cursor[-1] = nxt + 1
+                path.append(nxt)
+                cursor.append(0)
+        return None
+
+    for length in range(1, k):
+        for start in starts:
+            found = extend(start, length)
+            if found is not None:
+                return AugmentingPath(
+                    tuple(TokenMove(a, b, feasible_token(a, b)) for a, b in zip(found, found[1:]))
+                )
+    return None
+
+
+def reference_minimize_leafage(t):
+    """The minimization before it kept its counts by delta, kept as a reference.
+
+    Every candidate move is decided by applying it to the whole assignment
+    and re-deciding realizability, every iteration recounts every leaf, and
+    the final tree comes from ``reference_find_realizing_tree``.  Returns
+    the final tree and the iteration records.
+    """
+    blocks = SeparatorBlocks(t.cliques)
+    ta = tokens_from_tree(t)
+    trace = []
+    while (path := _reference_augmenting_path(ta, blocks)) is not None:
+        before, before_vertex = ta.leaf_count(), ta.vertex_leaf_counts()
+        ta = apply_path(ta, path)
+        assert is_realizable(ta, blocks) and ta.leaf_count() == before - 1
+        assert all(n <= before_vertex[u] for u, n in ta.vertex_leaf_counts().items())
+        trace.append(IterationRecord(path, before, ta.leaf_count()))
+    return (reference_find_realizing_tree(ta, blocks) if trace else t), trace
 
 
 @pytest.fixture

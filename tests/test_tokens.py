@@ -4,12 +4,19 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import leafage
-from conftest import reference_find_realizing_tree
+import leafage.tokens as tokens_module
+from conftest import (
+    nae_families,
+    reference_find_realizing_tree,
+    reference_minimize_leafage,
+    spider_graph,
+)
 from leafage.cliquetrees import CliqueTree, Forest, verify_clique_tree
 from leafage.demo import demo_clique_tree, demo_graph
 from leafage.gadget import NaeInstance, build_gadget
@@ -18,6 +25,7 @@ from leafage.cliquetrees import build_clique_tree
 from leafage.oracle import enumerate_clique_trees, random_chordal
 from leafage.tokens import (
     AugmentingPath,
+    SeparatorBlocks,
     TokenAssignment,
     TokenMove,
     apply_move,
@@ -243,18 +251,20 @@ class TestMinimizeLeafage:
         assert len(trace) == m - 3
 
 
-# Each script forces one bad minimization step by replacing ``apply_path``;
-# run under ``python -O``, so a check written as ``assert`` would vanish.
+# Each script forces one bad minimization step by replacing the kept
+# state's step ``_TokenState.apply``; run under ``python -O``, so a check
+# written as ``assert`` would vanish.
 _BAD_STEPS = {
     "unrealizable": """
-def bad(ta, path):
-    ta = original(ta, path)
-    i = next(i for i, toks in ta.tokens.items() if toks)
-    return tk.TokenAssignment.create(ta.cliques, {**ta.tokens, i: ta.tokens[i][1:]})
+def bad(self, path):
+    # One more move takes abc's only bc-token out of its bc-block.
+    ids = {"".join(sorted(c)): i for i, c in enumerate(self.ta.cliques)}
+    extra = tk.TokenMove(ids["abc"], ids["bci"], frozenset("bc"))
+    return original(self, tk.AugmentingPath(path.moves + (extra,)))
 """,
     "not down by one": """
-def bad(ta, path):
-    return original(ta, tk.AugmentingPath(path.moves[:-1]))
+def bad(self, path):
+    return original(self, tk.AugmentingPath(path.moves[:-1]))
 """,
     "rose": """
 from leafage.oracle import enumerate_clique_trees
@@ -264,8 +274,29 @@ worse = next(
     if ta.leaf_count() == before.leaf_count() - 1
     and any(n > before.vertex_leaf_counts()[u] for u, n in ta.vertex_leaf_counts().items())
 )
-def bad(ta, path):
-    return worse
+def bad(self, path):
+    # Moves that turn the assignment into ``worse``: per token value, each
+    # surplus token goes to a clique that is one short.
+    moves = []
+    for s in {s for toks in worse.tokens.values() for s in toks}:
+        diff = [self.ta.tokens[i].count(s) - worse.tokens[i].count(s) for i in worse.tokens]
+        surplus = [i for i, d in enumerate(diff) for _ in range(d)]
+        short = [i for i, d in enumerate(diff) for _ in range(-d)]
+        moves += [tk.TokenMove(a, b, s) for a, b in zip(surplus, short)]
+    return original(self, tk.AugmentingPath(tuple(moves)))
+""",
+    # The kept coverage says realizable; the full decision at the end does not.
+    "final assignment": """
+def bad(self, path):
+    tk.is_realizable = lambda ta, blocks=None: False
+    return original(self, path)
+""",
+    # A slip in the kept counts that no per-iteration check sees.
+    "recount": """
+def bad(self, path):
+    before = original(self, path)
+    self.vertex_leaves["a"] -= 1
+    return before
 """,
 }
 
@@ -277,9 +308,9 @@ def test_certificate_error_survives_optimize(case):
         "from leafage.demo import demo_clique_tree, demo_graph\n"
         "assert False, 'not run under -O'\n"
         "t = demo_clique_tree()\n"
-        "original = tk.apply_path\n"
+        "original = tk._TokenState.apply\n"
         + _BAD_STEPS[case]
-        + "tk.apply_path = bad\n"
+        + "tk._TokenState.apply = bad\n"
         "try:\n"
         "    tk.minimize_leafage_with_trace(t)\n"
         "except tk.CertificateError as exc:\n"
@@ -370,6 +401,13 @@ def _assert_reference_tree(ta):
     assert _edges(find_realizing_tree(ta)) == _edges(reference_find_realizing_tree(ta))
 
 
+def _caterpillar(spine, rng):
+    s = [f"s{i:02d}" for i in range(spine)]
+    edges = list(zip(s, s[1:]))
+    edges += [(x, f"{x}q{j}") for x in s for j in range(rng.randint(2, 3))]
+    return Graph.from_edges([], edges)
+
+
 def _final_assignment(g):
     t = build_clique_tree(clique_graph(chordal_cliques(g)))
     _, trace = minimize_leafage_with_trace(t)
@@ -395,11 +433,7 @@ def test_realizing_tree_matches_reference_on_final_assignments():
     graphs = [
         Graph.from_edges([], [("c", f"l{i:02d}") for i in range(m)]) for m in range(3, 65)
     ]
-    for spine in range(3, 13):
-        s = [f"s{i:02d}" for i in range(spine)]
-        edges = list(zip(s, s[1:]))
-        edges += [(x, f"{x}q{j}") for x in s for j in range(rng.randint(2, 3))]
-        graphs.append(Graph.from_edges([], edges))
+    graphs += [_caterpillar(spine, rng) for spine in range(3, 13)]
     for g in graphs:
         _assert_reference_tree(_final_assignment(g))
 
@@ -435,3 +469,78 @@ def test_unrealizable_pairs_raise_under_optimize(run_optimized):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("CertificateError:")
+
+
+def test_minimization_matches_reference(corpus, monkeypatch):
+    """Same paths and tree as the rebuild-per-move loop; kept counts equal recounts."""
+    rng = random.Random(13)
+    graphs = [g for g, _ in corpus]
+    graphs += [spider_graph(legs, length) for legs in range(3, 7) for length in (2, 3)]
+    graphs += [build_gadget(inst).graph for inst in nae_families()]
+    graphs += [Graph.from_edges([], [("c", f"l{i:02d}") for i in range(m)]) for m in range(8, 41)]
+    graphs += [_caterpillar(spine, rng) for spine in range(3, 25)]
+    kept = []
+    step = tokens_module._TokenState.apply
+
+    def recording(self, path):
+        before = step(self, path)
+        kept.append((self.ta, self.realizable(), self.leaves, Counter(self.vertex_leaves)))
+        return before
+
+    monkeypatch.setattr(tokens_module._TokenState, "apply", recording)
+    iterations = 0
+    for g in graphs:
+        t = build_clique_tree(clique_graph(chordal_cliques(g)))
+        kept.clear()
+        final, trace = minimize_leafage_with_trace(t)
+        reference, reference_trace = reference_minimize_leafage(t)
+        assert trace == reference_trace
+        assert final.edges == reference.edges
+        ta = tokens_from_tree(t)
+        for rec, (kept_ta, realizable, leaves, vertex_leaves) in zip(trace, kept, strict=True):
+            ta = apply_path(ta, rec.path)
+            assert kept_ta == ta
+            assert realizable and is_realizable(ta)
+            assert leaves == ta.leaf_count() == rec.leaves_after
+            assert vertex_leaves == ta.vertex_leaf_counts()
+        iterations += len(trace)
+    assert iterations > 1000
+
+
+def test_kept_move_decision_matches_full_decision(corpus):
+    """``can_move`` and the kept counts agree with deciding and counting afresh.
+
+    The assignments include unrealizable ones, where some values are wrong.
+    """
+    rng = random.Random(11)
+    graphs = [g for g, _ in corpus if 2 <= len(chordal_cliques(g)) <= 7][:60]
+    graphs += [_spider(4, 2), _gadget(("v1", "v2", "v3"), ("v1", "v4", "v5"), ("v2", "v4", "v6"))]
+    decided = {True: 0, False: 0}
+    for g in graphs:
+        cliques = chordal_cliques(g)
+        blocks = SeparatorBlocks(cliques)
+        start = tokens_from_tree(_random_spanning_tree(cliques, rng))
+        state = tokens_module._TokenState(start, blocks)
+        for _ in range(6):
+            ta = state.ta
+            moves = [
+                TokenMove(i, j, s)
+                for i in range(len(cliques))
+                for s in dict.fromkeys(ta.tokens[i])
+                for j in range(len(cliques))
+                if j != i and s <= cliques[j]
+            ]
+            for mv in moves:
+                expected = is_realizable(apply_move(ta, mv), blocks)
+                assert state.can_move(mv.from_clique, mv.to_clique, mv.token) == expected
+                decided[expected] += 1
+            if not moves:
+                break
+            state.apply(AugmentingPath((rng.choice(moves),)))
+            ta = state.ta
+            assert state.realizable() == is_realizable(ta, blocks)
+            assert state.leaves == ta.leaf_count()
+            assert state.sizes == [ta.size(i) for i in range(len(cliques))]
+            assert state.starts == [i for i in range(len(cliques)) if ta.size(i) >= 3]
+            assert state.vertex_leaves == ta.vertex_leaf_counts()
+    assert decided[True] > 100 and decided[False] > 100
