@@ -16,7 +16,7 @@ iff its tokens total 2(k - 1) and, for every token value S, there are
 m_S >= 2 S-blocks, 2(m_S - 1) S-tokens, and at least one S-token in every
 S-block; a tree on the blocks with those degrees always exists (Prüfer).
 Deciding costs one pass over the tokens once the block table of each token
-value is built, in O(sum |C|) per value.
+value S is built, in O(sum |C|) over the cliques C containing S.
 
 A move changes two cliques and one token value, so a minimization keeps its
 counts by each move's delta (:class:`_TokenState`): the S-tokens of each
@@ -44,7 +44,7 @@ from .cliquetrees import (
     _is_tree,
     path_containment_violation,
 )
-from .graphs import CertificateError, _reach
+from .graphs import CertificateError, _holders, _reach
 
 Token = frozenset[str]
 
@@ -159,11 +159,26 @@ class SeparatorBlocks:
     ``of(s)`` returns the block id of every clique containing ``s`` and the
     number of blocks.  The table depends only on the cliques, so one
     minimization builds it once and passes it to every decision it makes.
+    The cliques of each vertex are listed once, on first use, and the
+    cliques containing ``s`` are read off those of its vertex in fewest.
     """
 
     def __init__(self, cliques: tuple[frozenset[str], ...]):
         self.cliques = cliques
         self._table: dict[Token, tuple[dict[int, int], int]] = {}
+        self._holding: dict[frozenset[Token], list[int]] = {}
+
+    @cached_property
+    def _vertex_holders(self) -> dict[str, list[int]]:
+        return _holders(self.cliques)
+
+    def holding(self, tokens: Sequence[Token]) -> list[int]:
+        """Increasing ids of the cliques that contain one of ``tokens``."""
+        values = frozenset(tokens)
+        ids = self._holding.get(values)
+        if ids is None:
+            ids = self._holding[values] = sorted(set().union(*(self.of(s)[0] for s in values)))
+        return ids
 
     def of(self, s: Token) -> tuple[dict[int, int], int]:
         entry = self._table.get(s)
@@ -174,16 +189,17 @@ class SeparatorBlocks:
     def _blocks(self, s: Token) -> tuple[dict[int, int], int]:
         # Cliques (int ids) and their vertices outside s (str names) form a
         # bipartite graph whose components are the s-blocks.
+        fewest = min(map(self._vertex_holders.__getitem__, s), key=len)
+        ids = [i for i in fewest if s <= self.cliques[i]]
         adj: dict[int | str, list] = {}
-        for i, c in enumerate(self.cliques):
-            if s <= c:
-                adj[i] = c - s
-                for v in adj[i]:
-                    adj.setdefault(v, []).append(i)
+        for i in ids:
+            adj[i] = self.cliques[i] - s
+            for v in adj[i]:
+                adj.setdefault(v, []).append(i)
         block: dict[int, int] = {}
         m = 0
-        for i in range(len(self.cliques)):
-            if i in adj and i not in block:
+        for i in ids:
+            if i not in block:
                 for x in _reach(adj, i, adj.keys()):
                     if isinstance(x, int):
                         block[x] = m
@@ -191,7 +207,7 @@ class SeparatorBlocks:
         return block, m
 
 
-def _holders(ta: TokenAssignment) -> dict[Token, list[int]]:
+def _token_holders(ta: TokenAssignment) -> dict[Token, list[int]]:
     """Token value -> the cliques holding it, in increasing order, once per token."""
     holders: dict[Token, list[int]] = {}
     for i in range(len(ta.cliques)):
@@ -218,7 +234,7 @@ def is_realizable(ta: TokenAssignment, blocks: SeparatorBlocks | None = None) ->
         return False
     if blocks is None:
         blocks = SeparatorBlocks(ta.cliques)
-    for s, ids in _holders(ta).items():
+    for s, ids in _token_holders(ta).items():
         block, m = blocks.of(s)
         # len(ids) >= 1, so len(ids) == 2(m - 1) already forces m >= 2.
         if len(ids) != 2 * (m - 1) or len({block[i] for i in ids}) != m:
@@ -251,7 +267,7 @@ def find_realizing_tree(
     if not is_realizable(ta, blocks):
         return None
     chosen: list[tuple[int, int]] = []
-    for s, ids in _holders(ta).items():
+    for s, ids in _token_holders(ta).items():
         block, m = blocks.of(s)
         held = Counter(ids)
         ids = list(held)
@@ -305,7 +321,7 @@ class _TokenState:
         # Per token value S: its block table and the S-tokens in each
         # S-block.  Then the values whose count or coverage is wrong.
         cover = {}
-        for s, ids in _holders(self.ta).items():
+        for s, ids in _token_holders(self.ta).items():
             block, m = self.blocks.of(s)
             per_block = [0] * m
             for i in ids:
@@ -422,32 +438,30 @@ def shortest_augmenting_path(
         return move_cache[key]
 
     def extend(start: int, length: int) -> list[int] | None:
-        # Depth-first over clique ids in increasing order; ``cursor[d]`` is
-        # the next id to try after ``path[d]``.
+        # Depth-first; ``options[d]`` lists, in increasing order, the
+        # cliques a move from ``path[d]`` can reach (those containing one
+        # of its tokens), and ``cursor[d]`` is the next index to try.
         path = [start]
+        options = [state.blocks.holding(ta.tokens[start])]
         cursor = [0]
         while path:
-            if len(path) == length + 1:
-                return path
             last = path[-1]
             want = 1 if len(path) == length else 2
-            nxt = next(
-                (
-                    c
-                    for c in range(cursor[-1], k)
-                    if c not in path
-                    and sizes[c] == want
-                    and feasible_token(last, c) is not None
-                ),
-                None,
-            )
-            if nxt is None:
-                path.pop()
-                cursor.pop()
+            targets = options[-1]
+            for x in range(cursor[-1], len(targets)):
+                c = targets[x]
+                if c not in path and sizes[c] == want and feasible_token(last, c) is not None:
+                    if want == 1:
+                        return path + [c]
+                    cursor[-1] = x + 1
+                    path.append(c)
+                    options.append(state.blocks.holding(ta.tokens[c]))
+                    cursor.append(0)
+                    break
             else:
-                cursor[-1] = nxt + 1
-                path.append(nxt)
-                cursor.append(0)
+                path.pop()
+                options.pop()
+                cursor.pop()
         return None
 
     for length in range(1, k):

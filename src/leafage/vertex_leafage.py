@@ -6,9 +6,10 @@ are exactly F.  It augments the graph with one marker vertex per edge of F,
 minimizes host leaves on the augmented graph, and strips the markers back
 out.  The candidates are the branching sets of the trees with exactly
 leafage leaves, each generated once.  F alone fixes every leaf count of such
-a tree, so the candidates are ranked without building anything and built
-best first; the first one realized gives the exact vertex leafage, together
-with a tree model realizing both optima simultaneously.
+a tree, so the candidates are generated one vertex-leafage layer at a time,
+least first, without building anything; the first one realized gives the
+exact vertex leafage, together with a tree model realizing both optima
+simultaneously.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Mapping
 
 from .cliquetrees import (
     CliqueTree,
@@ -116,22 +117,6 @@ def clique_tree_with_branching(
     return tree
 
 
-def _join_all(forest: Forest, ends: Mapping, edges: Iterable) -> bool:
-    """Link all of ``edges`` on their class nodes, or take back the ones linked.
-
-    ``ends`` and ``forest`` are :func:`_class_nodes`' map and a forest on its
-    nodes.  The links succeed iff the edges linked before plus ``edges`` lie
-    in some clique tree: every edge is in the map and none closes a cycle.
-    That is a property of the edge set, so the order is free.
-    """
-    for done, edge in enumerate(edges):
-        if edge not in ends or not forest.union(*ends[edge]):
-            for _ in range(done):
-                forest.undo()
-            return False
-    return True
-
-
 def _branching_leaf_counts(
     cliques: tuple[frozenset[str], ...], f: BranchEdgeSet
 ) -> tuple[int, Counter[str]]:
@@ -159,8 +144,10 @@ def _branching_leaf_counts(
     return 2 + sum(d - 2 for d in degree.values() if d > 2), extra
 
 
-def candidate_branch_sets(cg: CliqueGraph, leafage: int) -> list[BranchEdgeSet]:
-    """Branching sets of the clique trees with ``leafage`` leaves, each once.
+def candidate_branch_sets(
+    cg: CliqueGraph, leafage: int, floor: int = 0
+) -> list[BranchEdgeSet]:
+    """Least vertex-excess layer of the branching sets of ``leafage``-leaf trees.
 
     A tree's branching set F is the union of the full stars at its nodes of
     degree >= 3, its centres, and the tree has 2 + sum(deg(x) - 2) leaves
@@ -168,66 +155,131 @@ def candidate_branch_sets(cg: CliqueGraph, leafage: int) -> list[BranchEdgeSet]:
     star, so each F comes from one sequence of choices: an earlier centre's
     star is final and a node passed over keeps degree <= 2, so a star adds
     an edge to an earlier node only while that node has degree < 2, and a
-    node of degree >= 3 cannot be passed over.  F is kept once the excess
-    sum(deg(x) - 2) is leafage - 2 and no later node has degree >= 3, so
-    |F| <= 3 * (leafage - 2).  Smallest first, then by sorted edges.
+    node of degree >= 3 cannot be passed over.  F is complete once the
+    excess sum(deg(x) - 2) is leafage - 2 and no later node has degree >= 3,
+    so |F| <= 3 * (leafage - 2).
 
-    The search is depth first over one ``Forest`` on the class nodes that
-    holds the current set, so a star is checked by linking only the edges
-    it adds (:func:`_join_all`), and a set that no clique tree carries is
-    not extended: no superset of it fits.
+    Of the complete sets, only those of least vertex excess e(F) >= ``floor``
+    are returned, smallest first, then by sorted edges.  e(F) is
+    max_u sum_x max(0, d_u(x) - 2), where d_u(x) counts the edges of F at x
+    whose two ends both hold u, so the trees with branching set F have
+    vertex leafage e(F) + 2 (:func:`_branching_leaf_counts`).  e(F) <=
+    leafage - 2, as d_u(x) <= deg(x).  The layers for increasing ``floor``
+    list every complete set once.
+
+    The search is depth first, over one explicit stack.  Each star is built
+    edge by edge, each edge taken before it is left out, and linked as it
+    is taken in one ``Forest`` on :func:`_class_nodes`' nodes, so an edge
+    that no clique tree holds together with the set cuts every superset.
+    The counts d_u(x) and each vertex's excess follow every link and
+    unlink.  Adding an edge never lowers e(F), so a set above the least
+    excess >= ``floor`` of the complete sets found so far is cut.
     """
     n = len(cg.cliques)
     slack = leafage - 2
+    if slack <= 0 or floor > slack:
+        return []
     ends, node_count = _class_nodes(cg)
     forest = Forest(node_count)
+    find = forest.find
+    # Per clique: the edges at it that some clique tree holds.
+    incident = [[e for e in cg.incident(c) if e in ends] for c in range(n)]
     degree = [0] * n
+    # Per edge: (u, slot of (u, a), slot of (u, b)) for each vertex u of
+    # C_a & C_b, numbered densely, with d_u(x) in ``held[slot]``.
+    vertex_ids: dict[str, int] = {}
+    shared = {
+        (a, b): [
+            (u, u * n + a, u * n + b)
+            for u in (vertex_ids.setdefault(v, len(vertex_ids)) for v in cg.cliques[a] & cg.cliques[b])
+        ]
+        for a, b in ends
+    }
+    held = [0] * (len(vertex_ids) * n)
+    excess = [0] * len(vertex_ids)
+    peak = [0]  # e of the set after each link, the current one last
+    chosen: list[tuple[int, int]] = []
+    bound = slack
+    kept: list[BranchEdgeSet] = []
 
-    def stars(start: int, excess: int) -> Iterator[tuple[int, tuple, int]]:
-        # (centre, edges its star adds, excess after it) for centres >= start.
-        # The edges at c already in the set are those of earlier centres.
-        # Read lazily: deeper stars are taken back before it resumes.
-        for c in range(start, n):
-            held = degree[c]
-            free = [e for e in cg.incident(c) if e[0] == c or degree[e[0]] < 2]
-            for k in range(max(0, 3 - held), min(len(free), slack - excess - held + 2) + 1):
-                for added in itertools.combinations(free, k):
-                    yield c, added, excess + held + k - 2
-            if held >= 3:
-                return
+    def link(edge: tuple[int, int]) -> bool:
+        # Add ``edge`` to the set unless it closes a cycle or lifts e above
+        # the bound.
+        if not forest.union(*ends[edge]):
+            return False
+        top = peak[-1]
+        for u, p, q in shared[edge]:
+            held[p] += 1
+            held[q] += 1
+            excess[u] += (held[p] > 2) + (held[q] > 2)
+            top = max(top, excess[u])
+        a, b = edge
+        degree[a] += 1
+        degree[b] += 1
+        chosen.append(edge)
+        peak.append(top)
+        if top > bound:
+            unlink()
+            return False
+        return True
 
-    def count(edges: tuple, step: int) -> None:
-        for a, b in edges:
-            degree[a] += step
-            degree[b] += step
+    def unlink() -> None:
+        a, b = chosen.pop()
+        for u, p, q in shared[a, b]:
+            excess[u] -= (held[p] > 2) + (held[q] > 2)
+            held[p] -= 1
+            held[q] -= 1
+        degree[a] -= 1
+        degree[b] -= 1
+        peak.pop()
+        forest.undo()
 
-    out = []
-    # An explicit stack, not recursion.  Frames: (the stars at the next
-    # centre, the edges that made the current set, to take back after).
-    frames = [(stars(0, 0), ())] if slack > 0 else []
-    while frames:
-        options, links = frames[-1]
-        step = next(options, None)
-        if step is not None:
-            c, added, excess = step
-            if not _join_all(forest, ends, added):
+    # Steps, the next one last: ("centre", c, x) tries the stars at centre
+    # c and at the later centres, with host excess x so far; ("star", c,
+    # free, i, k, lo, hi, x) decides free[i] with k edges of c's star taken,
+    # lo <= k <= hi at the end and host excess x + k after it; None takes
+    # back the last edge linked.
+    stack: list = [("centre", 0, 0)]
+    while stack:
+        step = stack.pop()
+        if step is None:
+            unlink()
+            continue
+        if peak[-1] > bound:
+            continue
+        if step[0] == "centre":
+            _, c, x = step
+            if c == n:
                 continue
-            count(added, 1)
-            if excess < slack:
-                frames.append((stars(c + 1, excess), added))
-                continue
-            if max(degree[c + 1:], default=0) < 3:
-                out.append(frozenset(e for _, made in frames for e in made).union(added))
-        else:
-            frames.pop()
-            added = links
-        # Take back the last star: the one a set was just kept with, or the
-        # one whose extensions are all done.
-        for _ in added:
-            forest.undo()
-        count(added, -1)
-    out.sort(key=lambda f: (len(f), sorted(f)))
-    return out
+            d = degree[c]
+            if d < 3:
+                stack.append(("centre", c + 1, x))
+            # An edge whose class nodes the set already joins fits no
+            # superset, so it is left out of the star.
+            free = [
+                e for e in incident[c]
+                if (e[0] == c or degree[e[0]] < 2) and find(ends[e][0]) != find(ends[e][1])
+            ]
+            lo, hi = max(0, 3 - d), min(len(free), slack - x - d + 2)
+            if lo <= hi:
+                stack.append(("star", c, free, 0, 0, lo, hi, x + d - 2))
+            continue
+        _, c, free, i, k, lo, hi, x = step
+        if k < hi and i < len(free):
+            if k + len(free) - i > lo:
+                stack.append(("star", c, free, i + 1, k, lo, hi, x))
+            if link(free[i]):
+                stack.append(None)
+                stack.append(("star", c, free, i + 1, k + 1, lo, hi, x))
+        elif x + k < slack:
+            stack.append(("centre", c + 1, x + k))
+        elif max(degree[c + 1:], default=0) < 3 and peak[-1] >= floor:
+            if peak[-1] < bound:
+                bound = peak[-1]
+                kept = []
+            kept.append(frozenset(chosen))
+    kept.sort(key=lambda f: (len(f), sorted(f)))
+    return kept
 
 
 def vertex_leafage_bounded(g: Graph, ell: int | None = None) -> VlCertificate | None:
@@ -240,10 +292,14 @@ def vertex_leafage_bounded(g: Graph, ell: int | None = None) -> VlCertificate | 
 
     The vertex leaf counts of a tree follow from its branching set
     (``_branching_leaf_counts``), so no tree is built to rank a candidate:
-    they are tried in (vertex leafage, size, sorted edges) order, and the
-    first one that ``clique_tree_with_branching`` realizes is optimal.  Its
-    tree's per-vertex leaf counts must match the formula's, and it must have
-    exactly leafage leaves, or ``CertificateError`` is raised.
+    they are asked for one vertex-leafage layer at a time, least first, and
+    tried in (size, sorted edges) order within it.  The first one that
+    ``clique_tree_with_branching`` realizes is optimal.  A layer none of
+    whose sets is realized lifts the floor past its excess, read off its
+    first set.  The floor rises with every layer and no set has excess above
+    leafage - 2, so the search ends.  The tree's per-vertex leaf counts must
+    match the formula's, and it must have exactly leafage leaves, or
+    ``CertificateError`` is raised.
     """
     cliques = _connected_cliques(g)
     cg = clique_graph(cliques)
@@ -255,17 +311,19 @@ def vertex_leafage_bounded(g: Graph, ell: int | None = None) -> VlCertificate | 
         # A path, whose subtrees are paths: no clique tree does better.
         tree, f = tmin, frozenset()
     else:
-        # Stable: candidates of equal vertex leafage keep (|F|, sorted F) order.
-        ranked = sorted(
-            candidate_branch_sets(cg, leafage),
-            key=lambda f: max(_branching_leaf_counts(cliques, f)[1].values(), default=0),
-        )
-        for f in ranked:
-            tree = clique_tree_with_branching(g, f, cliques)
-            if tree is not None:
-                break
-        else:
-            raise CertificateError(f"no branching set of a tree with {leafage} leaves is realized")
+        tree, floor = None, 0
+        while tree is None:
+            layer = candidate_branch_sets(cg, leafage, floor) if floor <= leafage - 2 else []
+            if not layer:
+                raise CertificateError(f"no branching set of a tree with {leafage} leaves is realized")
+            for f in layer:
+                tree = clique_tree_with_branching(g, f, cliques)
+                if tree is not None:
+                    break
+            else:
+                # Every set of a layer has its excess; the next layer lies above.
+                excess = max(_branching_leaf_counts(cliques, layer[0])[1].values(), default=0)
+                floor = max(floor, excess) + 1
     per_vertex = {u: tree.vertex_leaf_count(u) for u in g.vertices}
     extra = _branching_leaf_counts(cliques, f)[1]
     expected = {u: 2 + extra[u] if len(ids) > 1 else 0 for u, ids in _holders(cliques).items()}

@@ -28,7 +28,7 @@ from leafage.tokens import (
     is_realizable,
     tokens_from_tree,
 )
-from leafage.vertex_leafage import _join_all
+from leafage.vertex_leafage import _branching_leaf_counts, candidate_branch_sets
 
 CORPUS_SIZE = 200
 
@@ -128,13 +128,29 @@ def admissible_stars(cg: CliqueGraph, center: int, max_size: int) -> list[tuple[
     return out
 
 
+def join_all(forest: Forest, ends, edges) -> bool:
+    """Link all of ``edges`` on their class nodes, or take back the ones linked.
+
+    ``ends`` and ``forest`` are ``_class_nodes``' map and a forest on its
+    nodes.  The links succeed iff the edges linked before plus ``edges`` lie
+    in some clique tree: every edge is in the map and none closes a cycle.
+    That is a property of the edge set, so the order is free.
+    """
+    for done, edge in enumerate(edges):
+        if edge not in ends or not forest.union(*ends[edge]):
+            for _ in range(done):
+                forest.undo()
+            return False
+    return True
+
+
 def reference_candidate_branch_sets(cg: CliqueGraph, leafage: int, budget: int) -> list[frozenset]:
     """The old, uncut branching-set generator, kept as a reference.
 
     Every union of admissible stars at up to leafage - 2 increasing centres,
     with degree slack summing to at most leafage - 2 and at most ``budget``
     edges, plus the empty set; then the sets some clique tree carries
-    (``_join_all`` on the class nodes), smallest first.  It reaches one set
+    (``join_all`` on the class nodes), smallest first.  It reaches one set
     many times, and keeps sets that are no tree's branching set or whose
     trees have fewer than leafage leaves.
     """
@@ -157,9 +173,47 @@ def reference_candidate_branch_sets(cg: CliqueGraph, leafage: int, budget: int) 
                     continue
                 stack.append((count + 1, c, combined, used_slack + degree - 2))
     ends, node_count = _class_nodes(cg)
-    filtered = [f for f in results if _join_all(Forest(node_count), ends, f)]
+    filtered = [f for f in results if join_all(Forest(node_count), ends, f)]
     filtered.sort(key=lambda f: (len(f), sorted(f)))
     return filtered
+
+
+def is_full_star_union(f) -> bool:
+    """Every edge of ``f`` is at a node where ``f`` has degree >= 3."""
+    degree = Counter(x for e in f for x in e)
+    return all(max(degree[a], degree[b]) >= 3 for a, b in f)
+
+
+def vertex_excess(cliques, f) -> int:
+    """Vertex leafage - 2 of the trees whose branching set is ``f``."""
+    return max(_branching_leaf_counts(cliques, f)[1].values(), default=0)
+
+
+def reference_ranked_branch_sets(cg: CliqueGraph, leafage: int) -> list[frozenset]:
+    """The rank-everything order the layered search replaced, kept as a reference.
+
+    The branching sets of the trees with ``leafage`` leaves (the reference
+    generator's full-star unions with that many leaves), sorted by
+    (vertex leafage, size, sorted edges): all were generated, then ranked.
+    """
+    budget = min(3 * (leafage - 2), len(cg.cliques) - 1)
+    sets = [
+        f for f in reference_candidate_branch_sets(cg, leafage, budget)
+        if is_full_star_union(f) and _branching_leaf_counts(cg.cliques, f)[0] == leafage
+    ]
+    return sorted(sets, key=lambda f: vertex_excess(cg.cliques, f))
+
+
+def branch_set_layers(cg: CliqueGraph, leafage: int) -> list[list[frozenset]]:
+    """Every layer of ``candidate_branch_sets``, least vertex excess first."""
+    layers = []
+    floor = 0
+    while layer := candidate_branch_sets(cg, leafage, floor):
+        layers.append(layer)
+        excess = vertex_excess(cg.cliques, layer[0])
+        assert excess >= floor
+        floor = excess + 1
+    return layers
 
 
 def reference_find_realizing_tree(ta, blocks=None):

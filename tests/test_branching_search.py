@@ -1,4 +1,4 @@
-"""Best-first branching search and the leaf counts read off a branching set.
+"""Layered branching search and the leaf counts read off a branching set.
 
 The exhaustive search that ``vertex_leafage_bounded`` replaced is kept here
 as a reference only: it built a tree for every candidate in (|F|, sorted F)
@@ -6,15 +6,26 @@ order, kept the first one of least vertex leafage and stopped at vertex
 leafage 2.  Its candidates come from the old generator
 (``conftest.reference_candidate_branch_sets``), which also kept sets that are
 no tree's branching set or whose trees have fewer leaves than the leafage.
+The rank-everything order the layers replaced is
+``conftest.reference_ranked_branch_sets``.
 """
 
-from collections import Counter
+import pytest
 
-from conftest import nae_families, reference_candidate_branch_sets, spider_graph
+import leafage.vertex_leafage
+from conftest import (
+    branch_set_layers,
+    is_full_star_union,
+    nae_families,
+    reference_candidate_branch_sets,
+    reference_ranked_branch_sets,
+    spider_graph,
+    vertex_excess,
+)
 from leafage.cliquetrees import branching_sets, build_clique_tree
 from leafage.gadget import build_gadget, parse_clause_file
 from leafage.graphs import chordal_cliques, clique_graph
-from leafage.oracle import enumerate_clique_trees
+from leafage.oracle import enumerate_clique_trees, oracle_optima, random_chordal
 from leafage.tokens import minimize_leafage
 from leafage.vertex_leafage import (
     _branching_leaf_counts,
@@ -43,60 +54,114 @@ def reference_search(g, candidates):
     return best
 
 
-def _search_graphs(corpus):
-    """Corpus graphs of leafage >= 3, the 31 NAE gadgets and small spiders."""
-    out = [g for g, r in corpus if r.leafage >= 3]
-    assert len(out) >= 14
-    out += [build_gadget(inst).graph for inst in nae_families()]
-    out += [spider_graph(legs, length) for legs in (3, 4, 5) for length in (2, 3)]
+@pytest.fixture(scope="module")
+def search_graphs(corpus):
+    """Corpus graphs of leafage >= 3, the 31 NAE gadgets and small spiders.
+
+    Each with its clique graph, leafage and the reference ranking.
+    """
+    graphs = [g for g, r in corpus if r.leafage >= 3]
+    assert len(graphs) >= 14
+    graphs += [build_gadget(inst).graph for inst in nae_families()]
+    graphs += [spider_graph(legs, length) for legs in (3, 4, 5) for length in (2, 3)]
+    out = []
+    for g in graphs:
+        cg = clique_graph(chordal_cliques(g))
+        leafage = len(minimize_leafage(build_clique_tree(cg)).leaves())
+        assert leafage >= 3
+        out.append((g, cg, leafage, reference_ranked_branch_sets(cg, leafage)))
     return out
 
 
-def is_full_star_union(f):
-    """Every edge of ``f`` is at a node where ``f`` has degree >= 3."""
-    degree = Counter(x for e in f for x in e)
-    return all(max(degree[a], degree[b]) >= 3 for a, b in f)
-
-
-def test_search_and_generator_match_references(corpus):
-    """The reference's sets of leafage-leaf trees, once each; the exhaustive search's tree."""
-    graphs = _search_graphs(corpus)
-    for g in graphs:
-        cliques = chordal_cliques(g)
-        cg = clique_graph(cliques)
-        leafage = len(minimize_leafage(build_clique_tree(cg)).leaves())
-        assert leafage >= 3
-        budget = min(3 * (leafage - 2), len(cliques) - 1)
-        reference = reference_candidate_branch_sets(cg, leafage, budget)
-        candidates = candidate_branch_sets(cg, leafage)
+def test_search_and_generator_match_references(search_graphs):
+    """The layers list the reference ranking, once each; the exhaustive search's tree."""
+    for g, cg, leafage, ranked in search_graphs:
+        layers = branch_set_layers(cg, leafage)
+        candidates = [f for layer in layers for f in layer]
         assert len(set(candidates)) == len(candidates)
-        assert candidates == [
-            f for f in reference
-            if is_full_star_union(f) and _branching_leaf_counts(cliques, f)[0] == leafage
-        ]
-        vl, tree = reference_search(g, reference)
+        assert candidates == ranked
+        excess = [vertex_excess(cg.cliques, layer[0]) for layer in layers]
+        assert excess == sorted(set(excess))
+        for e, layer in zip(excess, layers):
+            assert {vertex_excess(cg.cliques, f) for f in layer} == {e}
+            assert layer == sorted(layer, key=lambda f: (len(f), sorted(f)))
+        budget = min(3 * (leafage - 2), len(cg.cliques) - 1)
+        vl, tree = reference_search(g, reference_candidate_branch_sets(cg, leafage, budget))
         cert = vertex_leafage_bounded(g)
         assert cert.value == vl
         assert cert.tree.edges == tree.edges
-    assert len(graphs) >= 14 + 31 + 6
+    assert len(search_graphs) == 14 + 31 + 6
 
 
-def test_candidates_lie_in_clique_trees(corpus):
-    """Every candidate is a subset of some enumerated clique tree."""
+def count_tree_calls(monkeypatch):
+    """Record each ``clique_tree_with_branching`` call's set and whether it was realized."""
+    original = clique_tree_with_branching
+    calls = []
+
+    def recording(g, f, cliques=None):
+        tree = original(g, f, cliques)
+        calls.append((f, tree is not None))
+        return tree
+
+    monkeypatch.setattr(leafage.vertex_leafage, "clique_tree_with_branching", recording)
+    return calls
+
+
+def test_trees_asked_for_in_ranked_order(search_graphs, monkeypatch):
+    """The trees built are the reference ranking's, up to the first realized."""
+    built = 0
+    for g, _, _, ranked in search_graphs:
+        calls = count_tree_calls(monkeypatch)
+        vertex_leafage_bounded(g)
+        assert [f for f, _ in calls] == ranked[:len(calls)]
+        assert [ok for _, ok in calls] == [False] * (len(calls) - 1) + [True]
+        built += len(calls)
+    assert built > len(search_graphs)
+
+
+# Graphs whose least layer has no realized set: (seed, n, density) of random_chordal.
+TWO_LAYER_GRAPHS = [(47, 12, 0.25), (86, 14, 0.3), (286, 14, 0.3)]
+
+
+@pytest.mark.parametrize("seed, n, density", TWO_LAYER_GRAPHS)
+def test_unrealized_layer_moves_the_floor_up(seed, n, density, monkeypatch):
+    """No set of the least layer is realized: the search asks for the next one."""
+    g = random_chordal(n, density=density, seed=seed)
+    cg = clique_graph(chordal_cliques(g))
+    original = candidate_branch_sets
+    floors = []
+
+    def recording(cg, leafage, floor=0):
+        floors.append(floor)
+        return original(cg, leafage, floor)
+
+    monkeypatch.setattr(leafage.vertex_leafage, "candidate_branch_sets", recording)
+    calls = count_tree_calls(monkeypatch)
+    cert = vertex_leafage_bounded(g)
+    optima = oracle_optima(g)
+    assert floors == [0, 1]
+    assert cert.value == optima.vertex_leafage == 3
+    assert [f for f, _ in calls] == reference_ranked_branch_sets(cg, optima.leafage)[:len(calls)]
+    assert [ok for _, ok in calls] == [False] * (len(calls) - 1) + [True]
+
+
+def test_candidates_lie_in_clique_trees(search_graphs):
+    """Every candidate of every layer is a subset of some enumerated clique tree."""
     candidates = 0
-    for g in _search_graphs(corpus):
+    for g, cg, leafage, _ in search_graphs:
         trees = list(enumerate_clique_trees(g))
-        leafage = min(len(t.leaves()) for t in trees)
-        for f in candidate_branch_sets(clique_graph(chordal_cliques(g)), leafage):
-            assert any(f <= t.edges for t in trees)
-            candidates += 1
+        assert leafage == min(len(t.leaves()) for t in trees)
+        for layer in branch_set_layers(cg, leafage):
+            for f in layer:
+                assert any(f <= t.edges for t in trees)
+                candidates += 1
     assert candidates > 1000
 
 
 def test_spider_sets_are_generated_once():
-    """spider(6, 2): 1,296 sets, each a union of full stars with six leaves."""
+    """spider(6, 2): 1,296 sets over the layers, each a union of full stars with six leaves."""
     cliques = chordal_cliques(spider_graph(6, 2))
-    candidates = candidate_branch_sets(clique_graph(cliques), 6)
+    candidates = [f for layer in branch_set_layers(clique_graph(cliques), 6) for f in layer]
     assert len(candidates) == len(set(candidates)) == 1296
     for f in candidates:
         assert is_full_star_union(f)

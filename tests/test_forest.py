@@ -3,16 +3,17 @@
 The clique-tree enumeration whose ``containment_ok`` checked the tree path
 of every newly connected clique pair is kept here as a reference
 implementation only (the oracle now walks weight classes).  Both the
-oracle's trees and ``_join_all``'s decisions are checked against it.
+oracle's trees and the class-node fit test (``_class_nodes``' map, linked
+by ``conftest.join_all``) are checked against it.
 """
 
 import random
 
+from conftest import join_all
 from leafage.cliquetrees import CliqueTree, Forest, _class_nodes
 from leafage.demo import demo_graph
 from leafage.graphs import Graph, chordal_cliques, clique_graph
 from leafage.oracle import enumerate_clique_trees
-from leafage.vertex_leafage import _join_all
 
 
 def reference_enumerate(g):
@@ -96,7 +97,7 @@ def reference_enumerate(g):
 
 def _fits(cg, f):
     ends, node_count = _class_nodes(cg)
-    return _join_all(Forest(node_count), ends, f)
+    return join_all(Forest(node_count), ends, f)
 
 
 class TestForest:
@@ -126,14 +127,14 @@ class TestForest:
         # heavier edges abc-acd and acd-adf put abc and adf in one node.
         ends, node_count = _class_nodes(clique_graph(chordal_cliques(demo_graph())))
         f = Forest(node_count)
-        assert _join_all(f, ends, [(2, 8), (0, 1)])
+        assert join_all(f, ends, [(2, 8), (0, 1)])
         before = self._snapshot(f)
-        assert not _join_all(f, ends, [(0, 2)])
-        assert not _join_all(f, ends, [(1, 6), (0, 2)])
+        assert not join_all(f, ends, [(0, 2)])
+        assert not join_all(f, ends, [(1, 6), (0, 2)])
         assert self._snapshot(f) == before
-        assert _join_all(f, ends, [(1, 2)])
-        assert not _join_all(f, ends, [(1, 8)])  # a cycle
-        assert not _join_all(f, ends, [(0, 8)])  # no clique-graph edge
+        assert join_all(f, ends, [(1, 2)])
+        assert not join_all(f, ends, [(1, 8)])  # a cycle
+        assert not join_all(f, ends, [(0, 8)])  # no clique-graph edge
 
 
 def test_enumeration_matches_pairwise_reference(graphs):
@@ -147,7 +148,7 @@ def test_enumeration_matches_pairwise_reference(graphs):
 
 
 def test_forest_check_matches_pairwise_reference(graphs):
-    """``_join_all`` accepts an edge set iff some reference clique tree holds it."""
+    """``join_all`` accepts an edge set iff some reference clique tree holds it."""
     # abc, bcd, cde: every clique tree is the path through bcd.
     path = Graph.from_edges([], [tuple(e) for e in "ab ac bc bd cd ce de".split()])
     pinned = [(path, {(0, 2)}), (demo_graph(), {(2, 8), (0, 1), (0, 2)})]

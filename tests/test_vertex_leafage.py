@@ -6,7 +6,7 @@ import pytest
 
 import leafage.graphs
 import leafage.vertex_leafage
-from conftest import spider_graph
+from conftest import branch_set_layers, reference_ranked_branch_sets, spider_graph
 from leafage.cliquetrees import branching_sets, build_clique_tree, leaf_report, verify_clique_tree
 from leafage.demo import demo_graph
 from leafage.gadget import build_gadget, parse_clause_file
@@ -113,38 +113,42 @@ class TestCliqueTreeWithBranching:
 
 class TestCandidateBranchSets:
     def test_leafage_two_is_empty_and_sets_are_unique(self):
-        # A path has no branching set to enumerate, and each set of an
-        # l-leaf tree is generated once.
+        # A path has no branching set to enumerate, nor has a floor above
+        # leafage - 2; the layers list the rank-everything order, each set
+        # once.
         cg = clique_graph(chordal_cliques(demo_graph()))
         assert candidate_branch_sets(cg, leafage=2) == []
         assert candidate_branch_sets(cg, leafage=1) == []
         for leafage in (3, 4, 5):
-            cands = candidate_branch_sets(cg, leafage)
+            assert candidate_branch_sets(cg, leafage, leafage - 1) == []
+            cands = [f for layer in branch_set_layers(cg, leafage) for f in layer]
             assert cands and len(set(cands)) == len(cands)
+            assert cands == reference_ranked_branch_sets(cg, leafage)
 
     def test_candidates_are_star_unions(self):
         cg = clique_graph(chordal_cliques(demo_graph()))
-        for f in candidate_branch_sets(cg, leafage=4):
-            degree = defaultdict(int)
-            for a, b in f:
-                degree[a] += 1
-                degree[b] += 1
-            high = {v for v, d in degree.items() if d >= 3}
-            assert high
-            assert all(a in high or b in high for a, b in f)
-            # |F| <= 3 * (leafage - 2).
-            assert len(f) <= 6
+        for layer in branch_set_layers(cg, leafage=4):
+            for f in layer:
+                degree = defaultdict(int)
+                for a, b in f:
+                    degree[a] += 1
+                    degree[b] += 1
+                high = {v for v, d in degree.items() if d >= 3}
+                assert high
+                assert all(a in high or b in high for a, b in f)
+                # |F| <= 3 * (leafage - 2).
+                assert len(f) <= 6
 
     def test_covers_optimal_branching(self, corpus):
-        # For every graph of leafage >= 3, the candidate list contains the
-        # branching set of at least one vertex-leafage-optimal tree.
+        # For every graph of leafage >= 3, the layers contain the branching
+        # set of at least one vertex-leafage-optimal tree.
         graphs = [(g, result) for g, result in corpus if result.leafage >= 3]
         for text in (NAE_K4, NAE_6):
             g = build_gadget(parse_clause_file(text)).graph
             graphs.append((g, oracle_optima(g)))
         for g, result in graphs:
             cg = clique_graph(chordal_cliques(g))
-            cands = set(candidate_branch_sets(cg, result.leafage))
+            cands = {f for layer in branch_set_layers(cg, result.leafage) for f in layer}
             optimal_fs = {
                 branching_sets(t).incident_edges
                 for t in enumerate_clique_trees(g)
@@ -178,7 +182,7 @@ class TestVertexLeafageBounded:
         assert cert.tree == minimize_leafage(build_clique_tree(clique_graph(chordal_cliques(g))))
 
     def test_spider_builds_one_tree(self, monkeypatch):
-        # The best-ranked candidate of spider(5, 3) is realizable, so exactly
+        # The first set of spider(5, 3)'s least layer is realizable, so exactly
         # one tree is built (building every candidate's tree took 321).
         calls = count_calls(monkeypatch, leafage.vertex_leafage, "clique_tree_with_branching")
         assert vertex_leafage_bounded(spider_graph(5, 3)).value == 2
@@ -297,7 +301,7 @@ def test_no_realizable_candidate_raises_under_optimize(run_optimized):
         "import leafage.vertex_leafage as vl\n"
         "from leafage.demo import demo_graph\n"
         "assert False, 'not run under -O'\n"
-        "vl.candidate_branch_sets = lambda cg, leafage: [frozenset()]\n"
+        "vl.candidate_branch_sets = lambda cg, leafage, floor=0: [frozenset()]\n"
         "try:\n"
         "    vl.vertex_leafage_bounded(demo_graph())\n"
         "except vl.CertificateError as exc:\n"
@@ -339,7 +343,7 @@ def test_tree_with_more_leaves_raises_under_optimize(run_optimized):
         "g = demo_graph()\n"
         "four = next(t for t in enumerate_clique_trees(g) if len(t.leaves()) == 4)\n"
         "f = branching_sets(four).incident_edges\n"
-        "vl.candidate_branch_sets = lambda cg, leafage: [f]\n"
+        "vl.candidate_branch_sets = lambda cg, leafage, floor=0: [f]\n"
         "try:\n"
         "    vl.vertex_leafage_bounded(g)\n"
         "except vl.CertificateError as exc:\n"
