@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from typing import NoReturn
 
 import click
@@ -20,7 +22,6 @@ from .cliquetrees import (
     TreeModel,
     branching_sets,
     build_clique_tree,
-    leaf_report,
 )
 from .demo import demo_clique_tree, demo_graph
 from .gadget import build_gadget, parse_clause_file, verify_reduction
@@ -83,8 +84,37 @@ def _tree_edges_json(t: CliqueTree) -> list[list[str]]:
     )
 
 
+def _json_text(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2)``, laid out ``pad`` deep.
+
+    Nonempty lists, tuples and string-keyed dicts are laid out here, a list
+    of strings in one join of C-encoded strings; any other value goes to
+    ``json.dumps``.
+    """
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, (list, tuple)) and value:
+        if all(map(isinstance, value, repeat(str))):
+            body = sep.join(map(encode_basestring_ascii, value))
+        else:
+            body = sep.join([_json_text(x, inner) for x in value])
+        return f"[\n{inner}{body}\n{pad}]"
+    if isinstance(value, dict) and value:
+        if not all(map(isinstance, value, repeat(str))):
+            # json.dumps names other keys its own way; its only newlines
+            # are layout ones.
+            return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+        body = sep.join(
+            [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+        )
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if type(value) is int:
+        return int.__repr__(value)
+    return json.dumps(value)
+
+
 def _emit(data) -> None:
-    _echo(json.dumps(data, indent=2))
+    _echo(_json_text(data))
 
 
 def _dot_model(m: TreeModel) -> str:
@@ -194,11 +224,10 @@ def model(graph_file, dot) -> None:
     if dot:
         _echo(_dot_model(m), nl=False)
         return
-    report = leaf_report(m)
     _emit(
         {
-            "leafage": report.host_leaves,
-            "vertex_leafage": report.max_vertex_leaves,
+            "leafage": len(tree.leaves()),
+            "vertex_leafage": tree.max_vertex_leaf_count(g.vertices),
             "nodes": list(m.nodes),
             "edges": sorted(list(e) for e in m.edges),
             "subtrees": {u: sorted(m.subtrees[u]) for u in sorted(m.subtrees)},

@@ -73,6 +73,11 @@ class Graph:
         return v in self.adjacency[u]
 
     def is_connected(self) -> bool:
+        return self._connected
+
+    @cached_property
+    def _connected(self) -> bool:
+        # Searched once per graph: the CLI asks before the library does.
         if not self.vertices:
             return True
         return len(_reach(self.adjacency, self.vertices[0], self.adjacency.keys())) == self.n
@@ -134,42 +139,43 @@ def parse_graph(text: str) -> Graph:
 
     Format: ``#`` starts a comment, ``v <name>`` declares an isolated vertex,
     ``e <name> <name>`` declares an edge.  Duplicate edges and self-loops are
-    rejected with the line number.
+    rejected with the line number.  One pass builds the adjacency sets: a
+    name is checked when first seen, and an edge is a duplicate when its
+    ends are already adjacent.
     """
-    vertices: set[str] = set()
-    edges: list[tuple[str, str]] = []
-    seen_edges: set[frozenset[str]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if fields[0] == "v":
-            if len(fields) != 2:
-                raise GraphFormatError("expected 'v <name>'", lineno)
-            name = fields[1]
+    adj: dict[str, set[str]] = {}
+
+    def neighbours(name: str, lineno: int) -> set[str]:
+        nbrs = adj.get(name)
+        if nbrs is None:
             if not _NAME_RE.match(name):
                 raise GraphFormatError(f"bad vertex name {name!r}", lineno)
-            vertices.add(name)
-        elif fields[0] == "e":
+            nbrs = adj[name] = set()
+        return nbrs
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
+            continue
+        if fields[0] == "e":
             if len(fields) != 3:
                 raise GraphFormatError("expected 'e <name> <name>'", lineno)
             u, v = fields[1], fields[2]
-            for name in (u, v):
-                if not _NAME_RE.match(name):
-                    raise GraphFormatError(f"bad vertex name {name!r}", lineno)
+            nu, nv = neighbours(u, lineno), neighbours(v, lineno)
             if u == v:
                 raise GraphFormatError(f"self-loop at {u!r}", lineno)
-            key = frozenset((u, v))
-            if key in seen_edges:
+            if v in nu:
                 raise GraphFormatError(f"duplicate edge {u} {v}", lineno)
-            seen_edges.add(key)
-            vertices.add(u)
-            vertices.add(v)
-            edges.append((u, v))
+            nu.add(v)
+            nv.add(u)
+        elif fields[0] == "v":
+            if len(fields) != 2:
+                raise GraphFormatError("expected 'v <name>'", lineno)
+            neighbours(fields[1], lineno)
         else:
             raise GraphFormatError(f"unknown directive {fields[0]!r}", lineno)
-    return Graph.from_edges(vertices, edges)
+    ordered = tuple(sorted(adj))
+    return Graph(ordered, {v: frozenset(adj[v]) for v in ordered})
 
 
 def format_edge_list(g: Graph) -> str:
@@ -189,23 +195,29 @@ def format_edge_list(g: Graph) -> str:
 
 def _mcs_order(g: Graph) -> list[str]:
     # Maximum-cardinality search; ties broken by lexicographically least name.
-    # ``weight`` holds the unvisited vertices; the heap is keyed (-weight,
-    # name).  Weights only grow, so a vertex's current entry pops before its
-    # stale ones, which are skipped once it is visited.
-    # The elimination order is the reverse of the visit order.
-    weight = dict.fromkeys(g.vertices, 0)
-    heap = [(0, v) for v in g.vertices]  # sorted, hence a heap
+    # Vertices are their ranks in ``g.vertices``, and the heap holds
+    # rank - weight * n, which orders by (-weight, rank).  Weights only
+    # grow, so a vertex's current entry pops before its stale ones, which
+    # are skipped once it is visited.  The elimination order is the reverse
+    # of the visit order.
+    names = g.vertices
+    n = len(names)
+    rank = {v: i for i, v in enumerate(names)}
+    adj = [[rank[w] for w in g.adjacency[v]] for v in names]
+    weight = [0] * n
+    visited = [False] * n
+    heap = list(range(n))  # sorted, hence a heap
     visit: list[str] = []
     while heap:
-        _, best = heapq.heappop(heap)
-        if best not in weight:
+        v = heapq.heappop(heap) % n
+        if visited[v]:
             continue
-        del weight[best]
-        visit.append(best)
-        for w in g.adjacency[best]:
-            if w in weight:
+        visited[v] = True
+        visit.append(names[v])
+        for w in adj[v]:
+            if not visited[w]:
                 weight[w] += 1
-                heapq.heappush(heap, (-weight[w], w))
+                heapq.heappush(heap, w - weight[w] * n)
     visit.reverse()
     return visit
 
@@ -213,13 +225,12 @@ def _mcs_order(g: Graph) -> list[str]:
 def _peo_cliques(g: Graph, order: Sequence[str]) -> tuple[frozenset[str], ...] | None:
     """The maximal cliques, canonically sorted, or None if ``order`` is no PEO.
 
-    One pass (Rose, Tarjan & Lueker 1976).  With p the earliest later
-    neighbour of v, the order is perfect iff later(v) - {p} <= later(p) for
-    every v.  Then {v} | later(v) is a maximal clique unless some u with
-    p(u) = v has exactly one more later neighbour than v.
+    ``order`` must be a permutation of ``g.vertices``.  One pass (Rose,
+    Tarjan & Lueker 1976).  With p the earliest later neighbour of v, the
+    order is perfect iff later(v) - {p} <= later(p) for every v.  Then
+    {v} | later(v) is a maximal clique unless some u with p(u) = v has
+    exactly one more later neighbour than v.
     """
-    if sorted(order) != list(g.vertices):
-        return None
     position = {v: i for i, v in enumerate(order)}
     later = {v: {w for w in g.adjacency[v] if position[w] > position[v]} for v in order}
     absorbed = set()
@@ -241,7 +252,8 @@ def _mcs_cliques(g: Graph) -> tuple[frozenset[str], ...] | None:
 
 
 def is_valid_peo(g: Graph, order: Iterable[str]) -> bool:
-    return _peo_cliques(g, list(order)) is not None
+    order = list(order)
+    return sorted(order) == list(g.vertices) and _peo_cliques(g, order) is not None
 
 
 def _find_hole(g: Graph) -> tuple[str, ...]:
@@ -300,7 +312,7 @@ def maximal_cliques(g: Graph, peo: PerfectEliminationOrder) -> tuple[frozenset[s
     The position of a clique in the returned tuple is its canonical id used
     throughout the rest of the library.
     """
-    cliques = _peo_cliques(g, peo.order)
+    cliques = _peo_cliques(g, peo.order) if sorted(peo.order) == list(g.vertices) else None
     if cliques is None:
         raise ValueError("order is not a perfect elimination order for this graph")
     return cliques

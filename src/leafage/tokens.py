@@ -437,22 +437,26 @@ def shortest_augmenting_path(
             )
         return move_cache[key]
 
-    def extend(start: int, length: int) -> list[int] | None:
+    def extend(start: int, length: int) -> tuple[list[int] | None, bool]:
         # Depth-first; ``options[d]`` lists, in increasing order, the
         # cliques a move from ``path[d]`` can reach (those containing one
         # of its tokens), and ``cursor[d]`` is the next index to try.
+        # Returns the path found, if any, and whether some path reached
+        # ``length`` cliques.
         path = [start]
         options = [state.blocks.holding(ta.tokens[start])]
         cursor = [0]
+        deep = False
         while path:
             last = path[-1]
             want = 1 if len(path) == length else 2
+            deep = deep or want == 1
             targets = options[-1]
             for x in range(cursor[-1], len(targets)):
                 c = targets[x]
                 if c not in path and sizes[c] == want and feasible_token(last, c) is not None:
                     if want == 1:
-                        return path + [c]
+                        return path + [c], True
                     cursor[-1] = x + 1
                     path.append(c)
                     options.append(state.blocks.holding(ta.tokens[c]))
@@ -462,17 +466,24 @@ def shortest_augmenting_path(
                 path.pop()
                 options.pop()
                 cursor.pop()
-        return None
+        return None, deep
 
+    # Every move is judged against ``ta`` alone, so a path's prefixes are
+    # paths too: once no start reaches ``length`` cliques through cliques
+    # holding two tokens, no longer path exists either.
     for length in range(1, k):
+        deep = False
         for start in starts:
-            found = extend(start, length)
+            found, reached = extend(start, length)
             if found is not None:
                 moves = tuple(
                     TokenMove(a, b, feasible_token(a, b))
                     for a, b in zip(found, found[1:])
                 )
                 return AugmentingPath(moves)
+            deep = deep or reached
+        if not deep:
+            break
     return None
 
 
@@ -502,8 +513,15 @@ def minimize_leafage_with_trace(t: CliqueTree) -> tuple[CliqueTree, list[Iterati
     At the end the final assignment is counted once from scratch: its leaf
     counts must equal the kept ones, and the realizing tree, built once,
     re-decides realizability; a mismatch raises :class:`CertificateError`.
-    Without any iteration ``t`` itself is returned.
+    Without any iteration ``t`` itself is returned, at once when no node
+    has degree >= 3: then no clique holds three tokens, so no path starts.
     """
+    if all(len(ws) < 3 for ws in t.adjacency):
+        # The check building the assignment makes: every token is nonempty.
+        empty = [a for a, b in t.edges if t.cliques[a].isdisjoint(t.cliques[b])]
+        if empty:
+            raise ValueError(f"empty token at clique {min(empty)}")
+        return t, []
     blocks = SeparatorBlocks(t.cliques)
     state = _TokenState(tokens_from_tree(t), blocks)
     trace: list[IterationRecord] = []

@@ -15,7 +15,14 @@ import leafage
 
 from leafage.cliquetrees import CliqueTree, Forest, _class_nodes, path_containment_violation
 from leafage.gadget import NaeInstance, build_gadget, satisfies_star
-from leafage.graphs import CliqueGraph, Graph, check_chordal, PerfectEliminationOrder
+from leafage.graphs import (
+    _NAME_RE,
+    CliqueGraph,
+    Graph,
+    GraphFormatError,
+    PerfectEliminationOrder,
+    check_chordal,
+)
 from leafage.oracle import oracle_optima, random_chordal
 from leafage.tokens import (
     AugmentingPath,
@@ -390,6 +397,44 @@ def run_optimized():
         )
 
     return run
+
+
+def reference_parse_graph(text: str) -> Graph:
+    """The two-pass edge-list parser: every name checked, edges kept as sets."""
+    vertices: set[str] = set()
+    edges: list[tuple[str, str]] = []
+    seen_edges: set[frozenset[str]] = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if fields[0] == "v":
+            if len(fields) != 2:
+                raise GraphFormatError("expected 'v <name>'", lineno)
+            name = fields[1]
+            if not _NAME_RE.match(name):
+                raise GraphFormatError(f"bad vertex name {name!r}", lineno)
+            vertices.add(name)
+        elif fields[0] == "e":
+            if len(fields) != 3:
+                raise GraphFormatError("expected 'e <name> <name>'", lineno)
+            u, v = fields[1], fields[2]
+            for name in (u, v):
+                if not _NAME_RE.match(name):
+                    raise GraphFormatError(f"bad vertex name {name!r}", lineno)
+            if u == v:
+                raise GraphFormatError(f"self-loop at {u!r}", lineno)
+            key = frozenset((u, v))
+            if key in seen_edges:
+                raise GraphFormatError(f"duplicate edge {u} {v}", lineno)
+            seen_edges.add(key)
+            vertices.add(u)
+            vertices.add(v)
+            edges.append((u, v))
+        else:
+            raise GraphFormatError(f"unknown directive {fields[0]!r}", lineno)
+    return Graph.from_edges(vertices, edges)
 
 
 def brute_force_maximal_cliques(g: Graph) -> list[frozenset[str]]:

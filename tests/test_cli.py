@@ -8,8 +8,9 @@ import tracemalloc
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, strategies as st
 
-from leafage.cli import main
+from leafage.cli import _json_text, main
 from leafage.demo import DEMO_EDGE_LIST
 from leafage.gadget import build_gadget, parse_clause_file
 from leafage.graphs import format_edge_list
@@ -318,6 +319,23 @@ GOLDEN = {
         ["gadget", "verify", "-"], NAE_6,
         "44f3d93ddd4394a164318fed61c243b4143288a039065398c78ef650397ef254",
     ),
+    # The three commands that print no JSON.
+    "model-dot-spider-4x3": (
+        ["model", "--dot", "-"], _spider(4, 3),
+        "bae0dbe5c074f0d8695afb2b040550d40cd7b667b2d6c7298fb4124f347c8253",
+    ),
+    "model-dot-interval-chain-12": (
+        ["model", "--dot", "-"], _interval_chain(12),
+        "b01413cb4c46f0d3dc3c3f090ce957732018c94b956adea44c70912bde9489bd",
+    ),
+    "gadget-build-6": (
+        ["gadget", "build", "-"], NAE_6,
+        "576ab395e03611ca6329a5d3c8c858e517d9d4f2944e881991b849155451ccbc",
+    ),
+    "repro": (
+        ["repro"], None,
+        "defacf6f81fe84af976d85f0eb805ebacf47edab727819a254bb45177b76aa6c",
+    ),
 }
 
 
@@ -327,6 +345,28 @@ def test_golden_stdout(runner, name):
     res = invoke(runner, args, stdin=text)
     assert res.exit_code == 0
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
+
+_JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.lists(st.text(max_size=4), max_size=4)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+        | st.dictionaries(st.integers() | st.booleans() | st.none(), inner, max_size=3)
+    ),
+    max_leaves=24,
+)
+
+
+@given(_JSON_VALUES)
+def test_json_layout_matches_json_dumps(value):
+    # The CLI's own indent-2 layout: nested dicts, lists, tuples, strings
+    # (non-ASCII too), numbers, bools, None, empty containers and dicts
+    # with keys that are not strings.
+    assert _json_text(value) == json.dumps(value, indent=2)
 
 
 def test_repeated_invocations_do_not_retain_output(runner):

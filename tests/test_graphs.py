@@ -23,7 +23,12 @@ from leafage.graphs import (
 )
 from leafage.vertex_leafage import augmented_graph
 
-from conftest import brute_force_has_hole, brute_force_maximal_cliques, reference_candidate_branch_sets
+from conftest import (
+    brute_force_has_hole,
+    brute_force_maximal_cliques,
+    reference_candidate_branch_sets,
+    reference_parse_graph,
+)
 
 
 def small_graphs(max_n=7):
@@ -86,6 +91,77 @@ class TestParseGraph:
     def test_format_round_trip(self):
         g = parse_graph("v z\ne a b\ne b c\n")
         assert parse_graph(format_edge_list(g)) == g
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            "v b-c\n",
+            "e a b\nv a.b\n",
+            "e a b\ne b a\n",
+            "e a b\r\n\te  b\ta  # again\n",
+            "e a a\n",
+            "e a b\nv a\nv c\n",
+            "v v\ne e v\n",
+            "# only a comment\n\n \t\n",
+            "e a b c\n",
+            "v\n",
+            "e a é\n",
+            "x a b\n",
+            "e a#b c\n",
+        ],
+    )
+    def test_matches_reference_parser_on(self, doc):
+        self._compare(doc)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_matches_reference_parser(self, data):
+        # Documents of "e" and "v" lines, blank, whitespace-only and comment
+        # lines, lines of the wrong arity and unknown directives, with
+        # names from a small pool (so duplicate edges in both orientations,
+        # self-loops and "v" after "e" come up) that holds a few bad names.
+        # Half the documents are kept to good names, no loops and known
+        # directives, so that most of them parse.
+        clean = data.draw(st.booleans())
+        good = ["a", "b", "c", "d", "x_1", "B2", "v", "e"]
+        name = st.sampled_from(good if clean else good * 2 + ["b-c", "é", "a.b"])
+        gap = st.sampled_from([" ", "\t", "  ", " \t"])
+        lead = st.sampled_from(["", "", " ", "\t"])
+        tail = st.sampled_from(["", "", " ", "\t", "# note", "  #e a b", "#"])
+        kinds = ["e"] * 6 + ["v"] * 2 + ["blank", "comment"] + ([] if clean else ["arity", "unknown"])
+        lines = []
+        for _ in range(data.draw(st.integers(0, 10))):
+            kind = data.draw(st.sampled_from(kinds))
+            if kind == "blank":
+                lines.append(data.draw(st.sampled_from(["", " ", "\t", " \t "])))
+                continue
+            if kind == "comment":
+                lines.append(data.draw(st.sampled_from(["#", "# e a a", " \t# v b-c"])))
+                continue
+            if kind == "e":
+                u = data.draw(name)
+                fields = ["e", u, data.draw(name.filter(lambda v: v != u) if clean else name)]
+            elif kind == "v":
+                fields = ["v", data.draw(name)]
+            else:
+                head = ["e", "v"] if kind == "arity" else ["x", "E", "ve"]
+                fields = [data.draw(st.sampled_from(head)), *data.draw(st.lists(name, max_size=3))]
+            lines.append(data.draw(lead) + data.draw(gap).join(fields) + data.draw(tail))
+        end = data.draw(st.sampled_from(["\n", "\r\n"]))
+        self._compare(end.join(lines) + data.draw(st.sampled_from(["", end])))
+
+    @staticmethod
+    def _compare(doc):
+        # The same graph, or the same error message on the same line.
+        try:
+            expected = reference_parse_graph(doc)
+        except GraphFormatError as exc:
+            with pytest.raises(GraphFormatError) as got:
+                parse_graph(doc)
+            assert (str(got.value), got.value.line) == (str(exc), exc.line)
+        else:
+            g = parse_graph(doc)
+            assert (g.vertices, g.adjacency) == (expected.vertices, expected.adjacency)
 
 
 class TestCheckChordal:
