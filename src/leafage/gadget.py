@@ -2,8 +2,12 @@
 
 A positive k-uniform NOT-ALL-EQUAL instance translates into a split graph
 whose vertex leafage is k + 1 in general, and at most k exactly when the
-instance is solvable.  Solutions and low-leafage clique trees translate into
-each other mechanically, which is what the verifier exercises.
+instance is solvable.  ``verify_reduction`` checks both bounds on one
+instance: it decides solvability by brute force and compares it with the
+exact oracle's vertex leafage of the gadget.  ``solution_to_tree`` and
+``tree_to_solution`` translate solutions and clique trees with at most k
+leaves per subtree into each other; the tests exercise them, the verifier
+does not call them.
 """
 
 from __future__ import annotations

@@ -246,11 +246,6 @@ def _peo_cliques(g: Graph, order: Sequence[str]) -> tuple[frozenset[str], ...] |
     return tuple(cliques)
 
 
-def _mcs_cliques(g: Graph) -> tuple[frozenset[str], ...] | None:
-    """The canonical maximal cliques from one MCS pass, or None if not chordal."""
-    return _peo_cliques(g, _mcs_order(g))
-
-
 def is_valid_peo(g: Graph, order: Iterable[str]) -> bool:
     order = list(order)
     return sorted(order) == list(g.vertices) and _peo_cliques(g, order) is not None
@@ -365,7 +360,7 @@ def chordal_cliques(g: Graph) -> tuple[frozenset[str], ...]:
 
     Raises ``ValueError`` with a witness cycle when the graph is not chordal.
     """
-    cliques = _mcs_cliques(g)
+    cliques = _peo_cliques(g, _mcs_order(g))
     if cliques is None:
         raise ValueError(f"graph is not chordal; induced cycle: {list(_find_hole(g))}")
     return cliques

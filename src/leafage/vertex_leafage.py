@@ -2,14 +2,14 @@
 
 The key subroutine builds, for a prescribed set F of clique-graph edges, a
 clique tree whose branching edges (edges incident to nodes of degree >= 3)
-are exactly F.  It augments the graph with one marker vertex per edge of F,
-minimizes host leaves on the augmented graph, and strips the markers back
-out.  The candidates are the branching sets of the trees with exactly
-leafage leaves, each generated once.  F alone fixes every leaf count of such
-a tree, so the candidates are generated one vertex-leafage layer at a time,
-least first, without building anything; the first one realized gives the
-exact vertex leafage, together with a tree model realizing both optima
-simultaneously.
+are exactly F.  It adds one marker per edge of F to the two cliques that
+edge joins, builds a clique tree of these marked cliques, minimizes its host
+leaves, and strips the markers back out.  The candidates are the branching
+sets of the trees with exactly leafage leaves, each generated once.  F alone
+fixes every leaf count of such a tree, so the candidates are generated one
+vertex-leafage layer at a time, least first, without building anything; the
+first one realized gives the exact vertex leafage, together with a tree
+model realizing both optima simultaneously.
 """
 
 from __future__ import annotations
@@ -27,14 +27,12 @@ from .cliquetrees import (
     branching_sets,
     build_clique_tree,
     model_from_clique_tree,
-    path_containment_violation,
 )
 from .graphs import (
     CliqueGraph,
     Graph,
     _connected_cliques,
     _holders,
-    _mcs_cliques,
     chordal_cliques,
     clique_graph,
 )
@@ -62,7 +60,9 @@ def augmented_graph(
     """Graph with one marker vertex per prescribed branching edge.
 
     A marker for edge CC' is adjacent to every vertex of C or C', and two
-    markers are adjacent when their edges share a clique.
+    markers are adjacent when their edges share a clique.  It is the
+    reference the marked cliques of :func:`clique_tree_with_branching` are
+    tested against.
     """
     edges = list(g.edges())
     f_sorted = sorted(f)
@@ -83,10 +83,13 @@ def clique_tree_with_branching(
 ) -> CliqueTree | None:
     """Clique tree of ``g`` whose branching edge set equals ``f``, or None.
 
-    Builds the marker-augmented graph; if it is chordal, minimizes host
-    leaves on it, renames each node back to its underlying clique, and
-    accepts the result only when it is a clique tree of ``g`` with branching
-    edges exactly ``f``.
+    Each edge of ``f`` puts a marker into the two cliques it joins, so a
+    clique tree of the marked cliques holds ``f``: they have one exactly when
+    some clique tree of ``g`` holds ``f``.  Stripping the markers keeps every
+    vertex's subtree, so the minimized tree, validated by the builders, is a
+    clique tree of ``g`` with no check again; it is returned if its branching
+    edges are exactly ``f``.  The marked cliques are sorted as an elimination
+    pass over :func:`augmented_graph` lists them, so the tree is the same.
     """
     if cliques is None:
         cliques = chordal_cliques(g)
@@ -95,23 +98,17 @@ def clique_tree_with_branching(
     for i, j in f:
         if not cliques[i] & cliques[j]:
             raise ValueError(f"({i}, {j}) is not a clique-graph edge")
-    cliques_p = _mcs_cliques(augmented_graph(g, cliques, f))
-    if cliques_p is None or len(cliques_p) != len(cliques):
+    if not g.is_connected():
+        raise ValueError("clique graph is disconnected")
+    marked = [c | {_marker_name(e) for e in f if i in e} for i, c in enumerate(cliques)]
+    order = sorted(range(len(marked)), key=lambda i: tuple(sorted(marked[i])))
+    cg = clique_graph(marked[i] for i in order)
+    try:
+        built = build_clique_tree(cg)
+    except ValueError:  # no clique tree holds f
         return None
-    tmin = minimize_leafage(build_clique_tree(clique_graph(cliques_p)))
-    vertex_set = set(g.vertices)
-    stripped = [frozenset(c & vertex_set) for c in cliques_p]
-    index = {c: i for i, c in enumerate(cliques)}
-    if sorted(stripped, key=lambda c: tuple(sorted(c))) != list(cliques):
-        return None
-    rename = {i: index[c] for i, c in enumerate(stripped)}
-    edges = frozenset(
-        (rename[a], rename[b]) if rename[a] < rename[b] else (rename[b], rename[a])
-        for a, b in tmin.edges
-    )
+    edges = frozenset(tuple(sorted((order[a], order[b]))) for a, b in minimize_leafage(built).edges)
     tree = CliqueTree(cliques, edges)
-    if path_containment_violation(tree) is not None:
-        return None
     if branching_sets(tree).incident_edges != f:
         return None
     return tree

@@ -13,7 +13,14 @@ import pytest
 
 import leafage
 
-from leafage.cliquetrees import CliqueTree, Forest, _class_nodes, path_containment_violation
+from leafage.cliquetrees import (
+    CliqueTree,
+    Forest,
+    _class_nodes,
+    branching_sets,
+    build_clique_tree,
+    path_containment_violation,
+)
 from leafage.gadget import NaeInstance, build_gadget, satisfies_star
 from leafage.graphs import (
     _NAME_RE,
@@ -21,7 +28,10 @@ from leafage.graphs import (
     Graph,
     GraphFormatError,
     PerfectEliminationOrder,
+    _mcs_order,
+    _peo_cliques,
     check_chordal,
+    clique_graph,
 )
 from leafage.oracle import oracle_optima, random_chordal
 from leafage.tokens import (
@@ -33,9 +43,10 @@ from leafage.tokens import (
     apply_move,
     apply_path,
     is_realizable,
+    minimize_leafage,
     tokens_from_tree,
 )
-from leafage.vertex_leafage import _branching_leaf_counts, candidate_branch_sets
+from leafage.vertex_leafage import _branching_leaf_counts, augmented_graph, candidate_branch_sets
 
 CORPUS_SIZE = 200
 
@@ -221,6 +232,32 @@ def branch_set_layers(cg: CliqueGraph, leafage: int) -> list[list[frozenset]]:
         assert excess >= floor
         floor = excess + 1
     return layers
+
+
+def reference_clique_tree_with_branching(g: Graph, f: frozenset, cliques) -> CliqueTree | None:
+    """The marker-augmented graph route the marked cliques replaced, kept as a reference.
+
+    Decides :func:`augmented_graph` chordal and lists its maximal cliques in
+    one MCS pass, minimizes host leaves on their clique tree, strips the
+    markers and renames each node back to its clique.  None unless that is
+    a clique tree of ``g`` whose branching edges are exactly ``f``.
+    """
+    if len(f) >= len(cliques):
+        return None
+    gp = augmented_graph(g, cliques, f)
+    cliques_p = _peo_cliques(gp, _mcs_order(gp))
+    if cliques_p is None or len(cliques_p) != len(cliques):
+        return None
+    tmin = minimize_leafage(build_clique_tree(clique_graph(cliques_p)))
+    vertex_set = set(g.vertices)
+    stripped = [frozenset(c & vertex_set) for c in cliques_p]
+    if sorted(stripped, key=lambda c: tuple(sorted(c))) != list(cliques):
+        return None
+    rename = [cliques.index(c) for c in stripped]
+    tree = CliqueTree(cliques, frozenset(tuple(sorted((rename[a], rename[b]))) for a, b in tmin.edges))
+    if path_containment_violation(tree) is not None or branching_sets(tree).incident_edges != f:
+        return None
+    return tree
 
 
 def reference_find_realizing_tree(ta, blocks=None):

@@ -18,6 +18,7 @@ from conftest import (
     is_full_star_union,
     nae_families,
     reference_candidate_branch_sets,
+    reference_clique_tree_with_branching,
     reference_ranked_branch_sets,
     spider_graph,
     vertex_excess,
@@ -73,9 +74,19 @@ def search_graphs(corpus):
     return out
 
 
-def test_search_and_generator_match_references(search_graphs):
+@pytest.fixture(scope="module")
+def reference_candidates(search_graphs):
+    """The old generator's sets for each search graph, in the same order."""
+    out = []
+    for _, cg, leafage, _ in search_graphs:
+        budget = min(3 * (leafage - 2), len(cg.cliques) - 1)
+        out.append(reference_candidate_branch_sets(cg, leafage, budget))
+    return out
+
+
+def test_search_and_generator_match_references(search_graphs, reference_candidates):
     """The layers list the reference ranking, once each; the exhaustive search's tree."""
-    for g, cg, leafage, ranked in search_graphs:
+    for (g, cg, leafage, ranked), old_sets in zip(search_graphs, reference_candidates):
         layers = branch_set_layers(cg, leafage)
         candidates = [f for layer in layers for f in layer]
         assert len(set(candidates)) == len(candidates)
@@ -85,12 +96,40 @@ def test_search_and_generator_match_references(search_graphs):
         for e, layer in zip(excess, layers):
             assert {vertex_excess(cg.cliques, f) for f in layer} == {e}
             assert layer == sorted(layer, key=lambda f: (len(f), sorted(f)))
-        budget = min(3 * (leafage - 2), len(cg.cliques) - 1)
-        vl, tree = reference_search(g, reference_candidate_branch_sets(cg, leafage, budget))
+        vl, tree = reference_search(g, old_sets)
         cert = vertex_leafage_bounded(g)
         assert cert.value == vl
         assert cert.tree.edges == tree.edges
     assert len(search_graphs) == 14 + 31 + 6
+
+
+def test_builder_matches_reference_route(search_graphs, reference_candidates):
+    """Marked cliques give the augmented graph route's tree, or None where it does.
+
+    Every k-th of the old generator's sets on the search graphs, about 30
+    per graph over all sizes, and every set on Random(16, 0.3, 5), whose
+    markers sort before its vertex names: they reorder its cliques, which
+    moves Kruskal's tie-breaks on two of its sets.
+    """
+    cases = [
+        (g, cg.cliques, sets[::max(1, len(sets) // 30)])
+        for (g, cg, _, _), sets in zip(search_graphs, reference_candidates)
+    ]
+    g = random_chordal(16, density=0.3, seed=5)
+    cg = clique_graph(chordal_cliques(g))
+    cases.append((g, cg.cliques, reference_candidate_branch_sets(cg, 3, 3)))
+    realized = rejected = 0
+    for g, cliques, sets in cases:
+        for f in sets:
+            tree = clique_tree_with_branching(g, f, cliques)
+            reference = reference_clique_tree_with_branching(g, f, cliques)
+            if reference is None:
+                assert tree is None
+                rejected += 1
+            else:
+                assert tree is not None and tree.edges == reference.edges
+                realized += 1
+    assert realized > 200 and rejected > 900
 
 
 def count_tree_calls(monkeypatch):

@@ -6,7 +6,12 @@ import pytest
 
 import leafage.graphs
 import leafage.vertex_leafage
-from conftest import branch_set_layers, reference_ranked_branch_sets, spider_graph
+from conftest import (
+    branch_set_layers,
+    reference_clique_tree_with_branching,
+    reference_ranked_branch_sets,
+    spider_graph,
+)
 from leafage.cliquetrees import branching_sets, build_clique_tree, leaf_report, verify_clique_tree
 from leafage.demo import demo_graph
 from leafage.gadget import build_gadget, parse_clause_file
@@ -93,15 +98,32 @@ class TestCliqueTreeWithBranching:
         with pytest.raises(ValueError, match="not a clique-graph edge"):
             clique_tree_with_branching(g, frozenset({(3, 8)}), cliques)
 
-    def test_one_elimination_pass_per_call(self, monkeypatch):
-        # The augmented graph is decided chordal and split into cliques by
-        # a single pass.
+    def test_no_elimination_pass_when_cliques_given(self, monkeypatch):
+        # The marked cliques are built directly: no graph is decided chordal.
         g = demo_graph()
         cliques = chordal_cliques(g)
         f = branching_sets(vertex_leafage_bounded(g).tree).incident_edges
-        calls = count_calls(monkeypatch, leafage.graphs, "_peo_cliques")
+        peo_calls = count_calls(monkeypatch, leafage.graphs, "_peo_cliques")
+        mcs_calls = count_calls(monkeypatch, leafage.graphs, "_mcs_order")
         assert clique_tree_with_branching(g, f, cliques) is not None
-        assert len(calls) == 1
+        assert peo_calls == mcs_calls == []
+
+    def test_set_no_clique_tree_holds_returns_none(self, monkeypatch):
+        # Three cliques in a chain; the light edge (0, 2) joins the two ends,
+        # so no clique tree holds it and no tree reaches the minimizer.
+        g = parse_graph("e v1 v2\ne v1 v3\ne v2 v3\ne v2 v4\ne v3 v4\ne v3 v5\ne v4 v5\n")
+        cliques = chordal_cliques(g)
+        f = frozenset({(0, 2)})
+        assert cliques[0] & cliques[2] == {"v3"}
+        calls = count_calls(monkeypatch, leafage.vertex_leafage, "minimize_leafage")
+        assert clique_tree_with_branching(g, f, cliques) is None
+        assert calls == []
+        assert reference_clique_tree_with_branching(g, f, cliques) is None
+
+    def test_disconnected_graph_rejected(self):
+        g = parse_graph("e a b\ne c d\n")
+        with pytest.raises(ValueError, match="clique graph is disconnected"):
+            clique_tree_with_branching(g, frozenset())
 
     def test_oversized_branching_returns_none(self):
         g = parse_graph(PATH_GRAPH)
