@@ -41,8 +41,6 @@ from .graphs import (
     chordal_cliques,
     clique_graph,
     format_edge_list,
-    is_valid_peo,
-    maximal_cliques,
     parse_graph,
 )
 from .oracle import (
@@ -58,7 +56,6 @@ from .tokens import (
     TokenAssignment,
     TokenMove,
     apply_move,
-    apply_path,
     find_realizing_tree,
     is_realizable,
     minimize_leafage,
@@ -94,7 +91,6 @@ __all__ = [
     "TreeModel",
     "VlCertificate",
     "apply_move",
-    "apply_path",
     "branching_sets",
     "build_clique_tree",
     "build_gadget",
@@ -108,9 +104,7 @@ __all__ = [
     "is_realizable",
     "is_solution",
     "is_tree_model",
-    "is_valid_peo",
     "leaf_report",
-    "maximal_cliques",
     "minimize_leafage",
     "minimize_leafage_with_trace",
     "model_from_clique_tree",

@@ -35,7 +35,7 @@ from .graphs import (
     format_edge_list,
     parse_graph,
 )
-from .oracle import OracleLimitError, oracle_optima
+from .oracle import OracleLimitError, oracle_optima, tree_limit
 from .tokens import minimize_leafage_with_trace, tokens_from_tree
 from .vertex_leafage import simultaneous_optimum, vertex_leafage_bounded
 
@@ -275,7 +275,11 @@ def oracle(graph_file) -> None:
     """Brute-force enumeration: exact optima with witness trees."""
     g = _read_connected_graph(graph_file)
     try:
-        result = oracle_optima(g)
+        limit = tree_limit()
+    except ValueError as exc:
+        _fail(exc, EXIT_FORMAT)
+    try:
+        result = oracle_optima(g, limit)
     except OracleLimitError as exc:
         _fail(exc, EXIT_LIMIT)
     except ValueError as exc:

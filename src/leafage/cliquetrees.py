@@ -10,8 +10,8 @@ from typing import Iterable, Mapping
 from .graphs import (
     CertificateError,
     CliqueGraph,
+    Cliques,
     Graph,
-    _holders,
     _path,
     _reach,
     _sorted_adjacency,
@@ -40,12 +40,16 @@ def _count_vertex_leaves(tokens: Iterable[Iterable[frozenset[str]]]) -> Counter[
 class CliqueTree:
     """Tree on the maximal cliques of a chordal graph.
 
-    ``cliques`` is the canonical clique list; node ids are positions in it.
-    ``edges`` holds ``(i, j)`` pairs with ``i < j``.
+    ``cliques`` is the canonical clique list, made a :class:`Cliques`
+    family if it is a plain tuple; node ids are positions in it.  ``edges``
+    holds ``(i, j)`` pairs with ``i < j``.
     """
 
-    cliques: tuple[frozenset[str], ...]
+    cliques: Cliques
     edges: frozenset[tuple[int, int]]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "cliques", Cliques(self.cliques))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -182,13 +186,13 @@ def path_containment_violation(
     lexicographically first pair.
     """
     cliques = t.cliques
+    holders = cliques.holders
     inside = sum(len(cliques[a] & cliques[b]) for a, b in t.edges)
-    if inside == sum(map(len, cliques)) - len(set().union(*cliques)):
+    if inside == sum(map(len, cliques)) - len(holders):
         return None
     edge_count: Counter[str] = Counter()
     for a, b in t.edges:
         edge_count.update(cliques[a] & cliques[b])
-    holders = _holders(cliques)
     u = min(v for v, ids in holders.items() if edge_count[v] != len(ids) - 1)
     i = holders[u][0]
     seen = _reach(t.adjacency, i, set(holders[u]))
@@ -290,7 +294,7 @@ def model_from_clique_tree(t: CliqueTree) -> TreeModel:
         (names[a], names[b]) if names[a] < names[b] else (names[b], names[a])
         for a, b in t.edges
     )
-    holders = _holders(t.cliques)
+    holders = t.cliques.holders
     subtrees = {u: frozenset(names[i] for i in holders[u]) for u in sorted(holders)}
     return TreeModel(names, edges, subtrees)
 

@@ -82,7 +82,7 @@ def parse_clause_file(text: str) -> NaeInstance:
             continue
         fields = line.split()
         if not clauses and k is None and len(fields) == 2 and fields[0] == "k":
-            if not fields[1].isdigit() or int(fields[1]) < 1:
+            if not fields[1].isdecimal() or int(fields[1]) < 1:
                 raise ClauseFormatError(f"bad clause width {fields[1]!r}", lineno)
             k = int(fields[1])
             continue

@@ -1,4 +1,4 @@
-"""Simple undirected graphs, chordality recognition, and maximal cliques.
+"""Simple undirected graphs, chordality recognition, and the clique family.
 
 Vertices are opaque strings; the canonical vertex order is lexicographic and
 is used for all tie-breaking downstream, so every operation here is
@@ -179,17 +179,9 @@ def parse_graph(text: str) -> Graph:
 
 
 def format_edge_list(g: Graph) -> str:
-    """Render a graph back into the edge-list format."""
-    lines = []
-    covered = set()
-    for u, v in g.edges():
-        covered.add(u)
-        covered.add(v)
-    for v in g.vertices:
-        if v not in covered:
-            lines.append(f"v {v}")
-    for u, v in g.edges():
-        lines.append(f"e {u} {v}")
+    """Render a graph back into the edge-list format: isolated vertices, then edges."""
+    lines = [f"v {v}" for v in g.vertices if not g.adjacency[v]]
+    lines += [f"e {u} {v}" for u, v in g.edges()]
     return "\n".join(lines) + "\n"
 
 
@@ -222,7 +214,7 @@ def _mcs_order(g: Graph) -> list[str]:
     return visit
 
 
-def _peo_cliques(g: Graph, order: Sequence[str]) -> tuple[frozenset[str], ...] | None:
+def _peo_cliques(g: Graph, order: Sequence[str]) -> Cliques | None:
     """The maximal cliques, canonically sorted, or None if ``order`` is no PEO.
 
     ``order`` must be a permutation of ``g.vertices``.  One pass (Rose,
@@ -243,12 +235,7 @@ def _peo_cliques(g: Graph, order: Sequence[str]) -> tuple[frozenset[str], ...] |
                 absorbed.add(p)
     cliques = [frozenset(later[v] | {v}) for v in order if v not in absorbed]
     cliques.sort(key=lambda c: tuple(sorted(c)))
-    return tuple(cliques)
-
-
-def is_valid_peo(g: Graph, order: Iterable[str]) -> bool:
-    order = list(order)
-    return sorted(order) == list(g.vertices) and _peo_cliques(g, order) is not None
+    return Cliques(cliques)
 
 
 def _find_hole(g: Graph) -> tuple[str, ...]:
@@ -301,7 +288,7 @@ def check_chordal(g: Graph) -> PerfectEliminationOrder | tuple[str, ...]:
     return _find_hole(g)
 
 
-def maximal_cliques(g: Graph, peo: PerfectEliminationOrder) -> tuple[frozenset[str], ...]:
+def maximal_cliques(g: Graph, peo: PerfectEliminationOrder) -> Cliques:
     """All maximal cliques, sorted by their sorted member tuples.
 
     The position of a clique in the returned tuple is its canonical id used
@@ -313,6 +300,72 @@ def maximal_cliques(g: Graph, peo: PerfectEliminationOrder) -> tuple[frozenset[s
     return cliques
 
 
+class Cliques(tuple):
+    """A clique list, with the facts of it that every layer reads.
+
+    A tuple of frozensets, a clique's id being its position, that compares
+    and hashes as the plain tuple.  ``Cliques(c)`` is ``c`` itself when
+    ``c`` is one already, so the clique graph, the clique trees and the
+    token assignments of one list share one family, and each fact below is
+    built once, on first use.
+    """
+
+    def __new__(cls, cliques: Iterable[frozenset[str]] = ()) -> "Cliques":
+        if type(cliques) is cls:
+            return cliques
+        family = super().__new__(cls, cliques)
+        family._s_blocks = {}
+        family._holding = {}
+        return family
+
+    @cached_property
+    def holders(self) -> dict[str, list[int]]:
+        """Each vertex -> the increasing ids of the cliques that hold it."""
+        holders: dict[str, list[int]] = {}
+        for i, c in enumerate(self):
+            for u in c:
+                holders.setdefault(u, []).append(i)
+        return holders
+
+    def s_blocks(self, s: frozenset[str]) -> tuple[dict[int, int], int]:
+        """The S-block id of every clique containing ``s``, and the number of S-blocks.
+
+        Two cliques containing S share an S-block when their parts outside
+        S lie in one component of G - S (Habib & Stacho, ESA 2009; see
+        :mod:`leafage.tokens`).  The cliques containing S are read off those
+        of its vertex in fewest.
+        """
+        entry = self._s_blocks.get(s)
+        if entry is None:
+            # Cliques (int ids) and their vertices outside s (str names)
+            # form a bipartite graph whose components are the s-blocks.
+            fewest = min(map(self.holders.__getitem__, s), key=len)
+            ids = [i for i in fewest if s <= self[i]]
+            adj: dict[int | str, list] = {}
+            for i in ids:
+                adj[i] = self[i] - s
+                for v in adj[i]:
+                    adj.setdefault(v, []).append(i)
+            block: dict[int, int] = {}
+            m = 0
+            for i in ids:
+                if i not in block:
+                    for x in _reach(adj, i, adj.keys()):
+                        if isinstance(x, int):
+                            block[x] = m
+                    m += 1
+            entry = self._s_blocks[s] = (block, m)
+        return entry
+
+    def holding(self, tokens: Iterable[frozenset[str]]) -> list[int]:
+        """Increasing ids of the cliques that contain one of ``tokens``."""
+        values = frozenset(tokens)
+        ids = self._holding.get(values)
+        if ids is None:
+            ids = self._holding[values] = sorted(set().union(*(self.s_blocks(s)[0] for s in values)))
+        return ids
+
+
 @dataclass(frozen=True)
 class CliqueGraph:
     """Maximal cliques with an edge between every intersecting pair.
@@ -321,7 +374,7 @@ class CliqueGraph:
     intersection size, which is >= 1 on every edge.
     """
 
-    cliques: tuple[frozenset[str], ...]
+    cliques: Cliques
     weights: Mapping[tuple[int, int], int]
 
     def edges(self) -> list[tuple[int, int]]:
@@ -337,25 +390,16 @@ class CliqueGraph:
         return [(j, i) if j < i else (i, j) for j in self.adjacency[i]]
 
 
-def _holders(cliques: Iterable[frozenset[str]]) -> dict[str, list[int]]:
-    """Each vertex -> the increasing ids of the cliques that hold it."""
-    holders: dict[str, list[int]] = {}
-    for i, c in enumerate(cliques):
-        for u in c:
-            holders.setdefault(u, []).append(i)
-    return holders
-
-
 def clique_graph(cliques: Iterable[frozenset[str]]) -> CliqueGraph:
     """Intersection graph of the cliques, counted from each vertex's cliques."""
-    nodes = tuple(cliques)
+    nodes = Cliques(cliques)
     shared: Counter[tuple[int, int]] = Counter()
-    for ids in _holders(nodes).values():
+    for ids in nodes.holders.values():
         shared.update(itertools.combinations(ids, 2))
     return CliqueGraph(nodes, dict(sorted(shared.items())))
 
 
-def chordal_cliques(g: Graph) -> tuple[frozenset[str], ...]:
+def chordal_cliques(g: Graph) -> Cliques:
     """The canonical clique list, decided and built in one elimination pass.
 
     Raises ``ValueError`` with a witness cycle when the graph is not chordal.
@@ -366,7 +410,7 @@ def chordal_cliques(g: Graph) -> tuple[frozenset[str], ...]:
     return cliques
 
 
-def _connected_cliques(g: Graph) -> tuple[frozenset[str], ...]:
+def _connected_cliques(g: Graph) -> Cliques:
     """The canonical clique list of ``g``, which must be nonempty and connected."""
     if not g.vertices:
         raise ValueError("graph is empty")

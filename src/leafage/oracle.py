@@ -20,7 +20,16 @@ class OracleLimitError(RuntimeError):
 
 
 def tree_limit() -> int:
-    return int(os.environ.get("LEAFAGE_ORACLE_LIMIT", DEFAULT_TREE_LIMIT))
+    """The tree cap: ``LEAFAGE_ORACLE_LIMIT``, which must be an integer >= 1, or the default."""
+    raw = os.environ.get("LEAFAGE_ORACLE_LIMIT")
+    if raw is None:
+        return DEFAULT_TREE_LIMIT
+    try:
+        if int(raw) >= 1:
+            return int(raw)
+    except ValueError:
+        pass
+    raise ValueError(f"LEAFAGE_ORACLE_LIMIT must be an integer >= 1, not {raw!r}")
 
 
 def _blocks(pairs: list[tuple[int, int]]) -> Iterator[list[int]]:

@@ -16,7 +16,10 @@ iff its tokens total 2(k - 1) and, for every token value S, there are
 m_S >= 2 S-blocks, 2(m_S - 1) S-tokens, and at least one S-token in every
 S-block; a tree on the blocks with those degrees always exists (Prüfer).
 Deciding costs one pass over the tokens once the block table of each token
-value S is built, in O(sum |C|) over the cliques C containing S.
+value S is built, in O(sum |C|) over the cliques C containing S.  The table
+depends only on the cliques, so the clique family
+(:meth:`~leafage.graphs.Cliques.s_blocks`) builds each entry once, and
+every decision, move and realizing tree on that clique list reads it.
 
 A move changes two cliques and one token value, so a minimization keeps its
 counts by each move's delta (:class:`_TokenState`): the S-tokens of each
@@ -44,7 +47,7 @@ from .cliquetrees import (
     _is_tree,
     path_containment_violation,
 )
-from .graphs import CertificateError, _holders, _reach
+from .graphs import CertificateError, Cliques
 
 Token = frozenset[str]
 
@@ -72,11 +75,15 @@ class TokenAssignment:
     """Per-clique multisets of vertex subsets.
 
     ``tokens[i]`` is stored as a tuple sorted by token key, so tuple equality
-    is multiset equality.
+    is multiset equality.  ``cliques`` is made a :class:`Cliques` family if
+    it is a plain tuple.
     """
 
-    cliques: tuple[frozenset[str], ...]
+    cliques: Cliques
     tokens: Mapping[int, tuple[Token, ...]]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "cliques", Cliques(self.cliques))
 
     @classmethod
     def create(
@@ -84,6 +91,10 @@ class TokenAssignment:
         cliques: tuple[frozenset[str], ...],
         tokens: Mapping[int, tuple[Token, ...]],
     ) -> "TokenAssignment":
+        """Assignment of ``tokens``; raises ``ValueError`` on a key that is no clique id."""
+        for i in tokens:
+            if i not in range(len(cliques)):
+                raise ValueError(f"tokens keyed {i!r}, not a clique id 0..{len(cliques) - 1}")
         normal = {i: _normal(cliques, i, tokens.get(i, ())) for i in range(len(cliques))}
         return cls(cliques, normal)
 
@@ -147,66 +158,6 @@ def apply_move(ta: TokenAssignment, mv: TokenMove) -> TokenAssignment:
     return TokenAssignment(ta.cliques, tokens)
 
 
-def apply_path(ta: TokenAssignment, path: AugmentingPath) -> TokenAssignment:
-    for mv in path.moves:
-        ta = apply_move(ta, mv)
-    return ta
-
-
-class SeparatorBlocks:
-    """S-blocks of one clique family, built per token value on first use.
-
-    ``of(s)`` returns the block id of every clique containing ``s`` and the
-    number of blocks.  The table depends only on the cliques, so one
-    minimization builds it once and passes it to every decision it makes.
-    The cliques of each vertex are listed once, on first use, and the
-    cliques containing ``s`` are read off those of its vertex in fewest.
-    """
-
-    def __init__(self, cliques: tuple[frozenset[str], ...]):
-        self.cliques = cliques
-        self._table: dict[Token, tuple[dict[int, int], int]] = {}
-        self._holding: dict[frozenset[Token], list[int]] = {}
-
-    @cached_property
-    def _vertex_holders(self) -> dict[str, list[int]]:
-        return _holders(self.cliques)
-
-    def holding(self, tokens: Sequence[Token]) -> list[int]:
-        """Increasing ids of the cliques that contain one of ``tokens``."""
-        values = frozenset(tokens)
-        ids = self._holding.get(values)
-        if ids is None:
-            ids = self._holding[values] = sorted(set().union(*(self.of(s)[0] for s in values)))
-        return ids
-
-    def of(self, s: Token) -> tuple[dict[int, int], int]:
-        entry = self._table.get(s)
-        if entry is None:
-            entry = self._table[s] = self._blocks(s)
-        return entry
-
-    def _blocks(self, s: Token) -> tuple[dict[int, int], int]:
-        # Cliques (int ids) and their vertices outside s (str names) form a
-        # bipartite graph whose components are the s-blocks.
-        fewest = min(map(self._vertex_holders.__getitem__, s), key=len)
-        ids = [i for i in fewest if s <= self.cliques[i]]
-        adj: dict[int | str, list] = {}
-        for i in ids:
-            adj[i] = self.cliques[i] - s
-            for v in adj[i]:
-                adj.setdefault(v, []).append(i)
-        block: dict[int, int] = {}
-        m = 0
-        for i in ids:
-            if i not in block:
-                for x in _reach(adj, i, adj.keys()):
-                    if isinstance(x, int):
-                        block[x] = m
-                m += 1
-        return block, m
-
-
 def _token_holders(ta: TokenAssignment) -> dict[Token, list[int]]:
     """Token value -> the cliques holding it, in increasing order, once per token."""
     holders: dict[Token, list[int]] = {}
@@ -221,30 +172,25 @@ def _fits(per_block: list[int]) -> bool:
     return sum(per_block) == 2 * (len(per_block) - 1) and min(per_block) > 0
 
 
-def is_realizable(ta: TokenAssignment, blocks: SeparatorBlocks | None = None) -> bool:
+def is_realizable(ta: TokenAssignment) -> bool:
     """Whether some clique tree induces ``ta``, decided per separator block.
 
     True iff the tokens total 2(k - 1) and every token value S has m_S >= 2
     S-blocks, exactly 2(m_S - 1) tokens, and a token in each S-block (see the
-    module docstring).  ``blocks`` must belong to ``ta.cliques``; without it
-    a fresh table is built.  Cost O(number of tokens) plus building the
-    table entry of each token value not seen before.
+    module docstring).  Cost O(number of tokens) plus building the table
+    entry of each token value that ``ta.cliques`` has not seen before.
     """
     if ta.total() != 2 * (len(ta.cliques) - 1):
         return False
-    if blocks is None:
-        blocks = SeparatorBlocks(ta.cliques)
     for s, ids in _token_holders(ta).items():
-        block, m = blocks.of(s)
+        block, m = ta.cliques.s_blocks(s)
         # len(ids) >= 1, so len(ids) == 2(m - 1) already forces m >= 2.
         if len(ids) != 2 * (m - 1) or len({block[i] for i in ids}) != m:
             return False
     return True
 
 
-def find_realizing_tree(
-    ta: TokenAssignment, blocks: SeparatorBlocks | None = None
-) -> CliqueTree | None:
+def find_realizing_tree(ta: TokenAssignment) -> CliqueTree | None:
     """Clique tree whose neighbour intersections equal ``ta``, or None.
 
     Returns None at once when :func:`is_realizable` says no.  Otherwise the
@@ -262,13 +208,11 @@ def find_realizing_tree(
     before skipping it would reach, with no backtracking.  Raises
     :class:`CertificateError` if the pairs taken are not a clique tree.
     """
-    if blocks is None:
-        blocks = SeparatorBlocks(ta.cliques)
-    if not is_realizable(ta, blocks):
+    if not is_realizable(ta):
         return None
     chosen: list[tuple[int, int]] = []
     for s, ids in _token_holders(ta).items():
-        block, m = blocks.of(s)
+        block, m = ta.cliques.s_blocks(s)
         held = Counter(ids)
         ids = list(held)
         # A forest on the S-blocks and, at each component's root, the
@@ -308,9 +252,8 @@ class _TokenState:
     are built on first use: an assignment with no path start needs neither.
     """
 
-    def __init__(self, ta: TokenAssignment, blocks: SeparatorBlocks | None = None):
+    def __init__(self, ta: TokenAssignment):
         self.ta = ta
-        self.blocks = SeparatorBlocks(ta.cliques) if blocks is None else blocks
         self.sizes = [len(ta.tokens[i]) for i in range(len(ta.cliques))]
         self.starts = [i for i, n in enumerate(self.sizes) if n >= 3]
         self.leaves = ta.leaf_count()
@@ -322,7 +265,7 @@ class _TokenState:
         # S-block.  Then the values whose count or coverage is wrong.
         cover = {}
         for s, ids in _token_holders(self.ta).items():
-            block, m = self.blocks.of(s)
+            block, m = self.ta.cliques.s_blocks(s)
             per_block = [0] * m
             for i in ids:
                 per_block[block[i]] += 1
@@ -398,9 +341,7 @@ class _TokenState:
 
 
 def shortest_augmenting_path(
-    ta: TokenAssignment,
-    blocks: SeparatorBlocks | None = None,
-    state: _TokenState | None = None,
+    ta: TokenAssignment, state: _TokenState | None = None
 ) -> AugmentingPath | None:
     """Minimum-length augmenting path of ``ta``, canonical tie-break.
 
@@ -411,11 +352,12 @@ def shortest_augmenting_path(
     shortest paths the lexicographically least clique-id sequence wins, and
     each move carries the least feasible token.  ``state`` holds the kept
     counts of ``ta`` (a minimization passes its own); without it one is
-    made from ``ta`` and ``blocks``.
+    made from ``ta``.
     """
     if state is None:
-        state = _TokenState(ta, blocks)
-    k = len(ta.cliques)
+        state = _TokenState(ta)
+    cliques = ta.cliques
+    k = len(cliques)
     sizes, starts = state.sizes, state.starts
     if not starts:
         return None
@@ -425,7 +367,7 @@ def shortest_augmenting_path(
     def feasible_token(src: int, dst: int) -> Token | None:
         key = (src, dst)
         if key not in move_cache:
-            target = ta.cliques[dst]
+            target = cliques[dst]
             # ``tokens[src]`` is sorted, so this is the least feasible value.
             move_cache[key] = next(
                 (
@@ -444,7 +386,7 @@ def shortest_augmenting_path(
         # Returns the path found, if any, and whether some path reached
         # ``length`` cliques.
         path = [start]
-        options = [state.blocks.holding(ta.tokens[start])]
+        options = [cliques.holding(ta.tokens[start])]
         cursor = [0]
         deep = False
         while path:
@@ -459,7 +401,7 @@ def shortest_augmenting_path(
                         return path + [c], True
                     cursor[-1] = x + 1
                     path.append(c)
-                    options.append(state.blocks.holding(ta.tokens[c]))
+                    options.append(cliques.holding(ta.tokens[c]))
                     cursor.append(0)
                     break
             else:
@@ -522,8 +464,7 @@ def minimize_leafage_with_trace(t: CliqueTree) -> tuple[CliqueTree, list[Iterati
         if empty:
             raise ValueError(f"empty token at clique {min(empty)}")
         return t, []
-    blocks = SeparatorBlocks(t.cliques)
-    state = _TokenState(tokens_from_tree(t), blocks)
+    state = _TokenState(tokens_from_tree(t))
     trace: list[IterationRecord] = []
     while True:
         path = shortest_augmenting_path(state.ta, state=state)
@@ -546,7 +487,7 @@ def minimize_leafage_with_trace(t: CliqueTree) -> tuple[CliqueTree, list[Iterati
     ta = state.ta
     if state.leaves != ta.leaf_count() or state.vertex_leaves != ta.vertex_leaf_counts():
         raise CertificateError("kept leaf counts differ from the recount of the final assignment")
-    tree = find_realizing_tree(ta, blocks)
+    tree = find_realizing_tree(ta)
     if tree is None:
         raise CertificateError("the final assignment is unrealizable")
     return tree, trace

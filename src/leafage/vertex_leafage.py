@@ -32,7 +32,6 @@ from .graphs import (
     CliqueGraph,
     Graph,
     _connected_cliques,
-    _holders,
     chordal_cliques,
     clique_graph,
 )
@@ -323,7 +322,7 @@ def vertex_leafage_bounded(g: Graph, ell: int | None = None) -> VlCertificate | 
                 floor = max(floor, excess) + 1
     per_vertex = {u: tree.vertex_leaf_count(u) for u in g.vertices}
     extra = _branching_leaf_counts(cliques, f)[1]
-    expected = {u: 2 + extra[u] if len(ids) > 1 else 0 for u, ids in _holders(cliques).items()}
+    expected = {u: 2 + extra[u] if len(ids) > 1 else 0 for u, ids in cliques.holders.items()}
     if per_vertex != expected:
         raise CertificateError(
             "the tree's vertex leaf counts differ from those of its branching set"

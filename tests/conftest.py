@@ -37,11 +37,9 @@ from leafage.oracle import oracle_optima, random_chordal
 from leafage.tokens import (
     AugmentingPath,
     IterationRecord,
-    SeparatorBlocks,
     TokenMove,
     _token_key,
     apply_move,
-    apply_path,
     is_realizable,
     minimize_leafage,
     tokens_from_tree,
@@ -260,7 +258,7 @@ def reference_clique_tree_with_branching(g: Graph, f: frozenset, cliques) -> Cli
     return tree
 
 
-def reference_find_realizing_tree(ta, blocks=None):
+def reference_find_realizing_tree(ta):
     """The backtracking search ``find_realizing_tree`` replaced, kept as a reference.
 
     None unless ``is_realizable``; otherwise a depth-first search over the
@@ -268,7 +266,7 @@ def reference_find_realizing_tree(ta, blocks=None):
     skipping it, returns the first full pairing that is a clique tree.  It
     may backtrack exponentially often.
     """
-    if not is_realizable(ta, blocks):
+    if not is_realizable(ta):
         return None
     cliques = ta.cliques
     k = len(cliques)
@@ -341,7 +339,7 @@ def reference_find_realizing_tree(ta, blocks=None):
     return None
 
 
-def _reference_augmenting_path(ta, blocks):
+def _reference_augmenting_path(ta):
     """The shortest augmenting path, each move tried by applying it and re-deciding."""
     k = len(ta.cliques)
     sizes = {i: ta.size(i) for i in range(k)}
@@ -358,7 +356,7 @@ def _reference_augmenting_path(ta, blocks):
             for s in sorted(set(ta.tokens[src]), key=_token_key):
                 if not s <= ta.cliques[dst]:
                     continue
-                if is_realizable(apply_move(ta, TokenMove(src, dst, s)), blocks):
+                if is_realizable(apply_move(ta, TokenMove(src, dst, s))):
                     result = s
                     break
             move_cache[key] = result
@@ -401,6 +399,13 @@ def _reference_augmenting_path(ta, blocks):
     return None
 
 
+def apply_path(ta, path):
+    """Apply each move of an augmenting path in turn."""
+    for mv in path.moves:
+        ta = apply_move(ta, mv)
+    return ta
+
+
 def reference_minimize_leafage(t):
     """The minimization before it kept its counts by delta, kept as a reference.
 
@@ -409,16 +414,15 @@ def reference_minimize_leafage(t):
     the final tree comes from ``reference_find_realizing_tree``.  Returns
     the final tree and the iteration records.
     """
-    blocks = SeparatorBlocks(t.cliques)
     ta = tokens_from_tree(t)
     trace = []
-    while (path := _reference_augmenting_path(ta, blocks)) is not None:
+    while (path := _reference_augmenting_path(ta)) is not None:
         before, before_vertex = ta.leaf_count(), ta.vertex_leaf_counts()
         ta = apply_path(ta, path)
-        assert is_realizable(ta, blocks) and ta.leaf_count() == before - 1
+        assert is_realizable(ta) and ta.leaf_count() == before - 1
         assert all(n <= before_vertex[u] for u, n in ta.vertex_leaf_counts().items())
         trace.append(IterationRecord(path, before, ta.leaf_count()))
-    return (reference_find_realizing_tree(ta, blocks) if trace else t), trace
+    return (reference_find_realizing_tree(ta) if trace else t), trace
 
 
 @pytest.fixture
@@ -472,6 +476,12 @@ def reference_parse_graph(text: str) -> Graph:
         else:
             raise GraphFormatError(f"unknown directive {fields[0]!r}", lineno)
     return Graph.from_edges(vertices, edges)
+
+
+def is_valid_peo(g: Graph, order) -> bool:
+    """Whether ``order`` is a perfect elimination order of ``g``."""
+    order = list(order)
+    return sorted(order) == list(g.vertices) and _peo_cliques(g, order) is not None
 
 
 def brute_force_maximal_cliques(g: Graph) -> list[frozenset[str]]:

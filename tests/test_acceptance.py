@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from conftest import nae_families
+from conftest import apply_path, nae_families
 from leafage.cliquetrees import branching_sets, build_clique_tree, leaf_report
 from leafage.demo import demo_clique_tree, demo_graph
 from leafage.gadget import (
@@ -23,7 +23,6 @@ from leafage.gadget import (
 )
 from leafage.graphs import Graph, chordal_cliques, clique_graph
 from leafage.tokens import (
-    apply_path,
     minimize_leafage_with_trace,
     shortest_augmenting_path,
     tokens_from_tree,

@@ -140,6 +140,12 @@ class TestGadget:
         assert data["solvable"] is True
         assert data["equivalence_ok"] is True
 
+    def test_verify_bad_limit_exit_two(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setenv("LEAFAGE_ORACLE_LIMIT", "abc")
+        res = invoke(runner, ["gadget", "verify", write(tmp_path, "c.txt", CLAUSES)])
+        assert res.exit_code == 2
+        assert res.stderr == "error: LEAFAGE_ORACLE_LIMIT must be an integer >= 1, not 'abc'\n"
+
     def test_build_then_analyze(self, runner, tmp_path):
         built = invoke(runner, ["gadget", "build", write(tmp_path, "c.txt", CLAUSES)])
         res = invoke(runner, ["vertex-leafage", "-"], stdin=built.output)
@@ -163,6 +169,14 @@ class TestOracleCommand:
     def test_non_chordal_exit_one(self, runner, tmp_path):
         res = invoke(runner, ["oracle", write(tmp_path, "g.txt", FOUR_CYCLE)])
         assert res.exit_code == 1
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
+    def test_bad_limit_exit_two(self, runner, tmp_path, monkeypatch, value):
+        monkeypatch.setenv("LEAFAGE_ORACLE_LIMIT", value)
+        res = invoke(runner, ["oracle", write(tmp_path, "g.txt", DEMO_EDGE_LIST)])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == f"error: LEAFAGE_ORACLE_LIMIT must be an integer >= 1, not {value!r}\n"
 
 
 @pytest.mark.parametrize("command", ["leafage", "vertex-leafage", "model", "oracle"])

@@ -64,6 +64,13 @@ class TestParseClauseFile:
         with pytest.raises(ClauseFormatError):
             parse_clause_file("a b c-d e\n")
 
+    @pytest.mark.parametrize("width", ["0", "x", "\u00b2", "-3"])
+    def test_bad_width_header_rejected(self, width):
+        # A superscript digit passes str.isdigit() but is no integer.
+        with pytest.raises(ClauseFormatError, match="bad clause width") as exc:
+            parse_clause_file(f"# width\nk {width}\na b c\n")
+        assert exc.value.line == 2
+
     def test_empty_rejected(self):
         with pytest.raises(ClauseFormatError, match="no clauses"):
             parse_clause_file("# nothing\n")

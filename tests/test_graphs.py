@@ -16,7 +16,6 @@ from leafage.graphs import (
     chordal_cliques,
     clique_graph,
     format_edge_list,
-    is_valid_peo,
     maximal_cliques,
     parse_graph,
     _mcs_order,
@@ -26,6 +25,7 @@ from leafage.vertex_leafage import augmented_graph
 from conftest import (
     brute_force_has_hole,
     brute_force_maximal_cliques,
+    is_valid_peo,
     reference_candidate_branch_sets,
     reference_parse_graph,
 )

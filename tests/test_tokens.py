@@ -12,6 +12,7 @@ import pytest
 import leafage
 import leafage.tokens as tokens_module
 from conftest import (
+    apply_path,
     nae_families,
     reference_find_realizing_tree,
     reference_minimize_leafage,
@@ -20,16 +21,14 @@ from conftest import (
 from leafage.cliquetrees import CliqueTree, Forest, verify_clique_tree
 from leafage.demo import demo_clique_tree, demo_graph
 from leafage.gadget import NaeInstance, build_gadget
-from leafage.graphs import Graph, chordal_cliques, clique_graph
+from leafage.graphs import Cliques, Graph, chordal_cliques, clique_graph
 from leafage.cliquetrees import build_clique_tree
 from leafage.oracle import enumerate_clique_trees, random_chordal
 from leafage.tokens import (
     AugmentingPath,
-    SeparatorBlocks,
     TokenAssignment,
     TokenMove,
     apply_move,
-    apply_path,
     find_realizing_tree,
     is_realizable,
     minimize_leafage,
@@ -112,6 +111,42 @@ class TestTokenAssignment:
         cliques = (frozenset("ab"),)
         with pytest.raises(ValueError, match="empty token"):
             TokenAssignment.create(cliques, {0: (frozenset(),)})
+
+    @pytest.mark.parametrize("key", [7, -1, 2, "0"])
+    def test_key_outside_cliques_rejected(self, key):
+        cliques = (frozenset("ab"), frozenset("bc"))
+        with pytest.raises(ValueError, match=f"tokens keyed {key!r}, not a clique id 0..1"):
+            TokenAssignment.create(cliques, {key: (frozenset("a"),)})
+
+
+class TestCliqueFamily:
+    """Trees and assignments on a plain tuple share the family's facts."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_plain_tuple_is_the_family(self, seed):
+        g = random_chordal(14, density=0.4, seed=seed)
+        family = chordal_cliques(g)
+        plain = tuple(family)
+        assert type(family) is Cliques and type(plain) is tuple
+        tree = build_clique_tree(clique_graph(family))
+        from_plain = CliqueTree(plain, tree.edges)
+        assert type(from_plain.cliques) is Cliques
+        assert from_plain == tree and hash(from_plain) == hash(tree)
+        ta = tokens_from_tree(tree)
+        ta_plain = TokenAssignment(plain, ta.tokens)
+        assert type(ta_plain.cliques) is Cliques
+        assert ta_plain == ta and hash(ta_plain.cliques) == hash(ta.cliques)
+        assert find_realizing_tree(ta_plain) == find_realizing_tree(ta) == tree
+        assert minimize_leafage(from_plain) == minimize_leafage(tree)
+
+    def test_family_is_kept(self):
+        family = chordal_cliques(demo_graph())
+        assert Cliques(family) is family
+        assert clique_graph(family).cliques is family
+        tree = build_clique_tree(clique_graph(family))
+        assert tree.cliques is family
+        assert tokens_from_tree(tree).cliques is family
+        assert minimize_leafage(tree).cliques is family
 
 
 class TestMoves:
@@ -288,7 +323,7 @@ def bad(self, path):
     # The kept coverage says realizable; the full decision at the end does not.
     "final assignment": """
 def bad(self, path):
-    tk.is_realizable = lambda ta, blocks=None: False
+    tk.is_realizable = lambda ta: False
     return original(self, path)
 """,
     # A slip in the kept counts that no per-iteration check sees.
@@ -461,7 +496,7 @@ def test_unrealizable_pairs_raise_under_optimize(run_optimized):
         "cliques = (frozenset('ab'), frozenset('bc'), frozenset('cd'))\n"
         "ta = tk.TokenAssignment.create(cliques, {0: (frozenset('b'),), 1: (frozenset('b'),)})\n"
         "assert not tk.is_realizable(ta)\n"
-        "tk.is_realizable = lambda ta, blocks=None: True\n"
+        "tk.is_realizable = lambda ta: True\n"
         "try:\n"
         "    print('returned', tk.find_realizing_tree(ta))\n"
         "except tk.CertificateError as exc:\n"
@@ -518,9 +553,8 @@ def test_kept_move_decision_matches_full_decision(corpus):
     decided = {True: 0, False: 0}
     for g in graphs:
         cliques = chordal_cliques(g)
-        blocks = SeparatorBlocks(cliques)
         start = tokens_from_tree(_random_spanning_tree(cliques, rng))
-        state = tokens_module._TokenState(start, blocks)
+        state = tokens_module._TokenState(start)
         for _ in range(6):
             ta = state.ta
             moves = [
@@ -531,14 +565,14 @@ def test_kept_move_decision_matches_full_decision(corpus):
                 if j != i and s <= cliques[j]
             ]
             for mv in moves:
-                expected = is_realizable(apply_move(ta, mv), blocks)
+                expected = is_realizable(apply_move(ta, mv))
                 assert state.can_move(mv.from_clique, mv.to_clique, mv.token) == expected
                 decided[expected] += 1
             if not moves:
                 break
             state.apply(AugmentingPath((rng.choice(moves),)))
             ta = state.ta
-            assert state.realizable() == is_realizable(ta, blocks)
+            assert state.realizable() == is_realizable(ta)
             assert state.leaves == ta.leaf_count()
             assert state.sizes == [ta.size(i) for i in range(len(cliques))]
             assert state.starts == [i for i in range(len(cliques)) if ta.size(i) >= 3]

@@ -15,8 +15,8 @@ from conftest import (
 from leafage.cliquetrees import branching_sets, build_clique_tree, leaf_report, verify_clique_tree
 from leafage.demo import demo_graph
 from leafage.gadget import build_gadget, parse_clause_file
-from leafage.graphs import Graph, chordal_cliques, clique_graph, parse_graph
-from leafage.oracle import enumerate_clique_trees, oracle_optima
+from leafage.graphs import Cliques, Graph, chordal_cliques, clique_graph, parse_graph
+from leafage.oracle import enumerate_clique_trees, oracle_optima, random_chordal
 from leafage.tokens import minimize_leafage
 from leafage.vertex_leafage import (
     _branching_leaf_counts,
@@ -261,6 +261,26 @@ class TestBranchingDeterminesLeafCounts:
 
 
 class TestSimultaneousOptimum:
+    @pytest.mark.parametrize(
+        "g",
+        [
+            # An interval chain: cliques {s_i, s_i+1, t_i} on a line.
+            Graph.from_edges(
+                [],
+                [e for i in range(12) for e in
+                 ((f"s{i}", f"s{i + 1}"), (f"s{i}", f"t{i}"), (f"s{i + 1}", f"t{i}"))],
+            ),
+            random_chordal(16, density=0.3, seed=5),
+        ],
+        ids=["interval-chain", "random-16-0.3-5"],
+    )
+    def test_vertex_holders_built_once_per_clique_list(self, monkeypatch, g):
+        calls = count_calls(monkeypatch, Cliques.__dict__["holders"], "func")
+        simultaneous_optimum(g)
+        lists = [tuple(family) for (family,) in calls]
+        assert tuple(chordal_cliques(g)) in lists
+        assert len(lists) == len(set(lists))
+
     def test_demo_graph(self):
         g = demo_graph()
         m, tree = simultaneous_optimum(g)
