@@ -9,12 +9,9 @@ instances, and a NAE-SAT reduction gadget.
 from .cliquetrees import (
     BranchingSets,
     CliqueTree,
-    LeafReport,
     TreeModel,
     branching_sets,
     build_clique_tree,
-    is_tree_model,
-    leaf_report,
     model_from_clique_tree,
     path_containment_violation,
     verify_clique_tree,
@@ -24,12 +21,8 @@ from .gadget import (
     NaeInstance,
     build_gadget,
     is_solution,
-    normalize_star,
     parse_clause_file,
-    satisfies_star,
-    solution_to_tree,
     solve_brute_force,
-    tree_to_solution,
     verify_reduction,
 )
 from .graphs import (
@@ -43,13 +36,7 @@ from .graphs import (
     format_edge_list,
     parse_graph,
 )
-from .oracle import (
-    OracleLimitError,
-    OracleResult,
-    enumerate_clique_trees,
-    oracle_optima,
-    random_chordal,
-)
+from .oracle import OracleLimitError, OracleResult, oracle_optima
 from .tokens import (
     AugmentingPath,
     CertificateError,
@@ -81,7 +68,6 @@ __all__ = [
     "GadgetGraph",
     "Graph",
     "GraphFormatError",
-    "LeafReport",
     "NaeInstance",
     "OracleLimitError",
     "OracleResult",
@@ -98,29 +84,21 @@ __all__ = [
     "chordal_cliques",
     "clique_graph",
     "clique_tree_with_branching",
-    "enumerate_clique_trees",
     "find_realizing_tree",
     "format_edge_list",
     "is_realizable",
     "is_solution",
-    "is_tree_model",
-    "leaf_report",
     "minimize_leafage",
     "minimize_leafage_with_trace",
     "model_from_clique_tree",
-    "normalize_star",
     "oracle_optima",
     "parse_clause_file",
     "parse_graph",
     "path_containment_violation",
-    "random_chordal",
-    "satisfies_star",
     "shortest_augmenting_path",
     "simultaneous_optimum",
-    "solution_to_tree",
     "solve_brute_force",
     "tokens_from_tree",
-    "tree_to_solution",
     "verify_clique_tree",
     "verify_reduction",
     "vertex_leafage_bounded",

@@ -13,16 +13,11 @@ import json
 import sys
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from typing import NoReturn
+from typing import Iterable, NoReturn, Sequence
 
 import click
 
-from .cliquetrees import (
-    CliqueTree,
-    TreeModel,
-    branching_sets,
-    build_clique_tree,
-)
+from .cliquetrees import TreeModel, branching_sets, build_clique_tree
 from .demo import demo_clique_tree, demo_graph
 from .gadget import build_gadget, parse_clause_file, verify_reduction
 from .graphs import (
@@ -77,11 +72,9 @@ def _clique_label(c: frozenset[str]) -> str:
     return ",".join(sorted(c))
 
 
-def _tree_edges_json(t: CliqueTree) -> list[list[str]]:
-    return sorted(
-        sorted([_clique_label(t.cliques[a]), _clique_label(t.cliques[b])])
-        for a, b in t.edges
-    )
+def _edges_json(cliques: Sequence[frozenset[str]], edges: Iterable[tuple[int, int]]) -> list[list[str]]:
+    """Each edge as its two clique labels, in order, the edges sorted."""
+    return sorted(sorted([_clique_label(cliques[a]), _clique_label(cliques[b])]) for a, b in edges)
 
 
 def _json_text(value, pad: str = "") -> str:
@@ -177,7 +170,7 @@ def leafage(graph_file) -> None:
     _emit(
         {
             "leafage": len(tree.leaves()),
-            "tree_edges": _tree_edges_json(tree),
+            "tree_edges": _edges_json(tree.cliques, tree.edges),
             "iterations": iterations,
         }
     )
@@ -196,17 +189,13 @@ def vertex_leafage(graph_file, ell) -> None:
     if cert is None:
         _fail(f"leafage exceeds the bound {ell}", EXIT_NEGATIVE)
     tree = cert.tree
-    branch = branching_sets(tree).incident_edges
     _emit(
         {
             "leafage": len(tree.leaves()),
             "vertex_leafage": cert.value,
-            "tree_edges": _tree_edges_json(tree),
+            "tree_edges": _edges_json(tree.cliques, tree.edges),
             "per_vertex_leaves": {u: cert.per_vertex[u] for u in sorted(cert.per_vertex)},
-            "branch_edge_set": sorted(
-                sorted([_clique_label(tree.cliques[a]), _clique_label(tree.cliques[b])])
-                for a, b in branch
-            ),
+            "branch_edge_set": _edges_json(tree.cliques, branching_sets(tree).incident_edges),
         }
     )
 
@@ -284,16 +273,14 @@ def oracle(graph_file) -> None:
         _fail(exc, EXIT_LIMIT)
     except ValueError as exc:
         _fail(exc, EXIT_NEGATIVE)
-    leaf_tree, vl_tree, joint = result.witness_trees
     _emit(
         {
             "leafage": result.leafage,
             "vertex_leafage": result.vertex_leafage,
             "tree_count": result.tree_count,
             "witness_trees": {
-                "min_leafage": _tree_edges_json(leaf_tree),
-                "min_vertex_leafage": _tree_edges_json(vl_tree),
-                "joint": _tree_edges_json(joint),
+                name: _edges_json(t.cliques, t.edges)
+                for name, t in zip(("min_leafage", "min_vertex_leafage", "joint"), result.witness_trees)
             },
         }
     )

@@ -265,19 +265,6 @@ class TreeModel:
         """Sorted neighbours of every host node, built once per model."""
         return _sorted_adjacency(self.nodes, self.edges)
 
-    def host_leaf_count(self) -> int:
-        if len(self.nodes) == 1:
-            return 0
-        adj = self.adjacency
-        return sum(1 for x in self.nodes if len(adj[x]) == 1)
-
-    def subtree_leaf_count(self, u: str) -> int:
-        nodes = self.subtrees[u]
-        if len(nodes) <= 1:
-            return 0
-        adj = self.adjacency
-        return sum(1 for x in nodes if sum(1 for w in adj[x] if w in nodes) == 1)
-
 
 @dataclass(frozen=True)
 class LeafReport:
@@ -299,40 +286,22 @@ def model_from_clique_tree(t: CliqueTree) -> TreeModel:
     return TreeModel(names, edges, subtrees)
 
 
-def is_tree_model(g: Graph, m: TreeModel) -> bool:
-    """Whether ``m`` is a valid tree model of ``g``."""
-    if not _host_is_tree(m):
-        return False
-    if sorted(m.subtrees) != list(g.vertices):
-        return False
-    for u in g.vertices:
-        nodes = m.subtrees[u]
-        if not nodes or not _is_connected_in_host(m, nodes):
-            return False
-    for i, u in enumerate(g.vertices):
-        for v in g.vertices[i + 1:]:
-            intersects = bool(m.subtrees[u] & m.subtrees[v])
-            if intersects != g.has_edge(u, v):
-                return False
-    return True
-
-
-def _host_is_tree(m: TreeModel) -> bool:
-    if len(m.edges) != len(m.nodes) - 1:
-        return False
-    return len(m.nodes) <= 1 or _is_connected_in_host(m, frozenset(m.nodes))
-
-
-def _is_connected_in_host(m: TreeModel, nodes: frozenset[str]) -> bool:
-    if not nodes <= m.adjacency.keys():
-        return False
-    return len(_reach(m.adjacency, next(iter(nodes)), nodes)) == len(nodes)
-
-
 def leaf_report(m: TreeModel) -> LeafReport:
-    per_vertex = {u: m.subtree_leaf_count(u) for u in sorted(m.subtrees)}
+    """Host and subtree leaf counts of a model, read off its host adjacency.
+
+    A node is a leaf of a subtree, or of the host, when exactly one of its
+    host neighbours lies in it; a single node has no leaves.
+    """
+    adj = m.adjacency
+
+    def leaves(nodes: frozenset[str]) -> int:
+        if len(nodes) <= 1:
+            return 0
+        return sum(1 for x in nodes if sum(1 for w in adj[x] if w in nodes) == 1)
+
+    per_vertex = {u: leaves(m.subtrees[u]) for u in sorted(m.subtrees)}
     return LeafReport(
-        host_leaves=m.host_leaf_count(),
+        host_leaves=leaves(frozenset(m.nodes)),
         per_vertex_leaves=per_vertex,
         max_vertex_leaves=max(per_vertex.values(), default=0),
     )

@@ -3,8 +3,10 @@
 A positive k-uniform NOT-ALL-EQUAL instance translates into a split graph
 whose vertex leafage is k + 1 in general, and at most k exactly when the
 instance is solvable.  ``verify_reduction`` checks both bounds on one
-instance: it decides solvability by brute force and compares it with the
-exact oracle's vertex leafage of the gadget.  ``solution_to_tree`` and
+instance: it takes the exact oracle's vertex leafage of the gadget, then
+decides solvability by brute force and compares the two.  The oracle goes
+first, so a bad tree cap, or one the gadget exceeds, is reported before the
+exponential brute force starts.  ``solution_to_tree`` and
 ``tree_to_solution`` translate solutions and clique trees with at most k
 leaves per subtree into each other; the tests exercise them, the verifier
 does not call them.
@@ -106,12 +108,6 @@ def parse_clause_file(text: str) -> NaeInstance:
     return NaeInstance.create(clauses, k)
 
 
-def format_clause_file(inst: NaeInstance) -> str:
-    lines = [f"k {inst.k}"]
-    lines.extend(" ".join(sorted(c)) for c in inst.clauses)
-    return "\n".join(lines) + "\n"
-
-
 def is_solution(inst: NaeInstance, s: frozenset[str]) -> bool:
     """Whether every clause has a variable inside ``s`` and one outside it."""
     if not s <= set(inst.variables):
@@ -129,50 +125,17 @@ def solve_brute_force(inst: NaeInstance) -> frozenset[str] | None:
     return None
 
 
-def dominating_pair(inst: NaeInstance) -> tuple[str, str] | None:
-    """First ordered pair (u, w) with every clause of ``u`` containing ``w``."""
-    for u in inst.variables:
-        for w in inst.variables:
-            if u != w and inst.clause_set(u) <= inst.clause_set(w):
-                return (u, w)
-    return None
-
-
-def satisfies_star(inst: NaeInstance) -> bool:
-    """Domination-freeness: no variable's clause set inside another's."""
-    return dominating_pair(inst) is None
-
-
-def normalize_star(inst: NaeInstance) -> NaeInstance:
-    """Eliminate dominated variables until domination-freeness holds.
-
-    Each round removes the canonically first dominated variable together with
-    all clauses containing it, which preserves solvability in both
-    directions.  May eliminate every clause, leaving an empty (trivially
-    solvable) instance.
-    """
-    while True:
-        pair = dominating_pair(inst)
-        if pair is None:
-            return inst
-        doomed = inst.clause_set(pair[0])
-        clauses = [c for j, c in enumerate(inst.clauses) if j not in doomed]
-        inst = NaeInstance.create(clauses, inst.k)
-
-
 @dataclass(frozen=True)
 class GadgetGraph:
     """Split graph of an instance, with named maximal cliques.
 
     ``clique_names`` maps "A", "B", and "Q_<variable>" to clique member sets;
-    ``inst`` is the instance the graph encodes and ``cliques`` its canonical
-    maximal clique list.
+    ``inst`` is the instance the graph encodes.
     """
 
     graph: Graph
     clique_names: Mapping[str, frozenset[str]]
     inst: NaeInstance
-    cliques: tuple[frozenset[str], ...]
 
 
 def build_gadget(inst: NaeInstance) -> GadgetGraph:
@@ -212,14 +175,13 @@ def build_gadget(inst: NaeInstance) -> GadgetGraph:
     }
     for v in inst.variables:
         names[f"Q_{v}"] = frozenset([v] + [ys[j] for j in sorted(inst.clause_set(v))])
-    cliques = chordal_cliques(graph)
-    if sorted(names.values(), key=lambda c: tuple(sorted(c))) != list(cliques):
+    if sorted(names.values(), key=lambda c: tuple(sorted(c))) != list(chordal_cliques(graph)):
         raise ValueError("named cliques do not match the maximal cliques")
-    return GadgetGraph(graph, names, inst, cliques)
+    return GadgetGraph(graph, names, inst)
 
 
 def _clique_ids(gg: GadgetGraph) -> dict[str, int]:
-    index = {c: i for i, c in enumerate(gg.cliques)}
+    index = {c: i for i, c in enumerate(chordal_cliques(gg.graph))}
     return {name: index[c] for name, c in gg.clique_names.items()}
 
 
@@ -243,7 +205,7 @@ def solution_to_tree(gg: GadgetGraph, s: frozenset[str]) -> CliqueTree:
         anchor = a if v in s else b
         q = ids[f"Q_{v}"]
         edges.add((min(anchor, q), max(anchor, q)))
-    tree = CliqueTree(gg.cliques, frozenset(edges))
+    tree = CliqueTree(chordal_cliques(gg.graph), frozenset(edges))
     ok, witness = verify_clique_tree(gg.graph, tree)
     if not ok:
         raise ValueError(f"chosen set does not induce a clique tree: {witness}")
@@ -283,12 +245,11 @@ def verify_reduction(inst: NaeInstance) -> dict:
     Compares brute-force solvability against the exact-oracle vertex leafage
     of the gadget: the latter is always at most k + 1, and at most k exactly
     when the instance is solvable.  Both facts are checked (raising
-    :class:`CertificateError`) and reported.
+    :class:`CertificateError`) and reported.  The oracle runs first, so its
+    limit errors come before the brute force.
     """
-    gg = build_gadget(inst)
+    vl = oracle_optima(build_gadget(inst).graph).vertex_leafage
     solution = solve_brute_force(inst)
-    result = oracle_optima(gg.graph)
-    vl = result.vertex_leafage
     upper_ok = vl <= inst.k + 1
     equivalence_ok = (vl <= inst.k) == (solution is not None)
     if not upper_ok:

@@ -82,6 +82,14 @@ class Graph:
             return True
         return len(_reach(self.adjacency, self.vertices[0], self.adjacency.keys())) == self.n
 
+    @cached_property
+    def _cliques(self) -> Cliques:
+        # Decided and listed once per graph: every layer reads this family.
+        cliques = _peo_cliques(self, _mcs_order(self))
+        if cliques is None:
+            raise ValueError(f"graph is not chordal; induced cycle: {list(_find_hole(self))}")
+        return cliques
+
 
 def _sorted_adjacency(nodes: Iterable, edges: Iterable[tuple]) -> dict[Any, tuple]:
     """Node -> sorted tuple of its neighbours, for ``nodes`` and edge ends."""
@@ -402,12 +410,10 @@ def clique_graph(cliques: Iterable[frozenset[str]]) -> CliqueGraph:
 def chordal_cliques(g: Graph) -> Cliques:
     """The canonical clique list, decided and built in one elimination pass.
 
+    The pass runs once per graph; later calls return the same family.
     Raises ``ValueError`` with a witness cycle when the graph is not chordal.
     """
-    cliques = _peo_cliques(g, _mcs_order(g))
-    if cliques is None:
-        raise ValueError(f"graph is not chordal; induced cycle: {list(_find_hole(g))}")
-    return cliques
+    return g._cliques
 
 
 def _connected_cliques(g: Graph) -> Cliques:

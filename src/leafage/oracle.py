@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .cliquetrees import CliqueTree, Forest, _class_nodes
-from .graphs import Graph, _connected_cliques, _path, _reach, clique_graph
+from .graphs import Graph, _connected_cliques, _path, _reach, chordal_cliques, clique_graph
 from .tokens import CertificateError
 
 DEFAULT_TREE_LIMIT = 10**6
@@ -139,9 +139,7 @@ def _spanning_forests(blocks: list[list[tuple[int, int]]], cap: int) -> int:
     return count
 
 
-def _walk(
-    g: Graph, cliques: tuple[frozenset[str], ...], limit: int | None
-) -> Iterator[tuple[int, int, list[tuple[int, int]]]]:
+def _walk(g: Graph, limit: int | None) -> Iterator[tuple[int, int, list[tuple[int, int]]]]:
     """Every clique tree of ``g`` once, in canonical order, with its leaf counts.
 
     A clique tree is one spanning forest of each weight class's nodes,
@@ -168,10 +166,11 @@ def _walk(
     at that clique whose intersection holds the vertex, and the vertex's
     subtree leaves are its slots of degree 1.  The host tree counts as one
     more vertex, held by every clique.  Yields (host leaves, max vertex
-    leaf count, chosen edges) per tree, the edges indexing ``cliques``; the
-    edge list is the walk's own and changes as the walk goes on.
+    leaf count, chosen edges) per tree, the edges indexing the clique list
+    of ``g``; the edge list is the walk's own and changes as the walk goes on.
     """
     cap = tree_limit() if limit is None else limit
+    cliques = chordal_cliques(g)
     k = len(cliques)
     cg = clique_graph(cliques)
     ends, node_count = _class_nodes(cg)
@@ -279,7 +278,7 @@ def enumerate_clique_trees(g: Graph, limit: int | None = None) -> Iterator[Cliqu
     more clique trees than the cap; see :func:`_walk`.
     """
     cliques = _connected_cliques(g)
-    for _, _, chosen in _walk(g, cliques, limit):
+    for _, _, chosen in _walk(g, limit):
         yield CliqueTree(cliques, frozenset(chosen))
 
 
@@ -303,7 +302,7 @@ def oracle_optima(g: Graph, limit: int | None = None) -> OracleResult:
     joint = (min_leaves, min_vl)
     count = 0
     cliques = _connected_cliques(g)
-    for leaves, vl, chosen in _walk(g, cliques, limit):
+    for leaves, vl, chosen in _walk(g, limit):
         count += 1
         if leaves < min_leaves or vl < min_vl or (leaves, vl) < joint:
             tree = CliqueTree(cliques, frozenset(chosen))

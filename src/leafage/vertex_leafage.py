@@ -75,11 +75,7 @@ def augmented_graph(
     return Graph.from_edges(list(g.vertices), edges)
 
 
-def clique_tree_with_branching(
-    g: Graph,
-    f: BranchEdgeSet,
-    cliques: tuple[frozenset[str], ...] | None = None,
-) -> CliqueTree | None:
+def clique_tree_with_branching(g: Graph, f: BranchEdgeSet) -> CliqueTree | None:
     """Clique tree of ``g`` whose branching edge set equals ``f``, or None.
 
     Each edge of ``f`` puts a marker into the two cliques it joins, so a
@@ -90,8 +86,7 @@ def clique_tree_with_branching(
     edges are exactly ``f``.  The marked cliques are sorted as an elimination
     pass over :func:`augmented_graph` lists them, so the tree is the same.
     """
-    if cliques is None:
-        cliques = chordal_cliques(g)
+    cliques = chordal_cliques(g)
     if len(f) >= len(cliques):
         return None
     for i, j in f:
@@ -313,7 +308,7 @@ def vertex_leafage_bounded(g: Graph, ell: int | None = None) -> VlCertificate | 
             if not layer:
                 raise CertificateError(f"no branching set of a tree with {leafage} leaves is realized")
             for f in layer:
-                tree = clique_tree_with_branching(g, f, cliques)
+                tree = clique_tree_with_branching(g, f)
                 if tree is not None:
                     break
             else:

@@ -16,12 +16,13 @@ import leafage
 from leafage.cliquetrees import (
     CliqueTree,
     Forest,
+    TreeModel,
     _class_nodes,
     branching_sets,
     build_clique_tree,
     path_containment_violation,
 )
-from leafage.gadget import NaeInstance, build_gadget, satisfies_star
+from leafage.gadget import NaeInstance, build_gadget
 from leafage.graphs import (
     _NAME_RE,
     CliqueGraph,
@@ -30,6 +31,7 @@ from leafage.graphs import (
     PerfectEliminationOrder,
     _mcs_order,
     _peo_cliques,
+    _reach,
     check_chordal,
     clique_graph,
 )
@@ -75,6 +77,26 @@ def build_corpus(size: int = CORPUS_SIZE):
 @pytest.fixture(scope="session")
 def corpus():
     return build_corpus()
+
+
+def format_clause_file(inst: NaeInstance) -> str:
+    lines = [f"k {inst.k}"]
+    lines.extend(" ".join(sorted(c)) for c in inst.clauses)
+    return "\n".join(lines) + "\n"
+
+
+def dominating_pair(inst: NaeInstance) -> tuple[str, str] | None:
+    """First ordered pair (u, w) with every clause of ``u`` containing ``w``."""
+    for u in inst.variables:
+        for w in inst.variables:
+            if u != w and inst.clause_set(u) <= inst.clause_set(w):
+                return (u, w)
+    return None
+
+
+def satisfies_star(inst: NaeInstance) -> bool:
+    """Domination-freeness: no variable's clause set inside another's."""
+    return dominating_pair(inst) is None
 
 
 def nae_families() -> list[NaeInstance]:
@@ -425,6 +447,19 @@ def reference_minimize_leafage(t):
     return (reference_find_realizing_tree(ta) if trace else t), trace
 
 
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` for this test; return the list of its calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 @pytest.fixture
 def run_optimized():
     """Run a Python script under ``python -O`` (asserts stripped); return it done."""
@@ -476,6 +511,36 @@ def reference_parse_graph(text: str) -> Graph:
         else:
             raise GraphFormatError(f"unknown directive {fields[0]!r}", lineno)
     return Graph.from_edges(vertices, edges)
+
+
+def is_tree_model(g: Graph, m: TreeModel) -> bool:
+    """Whether ``m`` is a valid tree model of ``g``."""
+    if not _host_is_tree(m):
+        return False
+    if sorted(m.subtrees) != list(g.vertices):
+        return False
+    for u in g.vertices:
+        nodes = m.subtrees[u]
+        if not nodes or not _is_connected_in_host(m, nodes):
+            return False
+    for i, u in enumerate(g.vertices):
+        for v in g.vertices[i + 1:]:
+            intersects = bool(m.subtrees[u] & m.subtrees[v])
+            if intersects != g.has_edge(u, v):
+                return False
+    return True
+
+
+def _host_is_tree(m: TreeModel) -> bool:
+    if len(m.edges) != len(m.nodes) - 1:
+        return False
+    return len(m.nodes) <= 1 or _is_connected_in_host(m, frozenset(m.nodes))
+
+
+def _is_connected_in_host(m: TreeModel, nodes: frozenset[str]) -> bool:
+    if not nodes <= m.adjacency.keys():
+        return False
+    return len(_reach(m.adjacency, next(iter(nodes)), nodes)) == len(nodes)
 
 
 def is_valid_peo(g: Graph, order) -> bool:

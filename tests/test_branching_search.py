@@ -41,10 +41,9 @@ NAE_6 = "k 3\nv1 v2 v3\nv1 v4 v5\nv2 v4 v6\nv3 v5 v6\n"
 
 def reference_search(g, candidates):
     """Build every candidate's tree; keep the first of least vertex leafage."""
-    cliques = chordal_cliques(g)
     best = None
     for f in candidates[1:]:
-        tree = clique_tree_with_branching(g, f, cliques)
+        tree = clique_tree_with_branching(g, f)
         if tree is None:
             continue
         vl = tree.max_vertex_leaf_count(g.vertices)
@@ -121,7 +120,7 @@ def test_builder_matches_reference_route(search_graphs, reference_candidates):
     realized = rejected = 0
     for g, cliques, sets in cases:
         for f in sets:
-            tree = clique_tree_with_branching(g, f, cliques)
+            tree = clique_tree_with_branching(g, f)
             reference = reference_clique_tree_with_branching(g, f, cliques)
             if reference is None:
                 assert tree is None
@@ -137,8 +136,8 @@ def count_tree_calls(monkeypatch):
     original = clique_tree_with_branching
     calls = []
 
-    def recording(g, f, cliques=None):
-        tree = original(g, f, cliques)
+    def recording(g, f):
+        tree = original(g, f)
         calls.append((f, tree is not None))
         return tree
 

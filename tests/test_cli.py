@@ -10,6 +10,9 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
+import leafage.gadget
+import leafage.graphs
+from conftest import count_calls
 from leafage.cli import _json_text, main
 from leafage.demo import DEMO_EDGE_LIST
 from leafage.gadget import build_gadget, parse_clause_file
@@ -145,6 +148,24 @@ class TestGadget:
         res = invoke(runner, ["gadget", "verify", write(tmp_path, "c.txt", CLAUSES)])
         assert res.exit_code == 2
         assert res.stderr == "error: LEAFAGE_ORACLE_LIMIT must be an integer >= 1, not 'abc'\n"
+
+    @pytest.mark.parametrize("value, code", [("abc", 2), ("1", 3)])
+    def test_verify_limit_errors_before_brute_force(self, runner, monkeypatch, value, code):
+        # The oracle reads and checks its cap first: no brute force runs.
+        monkeypatch.setenv("LEAFAGE_ORACLE_LIMIT", value)
+        calls = count_calls(monkeypatch, leafage.gadget, "solve_brute_force")
+        res = runner.invoke(main, ["gadget", "verify", "-"], input=CLAUSES)
+        assert res.exit_code == code
+        assert calls == []
+
+    def test_verify_one_elimination_pass(self, runner, monkeypatch):
+        # The gadget's clique list is decided once, for the gadget check
+        # and the oracle both.
+        calls = count_calls(monkeypatch, leafage.graphs, "_mcs_order")
+        for text in (CLAUSES, "k 3\nv1 v2 v3\nv1 v4 v5\nv2 v4 v6\nv3 v5 v6\n"):
+            calls.clear()
+            assert invoke(runner, ["gadget", "verify", "-"], text).exit_code == 0
+            assert len(calls) == 1
 
     def test_build_then_analyze(self, runner, tmp_path):
         built = invoke(runner, ["gadget", "build", write(tmp_path, "c.txt", CLAUSES)])

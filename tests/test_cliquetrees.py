@@ -5,13 +5,13 @@ import random
 
 import pytest
 
+from conftest import is_tree_model
 from leafage.cliquetrees import (
     CliqueTree,
     Forest,
     TreeModel,
     branching_sets,
     build_clique_tree,
-    is_tree_model,
     leaf_report,
     model_from_clique_tree,
     path_containment_violation,
@@ -147,9 +147,10 @@ class TestTreeModel:
         g, t = demo
         m = model_from_clique_tree(t)
         assert is_tree_model(g, m)
-        assert m.host_leaf_count() == len(t.leaves())
+        report = leaf_report(m)
+        assert report.host_leaves == len(t.leaves())
         for u in g.vertices:
-            assert m.subtree_leaf_count(u) == t.vertex_leaf_count(u)
+            assert report.per_vertex_leaves[u] == t.vertex_leaf_count(u)
 
     def test_leaf_report(self, demo):
         g, t = demo

@@ -1,0 +1,42 @@
+"""The package exports only what the program itself uses."""
+
+import ast
+import inspect
+from pathlib import Path
+
+import leafage
+
+SRC = Path(leafage.__file__).resolve().parent
+
+
+def _references(tree: ast.AST, name: str) -> bool:
+    """Whether ``tree`` reads ``name`` outside a ``def`` or ``class`` of that name."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
+            continue
+        if isinstance(node, ast.Name) and node.id == name:
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == name:
+            return True
+        stack.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def test_every_export_has_a_caller_in_the_program():
+    modules = [
+        ast.parse(path.read_text(), str(path))
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+    ]
+    unused = [name for name in leafage.__all__ if not any(_references(m, name) for m in modules)]
+    assert unused == []
+
+
+def test_namespace_is_the_exports():
+    public = {
+        name for name, obj in vars(leafage).items()
+        if not name.startswith("_") and not inspect.ismodule(obj)
+    }
+    assert public == set(leafage.__all__)

@@ -4,17 +4,14 @@ import itertools
 
 import pytest
 
+from conftest import dominating_pair, format_clause_file, satisfies_star
 from leafage.cliquetrees import CliqueTree
 from leafage.gadget import (
     ClauseFormatError,
     NaeInstance,
     build_gadget,
-    dominating_pair,
-    format_clause_file,
     is_solution,
-    normalize_star,
     parse_clause_file,
-    satisfies_star,
     solution_to_tree,
     solve_brute_force,
     tree_to_solution,
@@ -115,27 +112,15 @@ class TestSolutions:
 class TestStarProperty:
     def test_satisfied_instance_unchanged(self):
         assert satisfies_star(STAR_OK)
-        assert normalize_star(STAR_OK) == STAR_OK
+        assert dominating_pair(STAR_OK) is None
 
     def test_dominated_variable_removed_to_empty(self):
+        # v1 is in every clause, so dropping v1's clauses empties the instance.
         inst = inst_of(("v1", "v2", "v3"), ("v1", "v2", "v4"))
         pair = dominating_pair(inst)
         assert pair == ("v1", "v2")
-        reduced = normalize_star(inst)
-        assert reduced.m == 0 and reduced.n == 0
-
-    def test_partial_removal(self):
-        inst = inst_of(
-            ("v1", "v2", "v3"),
-            ("v2", "v4", "v5"),
-            ("v3", "v4", "v6"),
-            ("v5", "v6", "v7"),
-        )
-        # v1 appears only in the first clause together with v2 and v3, so it
-        # is dominated; removing it drops that clause only.
-        reduced = normalize_star(inst)
-        assert satisfies_star(reduced)
-        assert reduced.m < inst.m
+        assert not satisfies_star(inst)
+        assert inst.clause_set(pair[0]) == frozenset(range(inst.m))
 
 
 # Smallest unsolvable positive NAE-3-SAT instance: the lines of the
@@ -160,9 +145,12 @@ class TestBuildGadget:
         assert g.adjacency["y1"] == frozenset({"v1", "v2", "v3", "z1", "z2"})
 
     def test_keeps_instance_and_cliques(self):
+        # The named cliques are the graph's one clique family, listed once.
         gg = build_gadget(STAR_OK)
         assert gg.inst is STAR_OK
-        assert gg.cliques == chordal_cliques(gg.graph)
+        cliques = chordal_cliques(gg.graph)
+        assert sorted(gg.clique_names.values(), key=lambda c: tuple(sorted(c))) == list(cliques)
+        assert chordal_cliques(gg.graph) is cliques
 
     def test_clique_membership_rule(self):
         inst = inst_of(("v1", "v2", "v3"), ("v2", "v3", "v4"))
@@ -313,11 +301,12 @@ gadget.build_gadget(STAR_OK)
     # a corrupted leaf count, and the extracted empty set is no solution.
     "is not a solution": """
 gg = gadget.build_gadget(STAR_OK)
-ids = {name: gg.cliques.index(c) for name, c in gg.clique_names.items()}
+cliques = gadget.chordal_cliques(gg.graph)
+ids = {name: cliques.index(c) for name, c in gg.clique_names.items()}
 b = ids["B"]
 edges = frozenset((min(b, q), max(b, q)) for name, q in ids.items() if name != "B")
 CliqueTree.max_vertex_leaf_count = lambda self, vertices: 0
-gadget.tree_to_solution(gg, CliqueTree(gg.cliques, edges))
+gadget.tree_to_solution(gg, CliqueTree(cliques, edges))
 """,
     "exceeds k + 1": """
 gadget.oracle_optima = lambda g: SimpleNamespace(vertex_leafage=5)

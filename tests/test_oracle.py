@@ -221,7 +221,7 @@ def test_walk_leaf_counts_match_recount(graphs):
     trees = 0
     for g in graphs:
         cliques = _connected_cliques(g)
-        for leaves, vl, chosen in _walk(g, cliques, None):
+        for leaves, vl, chosen in _walk(g, None):
             t = CliqueTree(cliques, frozenset(chosen))
             assert leaves == len(t.leaves())
             assert vl == t.max_vertex_leaf_count(g.vertices)
@@ -312,12 +312,12 @@ _CORRUPT_ENUMERATIONS = {
     # Leaf optimum (4 leaves) and vertex-leafage optimum (vl 2) in
     # different trees, so no tree attains both.
     "both minima": """
-walked = [(*stats, list(chosen)) for *stats, chosen in oracle._walk(g, oracle._connected_cliques(g), None)]
+walked = [(*stats, list(chosen)) for *stats, chosen in oracle._walk(g, None)]
 pick = [next(w for w in walked if w[:2] == key) for key in ((4, 3), (5, 2))]
-oracle._walk = lambda g, cliques, limit: iter(pick)
+oracle._walk = lambda g, limit: iter(pick)
 """,
     "no clique tree": """
-oracle._walk = lambda g, cliques, limit: iter(())
+oracle._walk = lambda g, limit: iter(())
 """,
 }
 

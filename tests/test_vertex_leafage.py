@@ -8,6 +8,7 @@ import leafage.graphs
 import leafage.vertex_leafage
 from conftest import (
     branch_set_layers,
+    count_calls,
     reference_clique_tree_with_branching,
     reference_ranked_branch_sets,
     spider_graph,
@@ -30,19 +31,6 @@ from leafage.vertex_leafage import (
 PATH_GRAPH = "e a b\ne b c\ne c d\n"
 NAE_K4 = "k 3\nv1 v2 v3\nv1 v2 v4\nv1 v3 v4\nv2 v3 v4\n"
 NAE_6 = "k 3\nv1 v2 v3\nv1 v4 v5\nv2 v4 v6\nv3 v5 v6\n"
-
-
-def count_calls(monkeypatch, module, name):
-    """Wrap ``module.name`` for this test; return the list of its calls."""
-    calls = []
-    original = getattr(module, name)
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(module, name, counting)
-    return calls
 
 
 class TestAugmentedGraph:
@@ -95,17 +83,19 @@ class TestCliqueTreeWithBranching:
         g = demo_graph()
         cliques = chordal_cliques(g)
         # cliques 3 (ag) and 8 (de) are disjoint.
+        assert not cliques[3] & cliques[8]
         with pytest.raises(ValueError, match="not a clique-graph edge"):
-            clique_tree_with_branching(g, frozenset({(3, 8)}), cliques)
+            clique_tree_with_branching(g, frozenset({(3, 8)}))
 
     def test_no_elimination_pass_when_cliques_given(self, monkeypatch):
-        # The marked cliques are built directly: no graph is decided chordal.
+        # The marked cliques are built directly, and the graph's own clique
+        # list is the one it already has: no graph is decided chordal.
         g = demo_graph()
-        cliques = chordal_cliques(g)
+        chordal_cliques(g)
         f = branching_sets(vertex_leafage_bounded(g).tree).incident_edges
         peo_calls = count_calls(monkeypatch, leafage.graphs, "_peo_cliques")
         mcs_calls = count_calls(monkeypatch, leafage.graphs, "_mcs_order")
-        assert clique_tree_with_branching(g, f, cliques) is not None
+        assert clique_tree_with_branching(g, f) is not None
         assert peo_calls == mcs_calls == []
 
     def test_set_no_clique_tree_holds_returns_none(self, monkeypatch):
@@ -116,7 +106,7 @@ class TestCliqueTreeWithBranching:
         f = frozenset({(0, 2)})
         assert cliques[0] & cliques[2] == {"v3"}
         calls = count_calls(monkeypatch, leafage.vertex_leafage, "minimize_leafage")
-        assert clique_tree_with_branching(g, f, cliques) is None
+        assert clique_tree_with_branching(g, f) is None
         assert calls == []
         assert reference_clique_tree_with_branching(g, f, cliques) is None
 
@@ -130,7 +120,7 @@ class TestCliqueTreeWithBranching:
         cliques = chordal_cliques(g)
         f = frozenset({(0, 1), (1, 2), (0, 2)})
         assert len(f) >= len(cliques)
-        assert clique_tree_with_branching(g, f, cliques) is None
+        assert clique_tree_with_branching(g, f) is None
 
 
 class TestCandidateBranchSets:
@@ -203,6 +193,15 @@ class TestVertexLeafageBounded:
         assert cert.value == 2
         assert cert.tree == minimize_leafage(build_clique_tree(clique_graph(chordal_cliques(g))))
 
+    @pytest.mark.parametrize("make", [demo_graph, lambda: spider_graph(5, 3)], ids=["demo", "spider-5-3"])
+    def test_one_elimination_pass(self, monkeypatch, make):
+        # The graph's clique list is decided once; every candidate's tree
+        # and the certificate check read it.
+        g = make()
+        calls = count_calls(monkeypatch, leafage.graphs, "_mcs_order")
+        vertex_leafage_bounded(g)
+        assert len(calls) == 1
+
     def test_spider_builds_one_tree(self, monkeypatch):
         # The first set of spider(5, 3)'s least layer is realizable, so exactly
         # one tree is built (building every candidate's tree took 321).
@@ -217,7 +216,7 @@ class TestVertexLeafageBounded:
         calls = count_calls(monkeypatch, leafage.vertex_leafage, "clique_tree_with_branching")
         assert vertex_leafage_bounded(g).value == 3
         cliques = chordal_cliques(g)
-        assert calls and all(_branching_leaf_counts(cliques, f)[0] >= 6 for _, f, _ in calls)
+        assert calls and all(_branching_leaf_counts(cliques, f)[0] >= 6 for _, f in calls)
 
     def test_ell_bound_returns_none(self):
         assert vertex_leafage_bounded(demo_graph(), ell=2) is None
@@ -363,7 +362,7 @@ def test_wrong_tree_raises_under_optimize(run_optimized):
         "assert False, 'not run under -O'\n"
         "g = demo_graph()\n"
         "worst = max(enumerate_clique_trees(g), key=lambda t: t.max_vertex_leaf_count(g.vertices))\n"
-        "vl.clique_tree_with_branching = lambda g, f, cliques: worst\n"
+        "vl.clique_tree_with_branching = lambda g, f: worst\n"
         "try:\n"
         "    vl.vertex_leafage_bounded(g)\n"
         "except vl.CertificateError as exc:\n"
