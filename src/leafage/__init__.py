@@ -14,7 +14,6 @@ from .cliquetrees import (
     build_clique_tree,
     model_from_clique_tree,
     path_containment_violation,
-    verify_clique_tree,
 )
 from .gadget import (
     GadgetGraph,
@@ -99,7 +98,6 @@ __all__ = [
     "simultaneous_optimum",
     "solve_brute_force",
     "tokens_from_tree",
-    "verify_clique_tree",
     "verify_reduction",
     "vertex_leafage_bounded",
 ]

@@ -85,6 +85,9 @@ def clique_tree_with_branching(g: Graph, f: BranchEdgeSet) -> CliqueTree | None:
     clique tree of ``g`` with no check again; it is returned if its branching
     edges are exactly ``f``.  The marked cliques are sorted as an elimination
     pass over :func:`augmented_graph` lists them, so the tree is the same.
+    A tree holding ``f`` has at least 2 + sum(deg_f(x) - 2) leaves, so a
+    Kruskal tree with that many is already minimal: ``minimize_leafage``
+    would find no augmenting path and return it as it is, and is not run.
     """
     cliques = chordal_cliques(g)
     if len(f) >= len(cliques):
@@ -101,7 +104,10 @@ def clique_tree_with_branching(g: Graph, f: BranchEdgeSet) -> CliqueTree | None:
         built = build_clique_tree(cg)
     except ValueError:  # no clique tree holds f
         return None
-    edges = frozenset(tuple(sorted((order[a], order[b]))) for a, b in minimize_leafage(built).edges)
+    degree = Counter(i for e in f for i in e)
+    if len(built.leaves()) > 2 + sum(d - 2 for d in degree.values() if d > 2):
+        built = minimize_leafage(built)
+    edges = frozenset(tuple(sorted((order[a], order[b]))) for a, b in built.edges)
     tree = CliqueTree(cliques, edges)
     if branching_sets(tree).incident_edges != f:
         return None
@@ -165,6 +171,14 @@ def candidate_branch_sets(
     The counts d_u(x) and each vertex's excess follow every link and
     unlink.  Adding an edge never lowers e(F), so a set above the least
     excess >= ``floor`` of the complete sets found so far is cut.
+
+    Two more cuts drop only branches that complete no set, so the layer and
+    its order are unchanged.  A node adds at most max(0, h - 2) host
+    excess, h its held edges, so ``cap[c]`` sums that over the nodes from c
+    on: a centre whose excess so far plus ``cap[c]`` is short of leafage -
+    2 is dropped, and a star takes at least enough edges that the later
+    nodes' cap can still close the gap.  A node with fewer than three held
+    edges never branches, so the centres jump over it (``after``).
     """
     n = len(cg.cliques)
     slack = leafage - 2
@@ -175,6 +189,13 @@ def candidate_branch_sets(
     find = forest.find
     # Per clique: the edges at it that some clique tree holds.
     incident = [[e for e in cg.incident(c) if e in ends] for c in range(n)]
+    # cap[c] bounds the host excess nodes c.. can still add (cap[n] = 0 ends
+    # the centres); after[c] is the first node >= c that can branch.
+    cap = [0] * (n + 1)
+    after = [n] * (n + 1)
+    for c in range(n - 1, -1, -1):
+        cap[c] = cap[c + 1] + max(0, len(incident[c]) - 2)
+        after[c] = c if len(incident[c]) >= 3 else after[c + 1]
     degree = [0] * n
     # Per edge: (u, slot of (u, a), slot of (u, b)) for each vertex u of
     # C_a & C_b, numbered densely, with d_u(x) in ``held[slot]``.
@@ -226,11 +247,11 @@ def candidate_branch_sets(
         forest.undo()
 
     # Steps, the next one last: ("centre", c, x) tries the stars at centre
-    # c and at the later centres, with host excess x so far; ("star", c,
-    # free, i, k, lo, hi, x) decides free[i] with k edges of c's star taken,
-    # lo <= k <= hi at the end and host excess x + k after it; None takes
-    # back the last edge linked.
-    stack: list = [("centre", 0, 0)]
+    # c, which can branch, and at the later centres, with host excess x so
+    # far; ("star", c, free, i, k, lo, hi, x) decides free[i] with k edges
+    # of c's star taken, lo <= k <= hi at the end and host excess x + k
+    # after it; None takes back the last edge linked.
+    stack: list = [("centre", after[0], 0)]
     while stack:
         step = stack.pop()
         if step is None:
@@ -240,18 +261,19 @@ def candidate_branch_sets(
             continue
         if step[0] == "centre":
             _, c, x = step
-            if c == n:
+            if x + cap[c] < slack:
                 continue
             d = degree[c]
             if d < 3:
-                stack.append(("centre", c + 1, x))
+                stack.append(("centre", after[c + 1], x))
             # An edge whose class nodes the set already joins fits no
             # superset, so it is left out of the star.
             free = [
                 e for e in incident[c]
                 if (e[0] == c or degree[e[0]] < 2) and find(ends[e][0]) != find(ends[e][1])
             ]
-            lo, hi = max(0, 3 - d), min(len(free), slack - x - d + 2)
+            lo = max(0, 3 - d, slack - x - d + 2 - cap[c + 1])
+            hi = min(len(free), slack - x - d + 2)
             if lo <= hi:
                 stack.append(("star", c, free, 0, 0, lo, hi, x + d - 2))
             continue
@@ -263,7 +285,7 @@ def candidate_branch_sets(
                 stack.append(None)
                 stack.append(("star", c, free, i + 1, k + 1, lo, hi, x))
         elif x + k < slack:
-            stack.append(("centre", c + 1, x + k))
+            stack.append(("centre", after[c + 1], x + k))
         elif max(degree[c + 1:], default=0) < 3 and peak[-1] >= floor:
             if peak[-1] < bound:
                 bound = peak[-1]

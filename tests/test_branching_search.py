@@ -15,6 +15,7 @@ import pytest
 import leafage.vertex_leafage
 from conftest import (
     branch_set_layers,
+    count_calls,
     is_full_star_union,
     nae_families,
     reference_candidate_branch_sets,
@@ -23,7 +24,7 @@ from conftest import (
     spider_graph,
     vertex_excess,
 )
-from leafage.cliquetrees import branching_sets, build_clique_tree
+from leafage.cliquetrees import Forest, branching_sets, build_clique_tree
 from leafage.gadget import build_gadget, parse_clause_file
 from leafage.graphs import chordal_cliques, clique_graph
 from leafage.oracle import enumerate_clique_trees, oracle_optima, random_chordal
@@ -131,6 +132,35 @@ def test_builder_matches_reference_route(search_graphs, reference_candidates):
     assert realized > 200 and rejected > 900
 
 
+def test_minimal_kruskal_tree_is_not_minimized(search_graphs, monkeypatch):
+    """No ``minimize_leafage`` run when the Kruskal tree already has F's leaf count.
+
+    A tree holding F has at least 2 + sum(deg_F(x) - 2) leaves, so such a
+    Kruskal tree is minimal and the run would return it unchanged.  On
+    spider(4, 3)'s first set it is.  Over the first two sets of each search
+    graph both cases occur, the run also on sets that are realized, and
+    every tree is the reference route's, which always minimizes.
+    """
+    g = spider_graph(4, 3)
+    f = candidate_branch_sets(clique_graph(chordal_cliques(g)), 4)[0]
+    calls = count_calls(monkeypatch, leafage.vertex_leafage, "minimize_leafage")
+    tree = clique_tree_with_branching(g, f)
+    reference = reference_clique_tree_with_branching(g, f, chordal_cliques(g))
+    assert calls == []
+    assert tree is not None and tree.edges == reference.edges
+    seen = set()
+    for g, cg, _, ranked in search_graphs:
+        for f in ranked[:2]:
+            calls.clear()
+            tree = clique_tree_with_branching(g, f)
+            reference = reference_clique_tree_with_branching(g, f, cg.cliques)
+            assert (tree is None) == (reference is None)
+            assert tree is None or tree.edges == reference.edges
+            assert len(calls) <= 1
+            seen.add((len(calls), tree is not None))
+    assert seen == {(0, True), (1, False), (1, True)}
+
+
 def count_tree_calls(monkeypatch):
     """Record each ``clique_tree_with_branching`` call's set and whether it was realized."""
     original = clique_tree_with_branching
@@ -204,6 +234,30 @@ def test_spider_sets_are_generated_once():
     for f in candidates:
         assert is_full_star_union(f)
         assert _branching_leaf_counts(cliques, f)[0] == 6
+
+
+def test_generator_cuts_dead_branches(monkeypatch):
+    """Pins the generator's work: ``Forest.union`` calls for one layer.
+
+    The capacity cut (the host excess the later nodes can still add) and
+    the jump over nodes with fewer than three held edges brought the calls
+    from 604 to 255 on the NAE_6 gadget and from 705 to 593 on spider(5, 3).
+    """
+    unions = [0]
+
+    class CountingForest(Forest):
+        def union(self, a, b):
+            unions[0] += 1
+            return super().union(a, b)
+
+    monkeypatch.setattr(leafage.vertex_leafage, "Forest", CountingForest)
+    for g, ell, sets, most in [
+        (build_gadget(parse_clause_file(NAE_6)).graph, 6, 20, 255),
+        (spider_graph(5, 3), 5, 60, 593),
+    ]:
+        unions[0] = 0
+        assert len(candidate_branch_sets(clique_graph(chordal_cliques(g)), ell)) == sets
+        assert unions[0] <= most
 
 
 def _identity_graphs(corpus):
