@@ -11,11 +11,9 @@ from .graphs import (
     CertificateError,
     CliqueGraph,
     Cliques,
-    Graph,
     _path,
     _reach,
     _sorted_adjacency,
-    chordal_cliques,
 )
 
 
@@ -201,51 +199,42 @@ def path_containment_violation(
     return (i, j, k)
 
 
-def _is_tree(t: CliqueTree) -> bool:
-    nodes = set(range(len(t.cliques)))
-    return len(t.edges) == len(nodes) - 1 and len(_reach(t.adjacency, 0, nodes)) == len(nodes)
+def check_clique_tree(t: CliqueTree) -> None:
+    """Raise ``ValueError`` unless ``t`` is a clique tree of its cliques.
 
-
-def verify_clique_tree(g: Graph, t: CliqueTree) -> tuple[bool, tuple[int, int, int] | None]:
-    """Check that ``t`` is a clique tree of ``g``.
-
-    Returns ``(True, None)`` or ``(False, witness)`` where the witness is a
-    path-containment violation from :func:`path_containment_violation`: a
-    violating triple, not necessarily the lexicographically first, found in
-    time linear in the total size of the cliques.  Raises when the node set
-    does not match the maximal cliques of ``g`` or the edge set is not a
-    tree over intersecting cliques.
+    The one validity check (Blair & Peyton 1993), three conditions in this
+    order: the edges form a spanning tree, at most k - 1 of them reaching
+    all k nodes; every edge joins intersecting cliques; and the cliques
+    holding each vertex induce a connected subtree, decided by
+    :func:`path_containment_violation`, whose (i, j, k) witness the message
+    names.  Cost O(k) beyond that decision.
     """
-    expected = chordal_cliques(g)
-    if t.cliques != expected:
-        raise ValueError("tree nodes are not the canonical maximal cliques of the graph")
-    if not _is_tree(t):
-        raise ValueError("edge set is not a spanning tree")
-    for a, b in t.edges:
-        if not t.cliques[a] & t.cliques[b]:
-            raise ValueError(f"tree edge ({a}, {b}) joins disjoint cliques")
+    cliques, k = t.cliques, len(t.cliques)
+    if len(t.edges) > k - 1:
+        raise ValueError(f"edge set is not a spanning tree: {len(t.edges)} edges on {k} cliques")
+    if len(_reach(t.adjacency, 0, set(range(k)))) < k:
+        raise ValueError("edge set is not a spanning tree: the cliques are disconnected")
+    disjoint = [(a, b) for a, b in t.edges if cliques[a].isdisjoint(cliques[b])]
+    if disjoint:
+        raise ValueError(f"tree edge {min(disjoint)} joins disjoint cliques")
     witness = path_containment_violation(t)
-    return (witness is None, witness)
+    if witness is not None:
+        raise ValueError(f"spanning tree violated containment: {witness}")
 
 
 def build_clique_tree(cg: CliqueGraph) -> CliqueTree:
     """Maximum-weight spanning tree of the clique graph, validated.
 
     Kruskal on intersection sizes with canonical tie-breaking; for a chordal
-    graph this always yields a clique tree, and the path-containment property
-    is re-checked before returning.  Raises ``ValueError`` when the clique
+    graph this always yields a clique tree, and :func:`check_clique_tree`
+    re-checks it before returning.  Raises ``ValueError`` when the clique
     graph is disconnected or the spanning tree is not a clique tree (the
     cliques do not come from a chordal graph).
     """
     forest = Forest(len(cg.cliques))
     edges = sorted(cg.weights, key=lambda e: (-cg.weights[e], e))
-    chosen = [(i, j) for i, j in edges if forest.union(i, j)]
-    if len(chosen) != len(cg.cliques) - 1:
-        raise ValueError("clique graph is disconnected")
-    tree = CliqueTree(cg.cliques, frozenset(chosen))
-    violation = path_containment_violation(tree)
-    if violation is not None:
-        raise ValueError(f"spanning tree construction violated containment: {violation}")
+    tree = CliqueTree(cg.cliques, frozenset([(i, j) for i, j in edges if forest.union(i, j)]))
+    check_clique_tree(tree)
     return tree
 
 

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
-from .cliquetrees import CliqueTree, verify_clique_tree
+from .cliquetrees import CliqueTree, check_clique_tree
 from .graphs import _NAME_RE, CertificateError, Graph, chordal_cliques
 from .oracle import oracle_optima
 
@@ -206,22 +206,21 @@ def solution_to_tree(gg: GadgetGraph, s: frozenset[str]) -> CliqueTree:
         q = ids[f"Q_{v}"]
         edges.add((min(anchor, q), max(anchor, q)))
     tree = CliqueTree(chordal_cliques(gg.graph), frozenset(edges))
-    ok, witness = verify_clique_tree(gg.graph, tree)
-    if not ok:
-        raise ValueError(f"chosen set does not induce a clique tree: {witness}")
+    check_clique_tree(tree)
     return tree
 
 
 def tree_to_solution(gg: GadgetGraph, t: CliqueTree) -> frozenset[str]:
     """Read off S = {v : edge A-Q_v in the tree} from a low-leafage clique tree.
 
-    Requires every subtree of the model to have at most k leaves; the
-    extracted set is validated as a solution.
+    Requires ``t`` to be a clique tree on the gadget's canonical cliques
+    and every subtree of the model to have at most k leaves; the extracted
+    set is validated as a solution.
     """
     k = gg.inst.k
-    ok, witness = verify_clique_tree(gg.graph, t)
-    if not ok:
-        raise ValueError(f"not a clique tree: {witness}")
+    if t.cliques != chordal_cliques(gg.graph):
+        raise ValueError("tree nodes are not the canonical maximal cliques of the graph")
+    check_clique_tree(t)
     worst = t.max_vertex_leaf_count(gg.graph.vertices)
     if worst > k:
         raise ValueError(

@@ -385,9 +385,6 @@ class CliqueGraph:
     cliques: Cliques
     weights: Mapping[tuple[int, int], int]
 
-    def edges(self) -> list[tuple[int, int]]:
-        return sorted(self.weights)
-
     @cached_property
     def adjacency(self) -> dict[int, tuple[int, ...]]:
         """Sorted neighbour ids of every clique, built once per graph."""

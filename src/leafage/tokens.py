@@ -44,8 +44,7 @@ from .cliquetrees import (
     CliqueTree,
     Forest,
     _count_vertex_leaves,
-    _is_tree,
-    path_containment_violation,
+    check_clique_tree,
 )
 from .graphs import CertificateError, Cliques
 
@@ -97,12 +96,6 @@ class TokenAssignment:
                 raise ValueError(f"tokens keyed {i!r}, not a clique id 0..{len(cliques) - 1}")
         normal = {i: _normal(cliques, i, tokens.get(i, ())) for i in range(len(cliques))}
         return cls(cliques, normal)
-
-    def size(self, i: int) -> int:
-        return len(self.tokens[i])
-
-    def total(self) -> int:
-        return sum(len(t) for t in self.tokens.values())
 
     def leaf_count(self) -> int:
         """Host leaves of any realizing tree: cliques holding one token."""
@@ -177,17 +170,11 @@ def is_realizable(ta: TokenAssignment) -> bool:
 
     True iff the tokens total 2(k - 1) and every token value S has m_S >= 2
     S-blocks, exactly 2(m_S - 1) tokens, and a token in each S-block (see the
-    module docstring).  Cost O(number of tokens) plus building the table
-    entry of each token value that ``ta.cliques`` has not seen before.
+    module docstring).  The decision is :meth:`_TokenState.realizable`'s:
+    O(number of tokens) plus building the table entry of each token value
+    that ``ta.cliques`` has not seen before.
     """
-    if ta.total() != 2 * (len(ta.cliques) - 1):
-        return False
-    for s, ids in _token_holders(ta).items():
-        block, m = ta.cliques.s_blocks(s)
-        # len(ids) >= 1, so len(ids) == 2(m - 1) already forces m >= 2.
-        if len(ids) != 2 * (m - 1) or len({block[i] for i in ids}) != m:
-            return False
-    return True
+    return _TokenState(ta).realizable()
 
 
 def find_realizing_tree(ta: TokenAssignment) -> CliqueTree | None:
@@ -237,8 +224,12 @@ def find_realizing_tree(ta: TokenAssignment) -> CliqueTree | None:
                 held[j] -= 1
                 chosen.append((i, j))
     tree = CliqueTree(ta.cliques, frozenset(chosen))
-    if not _is_tree(tree) or path_containment_violation(tree) is not None:
-        raise CertificateError("the pairs taken for a realizable assignment are no clique tree")
+    try:
+        check_clique_tree(tree)
+    except ValueError as exc:
+        raise CertificateError(
+            f"the pairs taken for a realizable assignment are no clique tree: {exc}"
+        ) from exc
     return tree
 
 

@@ -88,12 +88,14 @@ def clique_tree_with_branching(g: Graph, f: BranchEdgeSet) -> CliqueTree | None:
     A tree holding ``f`` has at least 2 + sum(deg_f(x) - 2) leaves, so a
     Kruskal tree with that many is already minimal: ``minimize_leafage``
     would find no augmenting path and return it as it is, and is not run.
+    Raises ``ValueError`` on a pair of ``f`` that is not a clique-graph
+    edge ``(i, j)``, ``0 <= i < j < k``.
     """
     cliques = chordal_cliques(g)
     if len(f) >= len(cliques):
         return None
     for i, j in f:
-        if not cliques[i] & cliques[j]:
+        if not 0 <= i < j < len(cliques) or not cliques[i] & cliques[j]:
             raise ValueError(f"({i}, {j}) is not a clique-graph edge")
     if not g.is_connected():
         raise ValueError("clique graph is disconnected")

@@ -20,6 +20,7 @@ from leafage.cliquetrees import (
     _class_nodes,
     branching_sets,
     build_clique_tree,
+    check_clique_tree,
     path_containment_violation,
 )
 from leafage.gadget import NaeInstance, build_gadget
@@ -33,6 +34,7 @@ from leafage.graphs import (
     _peo_cliques,
     _reach,
     check_chordal,
+    chordal_cliques,
     clique_graph,
 )
 from leafage.oracle import oracle_optima, random_chordal
@@ -254,6 +256,13 @@ def branch_set_layers(cg: CliqueGraph, leafage: int) -> list[list[frozenset]]:
     return layers
 
 
+def check_clique_tree_of(g: Graph, t: CliqueTree) -> None:
+    """Raise ``ValueError`` unless ``t`` is a clique tree on the canonical cliques of ``g``."""
+    if t.cliques != chordal_cliques(g):
+        raise ValueError("tree nodes are not the canonical maximal cliques of the graph")
+    check_clique_tree(t)
+
+
 def reference_clique_tree_with_branching(g: Graph, f: frozenset, cliques) -> CliqueTree | None:
     """The marker-augmented graph route the marked cliques replaced, kept as a reference.
 
@@ -364,7 +373,7 @@ def reference_find_realizing_tree(ta):
 def _reference_augmenting_path(ta):
     """The shortest augmenting path, each move tried by applying it and re-deciding."""
     k = len(ta.cliques)
-    sizes = {i: ta.size(i) for i in range(k)}
+    sizes = {i: len(ta.tokens[i]) for i in range(k)}
     starts = sorted(i for i in range(k) if sizes[i] >= 3)
     if not starts:
         return None

@@ -5,17 +5,17 @@ import random
 
 import pytest
 
-from conftest import is_tree_model
+from conftest import check_clique_tree_of, is_tree_model
 from leafage.cliquetrees import (
     CliqueTree,
     Forest,
     TreeModel,
     branching_sets,
     build_clique_tree,
+    check_clique_tree,
     leaf_report,
     model_from_clique_tree,
     path_containment_violation,
-    verify_clique_tree,
 )
 from leafage.demo import demo_clique_tree, demo_graph
 from leafage.graphs import Graph, chordal_cliques, clique_graph
@@ -56,21 +56,20 @@ class TestCliqueTree:
 
 class TestVerifyCliqueTree:
     def test_demo_tree_passes(self, demo):
-        g, t = demo
-        ok, witness = verify_clique_tree(g, t)
-        assert ok and witness is None
+        _, t = demo
+        check_clique_tree(t)
 
     def test_containment_violation_detected(self, demo):
-        g, t = demo
+        _, t = demo
         # Rewire: attach the de clique (id 8) to ag (id 3); their
         # intersection is empty, so the edge itself is rejected.
         bad_edges = (t.edges - {(2, 8)}) | {(3, 8)}
         bad = CliqueTree(t.cliques, frozenset(bad_edges))
         with pytest.raises(ValueError, match="disjoint"):
-            verify_clique_tree(g, bad)
+            check_clique_tree(bad)
 
     def test_spanning_tree_with_bad_path_rejected(self, demo):
-        g, t = demo
+        _, t = demo
         # Attach de (id 8) to acd (id 1) is fine; attach it to abc (id 0)
         # instead: d is in de∩acd but the path de-abc-..-acd misses d at abc?
         # abc lacks d, and de∩acd = {d}, so containment must fail.
@@ -78,19 +77,27 @@ class TestVerifyCliqueTree:
         bad = CliqueTree(t.cliques, frozenset(bad_edges))
         with pytest.raises(ValueError):
             # de∩abc is empty, so this is also a disjoint-edge error.
-            verify_clique_tree(g, bad)
+            check_clique_tree(bad)
 
     def test_non_tree_rejected(self, demo):
-        g, t = demo
+        _, t = demo
         bad = CliqueTree(t.cliques, frozenset(list(t.edges)[:-1]))
         with pytest.raises(ValueError, match="spanning tree"):
-            verify_clique_tree(g, bad)
+            check_clique_tree(bad)
+
+    def test_extra_edge_rejected(self, demo):
+        _, t = demo
+        # abc (0) and acd (1) meet in ac; one more edge makes a cycle.
+        assert (0, 1) in t.edges and (0, 2) not in t.edges
+        bad = CliqueTree(t.cliques, t.edges | {(0, 2)})
+        with pytest.raises(ValueError, match="spanning tree: 9 edges on 9 cliques"):
+            check_clique_tree(bad)
 
     def test_wrong_nodes_rejected(self, demo):
         g, _ = demo
         t = CliqueTree((frozenset("ab"),), frozenset())
         with pytest.raises(ValueError, match="maximal cliques"):
-            verify_clique_tree(g, t)
+            check_clique_tree_of(g, t)
 
     def test_path_containment_witness_shape(self, demo):
         _, t = demo
@@ -114,14 +121,12 @@ class TestBuildCliqueTree:
     def test_demo_build_is_valid(self, demo):
         g, _ = demo
         t = build_clique_tree(clique_graph(chordal_cliques(g)))
-        ok, _ = verify_clique_tree(g, t)
-        assert ok
+        check_clique_tree_of(g, t)
 
     def test_corpus_builds_valid_trees(self, corpus):
         for g, _ in corpus[:60]:
             t = build_clique_tree(clique_graph(chordal_cliques(g)))
-            ok, _ = verify_clique_tree(g, t)
-            assert ok
+            check_clique_tree_of(g, t)
 
     def test_disconnected_clique_graph_rejected(self):
         g = Graph.from_edges(["a", "b"], [])
@@ -215,7 +220,7 @@ def _pairwise_violation(t: CliqueTree):
 
 
 def _random_spanning_tree(cg, rng):
-    edges = cg.edges()
+    edges = list(cg.weights)
     rng.shuffle(edges)
     forest = Forest(len(cg.cliques))
     chosen = [(a, b) for a, b in edges if forest.union(a, b)]

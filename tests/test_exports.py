@@ -40,3 +40,26 @@ def test_namespace_is_the_exports():
         if not name.startswith("_") and not inspect.ismodule(obj)
     }
     assert public == set(leafage.__all__)
+
+
+def _callers(tree: ast.AST, name: str) -> set[str]:
+    """Names of the functions in ``tree`` that call ``name``; "" for module level."""
+    found = set()
+    stack = [(tree, "")]
+    while stack:
+        node, owner = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                found.add(owner)
+        stack.extend((child, owner) for child in ast.iter_child_nodes(node))
+    return found
+
+
+def test_one_clique_tree_check_calls_the_containment_test():
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        callers |= _callers(ast.parse(path.read_text(), str(path)), "path_containment_violation")
+    assert callers == {"check_clique_tree"}

@@ -23,7 +23,7 @@ def reference_enumerate(g):
     if k == 1:
         yield CliqueTree(cliques, frozenset())
         return
-    edge_list = clique_graph(cliques).edges()
+    edge_list = list(clique_graph(cliques).weights)
     adj = {i: set() for i in range(k)}
     component = {i: {i} for i in range(k)}
     chosen = []
@@ -160,7 +160,7 @@ def test_forest_check_matches_pairwise_reference(graphs):
     rejected = accepted = 0
     for g in graphs:
         cg = clique_graph(chordal_cliques(g))
-        edges = cg.edges()
+        edges = list(cg.weights)
         if len(edges) < 2:
             continue
         trees = [t.edges for t in reference_enumerate(g)]

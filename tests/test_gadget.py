@@ -222,6 +222,15 @@ class TestTranslation:
             t = solution_to_tree(gg, s)
             assert tree_to_solution(gg, t) == s
 
+    def test_tree_over_other_cliques_rejected(self):
+        # A clique tree of the gadget of STAR_OK's first three clauses is
+        # no tree of STAR_OK's gadget.
+        gg = build_gadget(STAR_OK)
+        part = inst_of(*(sorted(c) for c in STAR_OK.clauses[:3]))
+        t = solution_to_tree(build_gadget(part), solve_brute_force(part))
+        with pytest.raises(ValueError, match="maximal cliques"):
+            tree_to_solution(gg, t)
+
     def test_high_leafage_tree_rejected(self):
         gg = build_gadget(STAR_OK)
         s = solve_brute_force(STAR_OK)

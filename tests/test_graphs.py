@@ -253,7 +253,7 @@ class TestCliqueGraph:
             if a & b
         )
         cg = clique_graph(cliques)
-        assert len(cg.edges()) == expected == 23
+        assert len(cg.weights) == expected == 23
 
     def test_weights_are_intersection_sizes(self):
         cliques = chordal_cliques(demo_graph())

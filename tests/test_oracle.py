@@ -6,8 +6,8 @@ from collections import Counter
 
 import pytest
 
-from conftest import spider_graph
-from leafage.cliquetrees import CliqueTree, Forest, build_clique_tree, verify_clique_tree
+from conftest import check_clique_tree_of, spider_graph
+from leafage.cliquetrees import CliqueTree, Forest, build_clique_tree
 from leafage.demo import demo_clique_tree, demo_graph
 from leafage.graphs import (
     Graph,
@@ -54,8 +54,7 @@ class TestEnumerateCliqueTrees:
         g = demo_graph()
         seen = set()
         for t in enumerate_clique_trees(g):
-            ok, _ = verify_clique_tree(g, t)
-            assert ok
+            check_clique_tree_of(g, t)
             assert t.edges not in seen
             seen.add(t.edges)
 

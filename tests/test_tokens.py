@@ -13,12 +13,13 @@ import leafage
 import leafage.tokens as tokens_module
 from conftest import (
     apply_path,
+    check_clique_tree_of,
     nae_families,
     reference_find_realizing_tree,
     reference_minimize_leafage,
     spider_graph,
 )
-from leafage.cliquetrees import CliqueTree, Forest, verify_clique_tree
+from leafage.cliquetrees import CliqueTree, Forest
 from leafage.demo import demo_clique_tree, demo_graph
 from leafage.gadget import NaeInstance, build_gadget
 from leafage.graphs import Cliques, Graph, chordal_cliques, clique_graph
@@ -76,7 +77,7 @@ class TestTokenAssignment:
     def test_degree_identity_host(self, demo):
         _, t, ta = demo
         # Token counts equal host-tree degrees.
-        assert all(ta.size(i) == t.degree(i) for i in range(len(t.cliques)))
+        assert all(len(ta.tokens[i]) == t.degree(i) for i in range(len(t.cliques)))
 
     def test_degree_identity_per_vertex(self, demo):
         g, t, ta = demo
@@ -97,8 +98,8 @@ class TestTokenAssignment:
         for g, _ in corpus[:40]:
             t = build_clique_tree(clique_graph(chordal_cliques(g)))
             ta = tokens_from_tree(t)
-            assert all(ta.size(i) == t.degree(i) for i in range(len(t.cliques)))
-            assert ta.total() == 2 * (len(t.cliques) - 1)
+            assert all(len(ta.tokens[i]) == t.degree(i) for i in range(len(t.cliques)))
+            assert sum(map(len, ta.tokens.values())) == 2 * (len(t.cliques) - 1)
 
     def test_token_outside_clique_rejected(self):
         cliques = (frozenset("ab"), frozenset("bc"))
@@ -153,8 +154,8 @@ class TestMoves:
     def test_apply_move(self, demo):
         _, t, ta = demo
         moved = apply_move(ta, TokenMove(0, 3, frozenset("a")))
-        assert moved.size(0) == 3
-        assert moved.size(3) == 2
+        assert len(moved.tokens[0]) == 3
+        assert len(moved.tokens[3]) == 2
 
     def test_apply_move_missing_token(self, demo):
         _, _, ta = demo
@@ -174,9 +175,9 @@ class TestMoves:
             )
         )
         result = apply_path(ta, path)
-        assert result.size(0) == 3
-        assert result.size(2) == 2
-        assert result.size(6) == 2
+        assert len(result.tokens[0]) == 3
+        assert len(result.tokens[2]) == 2
+        assert len(result.tokens[6]) == 2
 
 
 class TestRealizability:
@@ -184,8 +185,7 @@ class TestRealizability:
         g, t, ta = demo
         tree = find_realizing_tree(ta)
         assert tree is not None
-        ok, _ = verify_clique_tree(g, tree)
-        assert ok
+        check_clique_tree_of(g, tree)
         # The realizing tree reproduces the assignment.
         assert tokens_from_tree(tree) == ta
 
@@ -257,8 +257,7 @@ class TestMinimizeLeafage:
         final, trace = minimize_leafage_with_trace(t)
         assert len(final.leaves()) == 3
         assert [(r.leaves_before, r.leaves_after) for r in trace] == [(5, 4), (4, 3)]
-        ok, _ = verify_clique_tree(g, final)
-        assert ok
+        check_clique_tree_of(g, final)
 
     def test_demo_vertex_counts_never_increase(self, demo):
         g, t, _ = demo
@@ -574,7 +573,7 @@ def test_kept_move_decision_matches_full_decision(corpus):
             ta = state.ta
             assert state.realizable() == is_realizable(ta)
             assert state.leaves == ta.leaf_count()
-            assert state.sizes == [ta.size(i) for i in range(len(cliques))]
-            assert state.starts == [i for i in range(len(cliques)) if ta.size(i) >= 3]
+            assert state.sizes == [len(ta.tokens[i]) for i in range(len(cliques))]
+            assert state.starts == [i for i in range(len(cliques)) if len(ta.tokens[i]) >= 3]
             assert state.vertex_leaves == ta.vertex_leaf_counts()
     assert decided[True] > 100 and decided[False] > 100

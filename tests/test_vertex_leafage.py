@@ -8,12 +8,13 @@ import leafage.graphs
 import leafage.vertex_leafage
 from conftest import (
     branch_set_layers,
+    check_clique_tree_of,
     count_calls,
     reference_clique_tree_with_branching,
     reference_ranked_branch_sets,
     spider_graph,
 )
-from leafage.cliquetrees import branching_sets, build_clique_tree, leaf_report, verify_clique_tree
+from leafage.cliquetrees import branching_sets, build_clique_tree, leaf_report
 from leafage.demo import demo_graph
 from leafage.gadget import build_gadget, parse_clause_file
 from leafage.graphs import Cliques, Graph, chordal_cliques, clique_graph, parse_graph
@@ -72,8 +73,7 @@ class TestCliqueTreeWithBranching:
             rebuilt = clique_tree_with_branching(g, f)
             if rebuilt is not None:
                 assert branching_sets(rebuilt).incident_edges == f
-                ok, _ = verify_clique_tree(g, rebuilt)
-                assert ok
+                check_clique_tree_of(g, rebuilt)
                 seen += 1
             if seen >= 5:
                 break
@@ -86,6 +86,21 @@ class TestCliqueTreeWithBranching:
         assert not cliques[3] & cliques[8]
         with pytest.raises(ValueError, match="not a clique-graph edge"):
             clique_tree_with_branching(g, frozenset({(3, 8)}))
+
+    def test_malformed_edge_ids_rejected(self):
+        # A realizable set, then the same set as reversed pairs, with
+        # negative ids, and with an id past the last clique.
+        g = demo_graph()
+        k = len(chordal_cliques(g))
+        f = frozenset({(0, 1), (1, 2), (1, 6)})
+        assert clique_tree_with_branching(g, f) is not None
+        for bad in (
+            frozenset((j, i) for i, j in f),
+            frozenset((i - k, j - k) for i, j in f),
+            frozenset({(0, 1), (1, 2), (1, k)}),
+        ):
+            with pytest.raises(ValueError, match="not a clique-graph edge"):
+                clique_tree_with_branching(g, bad)
 
     def test_no_elimination_pass_when_cliques_given(self, monkeypatch):
         # The marked cliques are built directly, and the graph's own clique
