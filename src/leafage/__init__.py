@@ -41,9 +41,7 @@ from .tokens import (
     CertificateError,
     TokenAssignment,
     TokenMove,
-    apply_move,
     find_realizing_tree,
-    is_realizable,
     minimize_leafage,
     minimize_leafage_with_trace,
     shortest_augmenting_path,
@@ -75,7 +73,6 @@ __all__ = [
     "TokenMove",
     "TreeModel",
     "VlCertificate",
-    "apply_move",
     "branching_sets",
     "build_clique_tree",
     "build_gadget",
@@ -85,7 +82,6 @@ __all__ = [
     "clique_tree_with_branching",
     "find_realizing_tree",
     "format_edge_list",
-    "is_realizable",
     "is_solution",
     "minimize_leafage",
     "minimize_leafage_with_trace",

@@ -8,8 +8,8 @@ decides solvability by brute force and compares the two.  The oracle goes
 first, so a bad tree cap, or one the gadget exceeds, is reported before the
 exponential brute force starts.  ``solution_to_tree`` and
 ``tree_to_solution`` translate solutions and clique trees with at most k
-leaves per subtree into each other; the tests exercise them, the verifier
-does not call them.
+leaves per subtree into each other, and the verifier runs both on the
+instance it checks.
 """
 
 from __future__ import annotations
@@ -244,10 +244,15 @@ def verify_reduction(inst: NaeInstance) -> dict:
     Compares brute-force solvability against the exact-oracle vertex leafage
     of the gadget: the latter is always at most k + 1, and at most k exactly
     when the instance is solvable.  Both facts are checked (raising
-    :class:`CertificateError`) and reported.  The oracle runs first, so its
-    limit errors come before the brute force.
+    :class:`CertificateError`) and reported.  Then both translations run:
+    the solution found must give a clique tree with at most k leaves per
+    subtree, and the oracle's vertex-leafage witness, when it has at most
+    k, must give a solution.  The oracle runs first, so its limit errors
+    come before the brute force.
     """
-    vl = oracle_optima(build_gadget(inst).graph).vertex_leafage
+    gg = build_gadget(inst)
+    result = oracle_optima(gg.graph)
+    vl = result.vertex_leafage
     solution = solve_brute_force(inst)
     upper_ok = vl <= inst.k + 1
     equivalence_ok = (vl <= inst.k) == (solution is not None)
@@ -257,6 +262,15 @@ def verify_reduction(inst: NaeInstance) -> dict:
         raise CertificateError(
             f"vertex leafage {vl} vs solvable={solution is not None} breaks the biconditional"
         )
+    if solution is not None:
+        worst = solution_to_tree(gg, solution).max_vertex_leaf_count(gg.graph.vertices)
+        if worst > inst.k:
+            raise CertificateError(
+                f"the tree of solution {sorted(solution)} has a subtree with {worst} leaves,"
+                f" more than k = {inst.k}"
+            )
+    if vl <= inst.k:
+        tree_to_solution(gg, result.witness_trees[1])
     return {
         "k": inst.k,
         "n": inst.n,

@@ -271,17 +271,6 @@ def _walk(g: Graph, limit: int | None) -> Iterator[tuple[int, int, list[tuple[in
         )
 
 
-def enumerate_clique_trees(g: Graph, limit: int | None = None) -> Iterator[CliqueTree]:
-    """All clique trees of ``g``, each exactly once, in canonical order.
-
-    Raises :class:`OracleLimitError` before the first tree when ``g`` has
-    more clique trees than the cap; see :func:`_walk`.
-    """
-    cliques = _connected_cliques(g)
-    for _, _, chosen in _walk(g, limit):
-        yield CliqueTree(cliques, frozenset(chosen))
-
-
 @dataclass(frozen=True)
 class OracleResult:
     """Exact optima with witnesses: (min host leaves, min vl, joint)."""

@@ -21,14 +21,17 @@ depends only on the cliques, so the clique family
 (:meth:`~leafage.graphs.Cliques.s_blocks`) builds each entry once, and
 every decision, move and realizing tree on that clique list reads it.
 
-A move changes two cliques and one token value, so a minimization keeps its
-counts by each move's delta (:class:`_TokenState`): the S-tokens of each
-S-block, the values whose count or coverage is wrong, the clique sizes, the
-host leaves and, per clique, how many tokens hold each vertex.  A move is
-then decided in O(1): the assignment it leads to is realizable iff the
-total is right, no other value is wrong and S still has a token in every
-S-block.  The realizing tree is built once per minimization, on the final
-assignment, in one pass per token value S over the pairs of S's holders,
+One class, :class:`_TokenState`, holds an assignment and these counts; it
+makes every move and every realizability decision.  A move changes two
+cliques and one token value, so the state keeps its counts by each move's
+delta: the S-tokens of each S-block, the values whose count or coverage is
+wrong, the clique sizes, the host leaves and, per clique, how many tokens
+hold each vertex.  A move is then decided in O(1): the assignment it leads
+to is realizable iff the total is right, no other value is wrong and S
+still has a token in every S-block.  The realizing tree is built once per
+minimization, on the final assignment, by a fresh state: the one pass over
+the tokens that decides realizability also lists each value's holders, and
+the pair pass then runs per token value S over the pairs of S's holders,
 keeping a forest on the S-blocks.
 """
 
@@ -131,83 +134,43 @@ def tokens_from_tree(t: CliqueTree) -> TokenAssignment:
     return TokenAssignment.create(t.cliques, tokens)
 
 
-def apply_move(ta: TokenAssignment, mv: TokenMove) -> TokenAssignment:
-    """Remove one instance of the token at the source, add one at the target.
-
-    Only the two cliques the move changes are re-sorted and checked.
-    """
-    i, j = mv.from_clique, mv.to_clique
-    src = list(ta.tokens[i])
-    try:
-        src.remove(mv.token)
-    except ValueError:
-        raise ValueError(f"token {sorted(mv.token)} absent at clique {i}") from None
-    tokens = dict(ta.tokens)
-    if j == i:
-        src.append(mv.token)
-    else:
-        tokens[j] = _normal(ta.cliques, j, ta.tokens[j] + (mv.token,))
-    tokens[i] = _normal(ta.cliques, i, src)
-    return TokenAssignment(ta.cliques, tokens)
-
-
-def _token_holders(ta: TokenAssignment) -> dict[Token, list[int]]:
-    """Token value -> the cliques holding it, in increasing order, once per token."""
-    holders: dict[Token, list[int]] = {}
-    for i in range(len(ta.cliques)):
-        for s in ta.tokens[i]:
-            holders.setdefault(s, []).append(i)
-    return holders
-
-
 def _fits(per_block: list[int]) -> bool:
     """2(m - 1) tokens of one value with one in each of its m blocks (so m >= 2)."""
     return sum(per_block) == 2 * (len(per_block) - 1) and min(per_block) > 0
 
 
-def is_realizable(ta: TokenAssignment) -> bool:
-    """Whether some clique tree induces ``ta``, decided per separator block.
-
-    True iff the tokens total 2(k - 1) and every token value S has m_S >= 2
-    S-blocks, exactly 2(m_S - 1) tokens, and a token in each S-block (see the
-    module docstring).  The decision is :meth:`_TokenState.realizable`'s:
-    O(number of tokens) plus building the table entry of each token value
-    that ``ta.cliques`` has not seen before.
-    """
-    return _TokenState(ta).realizable()
-
-
 def find_realizing_tree(ta: TokenAssignment) -> CliqueTree | None:
     """Clique tree whose neighbour intersections equal ``ta``, or None.
 
-    Returns None at once when :func:`is_realizable` says no.  Otherwise the
-    realizing trees are the independent choices, one per token value S, of
-    a spanning tree on the S-blocks whose clique degrees are the S-token
-    counts (see the module docstring).  So each S is decided on its own, in
-    one pass over the pairs (i, j) of S's holders in increasing order: it
-    takes (i, j) iff some realizing tree holds it and every pair taken
-    before: i and j both still hold an S-token, their S-blocks lie in
-    different components of the S-edges taken, and the merged component
-    keeps an unused S-token unless it spans every S-block.  Cliques of
-    different S-blocks meet in exactly S, and the pairs of one S-block are
-    never taken, so these are the pairs whose intersection is S.  The result
-    is the first tree a search taking each clique pair, in canonical order,
-    before skipping it would reach, with no backtracking.  Raises
-    :class:`CertificateError` if the pairs taken are not a clique tree.
+    One fresh :class:`_TokenState` of ``ta`` decides realizability, and
+    None is returned at once if it says no.  Otherwise the realizing trees
+    are the independent choices, one per token value S, of a spanning tree
+    on the S-blocks whose clique degrees are the S-token counts (see the
+    module docstring).  So each S is decided on its own, in one pass over
+    the pairs (i, j) of S's holders in increasing order, read off the
+    state's coverage: it takes (i, j) iff some realizing tree holds it and
+    every pair taken before: i and j both still hold an S-token, their
+    S-blocks lie in different components of the S-edges taken, and the
+    merged component keeps an unused S-token unless it spans every S-block.
+    Cliques of different S-blocks meet in exactly S, and the pairs of one
+    S-block are never taken, so these are the pairs whose intersection is
+    S.  The result is the first tree a search taking each clique pair, in
+    canonical order, before skipping it would reach, with no backtracking.
+    Raises :class:`CertificateError` if the pairs taken are not a clique
+    tree.
     """
-    if not is_realizable(ta):
+    state = _TokenState(ta)
+    if not state.realizable():
         return None
     chosen: list[tuple[int, int]] = []
-    for s, ids in _token_holders(ta).items():
-        block, m = ta.cliques.s_blocks(s)
+    for block, per_block, ids in state._coverage[0].values():
+        m = len(per_block)
         held = Counter(ids)
         ids = list(held)
         # A forest on the S-blocks and, at each component's root, the
         # S-tokens its cliques still hold.
         forest = Forest(m)
-        unused = [0] * m
-        for i in ids:
-            unused[block[i]] += held[i]
+        unused = per_block.copy()
         for x, i in enumerate(ids):
             for j in ids[x + 1:]:
                 if not held[i]:
@@ -233,6 +196,9 @@ def find_realizing_tree(ta: TokenAssignment) -> CliqueTree | None:
     return tree
 
 
+_Cover = tuple[dict[int, int], list[int], list[int]]
+
+
 class _TokenState:
     """One assignment and the counts its token moves change, kept by each move's delta.
 
@@ -251,17 +217,21 @@ class _TokenState:
         self.total_ok = sum(self.sizes) == 2 * (len(self.sizes) - 1)
 
     @cached_property
-    def _coverage(self) -> tuple[dict[Token, tuple[dict[int, int], list[int]]], set[Token]]:
-        # Per token value S: its block table and the S-tokens in each
-        # S-block.  Then the values whose count or coverage is wrong.
-        cover = {}
-        for s, ids in _token_holders(self.ta).items():
-            block, m = self.ta.cliques.s_blocks(s)
-            per_block = [0] * m
-            for i in ids:
+    def _coverage(self) -> tuple[dict[Token, _Cover], set[Token]]:
+        # Per token value S: its block table, the S-tokens in each S-block
+        # and the cliques holding S, once per token, in increasing order.
+        # Then the values whose count or coverage is wrong.  Moves keep the
+        # first two parts but not the holders.
+        cover: dict[Token, _Cover] = {}
+        for i in range(len(self.sizes)):
+            for s in self.ta.tokens[i]:
+                if s not in cover:
+                    block, m = self.ta.cliques.s_blocks(s)
+                    cover[s] = (block, [0] * m, [])
+                block, per_block, ids = cover[s]
                 per_block[block[i]] += 1
-            cover[s] = (block, per_block)
-        return cover, {s for s, (_, per_block) in cover.items() if not _fits(per_block)}
+                ids.append(i)
+        return cover, {s for s, (_, per_block, _) in cover.items() if not _fits(per_block)}
 
     @cached_property
     def _held(self) -> list[Counter[str]]:
@@ -288,7 +258,7 @@ class _TokenState:
         cover, bad = self._coverage
         if not self.total_ok or (bad and (len(bad) > 1 or s not in bad)):
             return False
-        block, per_block = cover[s]
+        block, per_block, _ = cover[s]
         a, b = block[src], block[dst]
         if s not in bad:
             return a == b or per_block[a] >= 2
@@ -298,12 +268,30 @@ class _TokenState:
         return _fits(after)
 
     def apply(self, path: AugmentingPath) -> dict[str, int]:
-        """Carry out ``path`` move by move; return each touched vertex's leaf count before it."""
+        """Carry out ``path`` move by move; return each touched vertex's leaf count before it.
+
+        Each move takes one ``s`` out of its source, raising ``ValueError``
+        if the source holds none, and sorts it into its target, which must
+        contain it.  The tokens are copied once per path and every move is
+        made on them before any count changes, so a path that raises leaves
+        the state as it was.
+        """
+        # Read before ``ta`` changes: each is built from it on first use.
         cover, bad = self._coverage
         vertex_leaves = self.vertex_leaves
+        tokens = dict(self.ta.tokens)
+        for mv in path.moves:
+            i, j, s = mv.from_clique, mv.to_clique, mv.token
+            src = list(tokens[i])
+            try:
+                src.remove(s)
+            except ValueError:
+                raise ValueError(f"token {sorted(s)} absent at clique {i}") from None
+            tokens[i] = tuple(src)
+            tokens[j] = _normal(self.ta.cliques, j, tokens[j] + (s,))
+        self.ta = TokenAssignment(self.ta.cliques, tokens)
         before: dict[str, int] = {}
         for mv in path.moves:
-            self.ta = apply_move(self.ta, mv)
             s = mv.token
             for i, d in ((mv.from_clique, -1), (mv.to_clique, 1)):
                 n = self.sizes[i]
@@ -319,7 +307,7 @@ class _TokenState:
                     h = held[u]
                     held[u] = h + d
                     vertex_leaves[u] += (h + d == 1) - (h == 1)
-            block, per_block = cover[s]
+            block, per_block, _ = cover[s]
             a = block[mv.from_clique]
             per_block[a] -= 1
             per_block[block[mv.to_clique]] += 1

@@ -89,14 +89,15 @@ def clique_tree_with_branching(g: Graph, f: BranchEdgeSet) -> CliqueTree | None:
     Kruskal tree with that many is already minimal: ``minimize_leafage``
     would find no augmenting path and return it as it is, and is not run.
     Raises ``ValueError`` on a pair of ``f`` that is not a clique-graph
-    edge ``(i, j)``, ``0 <= i < j < k``.
+    edge ``(i, j)``, ``0 <= i < j < k``, whatever the size of ``f``; a
+    well-formed ``f`` of k or more pairs holds a cycle and gives None.
     """
     cliques = chordal_cliques(g)
-    if len(f) >= len(cliques):
-        return None
     for i, j in f:
         if not 0 <= i < j < len(cliques) or not cliques[i] & cliques[j]:
             raise ValueError(f"({i}, {j}) is not a clique-graph edge")
+    if len(f) >= len(cliques):
+        return None
     if not g.is_connected():
         raise ValueError("clique graph is disconnected")
     marked = [c | {_marker_name(e) for e in f if i in e} for i, c in enumerate(cliques)]

@@ -30,6 +30,7 @@ from leafage.graphs import (
     Graph,
     GraphFormatError,
     PerfectEliminationOrder,
+    _connected_cliques,
     _mcs_order,
     _peo_cliques,
     _reach,
@@ -37,14 +38,15 @@ from leafage.graphs import (
     chordal_cliques,
     clique_graph,
 )
-from leafage.oracle import oracle_optima, random_chordal
+from leafage.oracle import _walk, oracle_optima, random_chordal
 from leafage.tokens import (
     AugmentingPath,
     IterationRecord,
+    TokenAssignment,
     TokenMove,
+    _normal,
     _token_key,
-    apply_move,
-    is_realizable,
+    _TokenState,
     minimize_leafage,
     tokens_from_tree,
 )
@@ -287,6 +289,43 @@ def reference_clique_tree_with_branching(g: Graph, f: frozenset, cliques) -> Cli
     if path_containment_violation(tree) is not None or branching_sets(tree).incident_edges != f:
         return None
     return tree
+
+
+def enumerate_clique_trees(g: Graph, limit: int | None = None):
+    """All clique trees of ``g``, each exactly once, in canonical order.
+
+    The oracle's walk, yielding each tree; raises ``OracleLimitError``
+    before the first tree when ``g`` has more clique trees than the cap.
+    """
+    cliques = _connected_cliques(g)
+    for _, _, chosen in _walk(g, limit):
+        yield CliqueTree(cliques, frozenset(chosen))
+
+
+def is_realizable(ta) -> bool:
+    """Whether some clique tree induces ``ta``: a fresh token state's decision."""
+    return _TokenState(ta).realizable()
+
+
+def apply_move(ta, mv):
+    """Remove one instance of the token at the source, add one at the target.
+
+    The one-move reference for ``_TokenState.apply``: it copies the whole
+    assignment and re-sorts and re-checks both cliques the move changes.
+    """
+    i, j = mv.from_clique, mv.to_clique
+    src = list(ta.tokens[i])
+    try:
+        src.remove(mv.token)
+    except ValueError:
+        raise ValueError(f"token {sorted(mv.token)} absent at clique {i}") from None
+    tokens = dict(ta.tokens)
+    if j == i:
+        src.append(mv.token)
+    else:
+        tokens[j] = _normal(ta.cliques, j, ta.tokens[j] + (mv.token,))
+    tokens[i] = _normal(ta.cliques, i, src)
+    return TokenAssignment(ta.cliques, tokens)
 
 
 def reference_find_realizing_tree(ta):

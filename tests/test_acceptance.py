@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from conftest import apply_path, nae_families
+from conftest import apply_path, enumerate_clique_trees, nae_families
 from leafage.cliquetrees import branching_sets, build_clique_tree, leaf_report
 from leafage.demo import demo_clique_tree, demo_graph
 from leafage.gadget import (
@@ -27,7 +27,6 @@ from leafage.tokens import (
     shortest_augmenting_path,
     tokens_from_tree,
 )
-from leafage.oracle import enumerate_clique_trees
 from leafage.vertex_leafage import simultaneous_optimum, vertex_leafage_bounded
 
 EXPECTED_CLIQUES = ["abc", "acd", "adf", "ag", "ah", "bci", "cdk", "cj", "de"]

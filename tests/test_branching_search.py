@@ -16,6 +16,7 @@ import leafage.vertex_leafage
 from conftest import (
     branch_set_layers,
     count_calls,
+    enumerate_clique_trees,
     is_full_star_union,
     nae_families,
     reference_candidate_branch_sets,
@@ -27,7 +28,7 @@ from conftest import (
 from leafage.cliquetrees import Forest, branching_sets, build_clique_tree
 from leafage.gadget import build_gadget, parse_clause_file
 from leafage.graphs import chordal_cliques, clique_graph
-from leafage.oracle import enumerate_clique_trees, oracle_optima, random_chordal
+from leafage.oracle import oracle_optima, random_chordal
 from leafage.tokens import minimize_leafage
 from leafage.vertex_leafage import (
     _branching_leaf_counts,

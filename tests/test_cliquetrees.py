@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import check_clique_tree_of, is_tree_model
+from conftest import check_clique_tree_of, enumerate_clique_trees, is_tree_model
 from leafage.cliquetrees import (
     CliqueTree,
     Forest,
@@ -19,7 +19,6 @@ from leafage.cliquetrees import (
 )
 from leafage.demo import demo_clique_tree, demo_graph
 from leafage.graphs import Graph, chordal_cliques, clique_graph
-from leafage.oracle import enumerate_clique_trees
 
 
 @pytest.fixture

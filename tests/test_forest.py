@@ -9,11 +9,10 @@ by ``conftest.join_all``) are checked against it.
 
 import random
 
-from conftest import join_all
+from conftest import enumerate_clique_trees, join_all
 from leafage.cliquetrees import CliqueTree, Forest, _class_nodes
 from leafage.demo import demo_graph
 from leafage.graphs import Graph, chordal_cliques, clique_graph
-from leafage.oracle import enumerate_clique_trees
 
 
 def reference_enumerate(g):

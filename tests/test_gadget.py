@@ -4,7 +4,8 @@ import itertools
 
 import pytest
 
-from conftest import dominating_pair, format_clause_file, satisfies_star
+import leafage.gadget
+from conftest import count_calls, dominating_pair, format_clause_file, satisfies_star
 from leafage.cliquetrees import CliqueTree
 from leafage.gadget import (
     ClauseFormatError,
@@ -267,6 +268,14 @@ class TestVerifyReduction:
         assert report["vertex_leafage"] <= 3
         assert report["upper_bound_ok"] and report["equivalence_ok"]
 
+    def test_solvable_instance_translates_both_ways(self, monkeypatch):
+        to_tree = count_calls(monkeypatch, leafage.gadget, "solution_to_tree")
+        to_solution = count_calls(monkeypatch, leafage.gadget, "tree_to_solution")
+        report = verify_reduction(STAR_OK)
+        assert report["solvable"] and report["vertex_leafage"] <= STAR_OK.k
+        assert [s for _, s in to_tree] == [frozenset(report["solution"])]
+        assert len(to_solution) == 1
+
     def test_report_fields(self):
         report = verify_reduction(inst_of(("v1", "v2", "v3"), ("v2", "v3", "v4")))
         assert set(report) == {
@@ -319,6 +328,12 @@ gadget.tree_to_solution(gg, CliqueTree(cliques, edges))
 """,
     "exceeds k + 1": """
 gadget.oracle_optima = lambda g: SimpleNamespace(vertex_leafage=5)
+gadget.verify_reduction(STAR_OK)
+""",
+    # solution_to_tree: the solution's tree is read as having k + 1 leaves
+    # in some subtree.
+    "more than k = 3": """
+CliqueTree.max_vertex_leaf_count = lambda self, vertices: 4
 gadget.verify_reduction(STAR_OK)
 """,
     "breaks the biconditional": """

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import check_clique_tree_of, spider_graph
+from conftest import check_clique_tree_of, enumerate_clique_trees, spider_graph
 from leafage.cliquetrees import CliqueTree, Forest, build_clique_tree
 from leafage.demo import demo_clique_tree, demo_graph
 from leafage.graphs import (
@@ -24,7 +24,6 @@ from leafage.oracle import (
     _blocks,
     _spanning_forests,
     _walk,
-    enumerate_clique_trees,
     oracle_optima,
     random_chordal,
     tree_limit,

@@ -12,8 +12,12 @@ import pytest
 import leafage
 import leafage.tokens as tokens_module
 from conftest import (
+    apply_move,
     apply_path,
     check_clique_tree_of,
+    count_calls,
+    enumerate_clique_trees,
+    is_realizable,
     nae_families,
     reference_find_realizing_tree,
     reference_minimize_leafage,
@@ -24,14 +28,12 @@ from leafage.demo import demo_clique_tree, demo_graph
 from leafage.gadget import NaeInstance, build_gadget
 from leafage.graphs import Cliques, Graph, chordal_cliques, clique_graph
 from leafage.cliquetrees import build_clique_tree
-from leafage.oracle import enumerate_clique_trees, random_chordal
+from leafage.oracle import random_chordal
 from leafage.tokens import (
     AugmentingPath,
     TokenAssignment,
     TokenMove,
-    apply_move,
     find_realizing_tree,
-    is_realizable,
     minimize_leafage,
     minimize_leafage_with_trace,
     shortest_augmenting_path,
@@ -166,6 +168,37 @@ class TestMoves:
         _, _, ta = demo
         assert apply_move(ta, TokenMove(0, 0, frozenset("a"))) == ta
 
+    def test_state_apply_matches_reference(self, demo):
+        _, _, ta = demo
+        path = AugmentingPath(
+            (
+                TokenMove(0, 2, frozenset("a")),
+                TokenMove(2, 6, frozenset("d")),
+                TokenMove(5, 5, frozenset("c")),
+            )
+        )
+        state = tokens_module._TokenState(ta)
+        state.apply(path)
+        assert state.ta == apply_path(ta, path)
+
+    @pytest.mark.parametrize(
+        "move, message",
+        [
+            (TokenMove(8, 2, frozenset("x")), "absent at clique 8"),
+            (TokenMove(0, 3, frozenset("bc")), "not a subset"),
+        ],
+    )
+    def test_state_apply_rejects_bad_move(self, demo, move, message):
+        # The path's first move is sound; the state is left as it was.
+        _, _, ta = demo
+        state = tokens_module._TokenState(ta)
+        with pytest.raises(ValueError, match=message):
+            state.apply(AugmentingPath((TokenMove(0, 3, frozenset("a")), move)))
+        assert state.ta == ta and state.realizable()
+        assert state.sizes == [len(ta.tokens[i]) for i in range(len(ta.cliques))]
+        assert state.leaves == ta.leaf_count()
+        assert state.vertex_leaves == ta.vertex_leaf_counts()
+
     def test_apply_path_composes(self, demo):
         _, _, ta = demo
         path = AugmentingPath(
@@ -209,6 +242,19 @@ class TestRealizability:
         ta = TokenAssignment.create((frozenset("ab"),), {})
         tree = find_realizing_tree(ta)
         assert tree is not None and tree.edges == frozenset()
+
+    def test_realizing_tree_reads_each_block_table_once(self, monkeypatch):
+        # The decision and the pair pass share one pass over the tokens:
+        # each token value's S-block entry is asked for once.
+        graphs = [demo_graph(), spider_graph(5, 2), random_chordal(30, density=0.3, seed=1)]
+        calls = count_calls(monkeypatch, Cliques, "s_blocks")
+        for g in graphs:
+            family = Cliques(tuple(chordal_cliques(g)))
+            ta = tokens_from_tree(minimize_leafage(build_clique_tree(clique_graph(family))))
+            calls.clear()
+            assert find_realizing_tree(ta) is not None
+            values = {s for toks in ta.tokens.values() for s in toks}
+            assert Counter(s for _, s in calls) == Counter(values)
 
     def test_infeasible_pairing_unrealizable(self):
         # Two cliques, but the tokens do not match their intersection.
@@ -301,10 +347,11 @@ def bad(self, path):
     return original(self, tk.AugmentingPath(path.moves[:-1]))
 """,
     "rose": """
-from leafage.oracle import enumerate_clique_trees
+from leafage.oracle import _walk
 before = tk.tokens_from_tree(t)
+trees = [tk.CliqueTree(t.cliques, frozenset(c)) for _, _, c in _walk(demo_graph(), None)]
 worse = next(
-    ta for ta in map(tk.tokens_from_tree, enumerate_clique_trees(demo_graph()))
+    ta for ta in map(tk.tokens_from_tree, trees)
     if ta.leaf_count() == before.leaf_count() - 1
     and any(n > before.vertex_leaf_counts()[u] for u, n in ta.vertex_leaf_counts().items())
 )
@@ -319,10 +366,10 @@ def bad(self, path):
         moves += [tk.TokenMove(a, b, s) for a, b in zip(surplus, short)]
     return original(self, tk.AugmentingPath(tuple(moves)))
 """,
-    # The kept coverage says realizable; the full decision at the end does not.
+    # The kept coverage says realizable; the fresh decision at the end does not.
     "final assignment": """
 def bad(self, path):
-    tk.is_realizable = lambda ta: False
+    tk.find_realizing_tree = lambda ta: None
     return original(self, path)
 """,
     # A slip in the kept counts that no per-iteration check sees.
@@ -487,15 +534,14 @@ def test_realizing_tree_matches_reference_on_random_chordal(n):
 
 
 def test_unrealizable_pairs_raise_under_optimize(run_optimized):
-    # ``is_realizable`` is patched to accept an assignment that no clique
-    # tree induces: the pass must raise, not return a broken tree or None.
+    # The decision is patched to accept an assignment that no clique tree
+    # induces: the pass must raise, not return a broken tree or None.
     out = run_optimized(
         "import leafage.tokens as tk\n"
         "assert False, 'not run under -O'\n"
         "cliques = (frozenset('ab'), frozenset('bc'), frozenset('cd'))\n"
         "ta = tk.TokenAssignment.create(cliques, {0: (frozenset('b'),), 1: (frozenset('b'),)})\n"
-        "assert not tk.is_realizable(ta)\n"
-        "tk.is_realizable = lambda ta: True\n"
+        "tk._TokenState.realizable = lambda self: True\n"
         "try:\n"
         "    print('returned', tk.find_realizing_tree(ta))\n"
         "except tk.CertificateError as exc:\n"

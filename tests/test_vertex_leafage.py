@@ -10,6 +10,7 @@ from conftest import (
     branch_set_layers,
     check_clique_tree_of,
     count_calls,
+    enumerate_clique_trees,
     reference_clique_tree_with_branching,
     reference_ranked_branch_sets,
     spider_graph,
@@ -18,7 +19,7 @@ from leafage.cliquetrees import branching_sets, build_clique_tree, leaf_report
 from leafage.demo import demo_graph
 from leafage.gadget import build_gadget, parse_clause_file
 from leafage.graphs import Cliques, Graph, chordal_cliques, clique_graph, parse_graph
-from leafage.oracle import enumerate_clique_trees, oracle_optima, random_chordal
+from leafage.oracle import oracle_optima, random_chordal
 from leafage.tokens import minimize_leafage
 from leafage.vertex_leafage import (
     _branching_leaf_counts,
@@ -131,11 +132,22 @@ class TestCliqueTreeWithBranching:
             clique_tree_with_branching(g, frozenset())
 
     def test_oversized_branching_returns_none(self):
-        g = parse_graph(PATH_GRAPH)
+        # K_{1,3}: the three cliques meet pairwise at the centre, so all
+        # three pairs are clique-graph edges, and no tree holds all three.
+        g = parse_graph("e c x\ne c y\ne c z\n")
         cliques = chordal_cliques(g)
         f = frozenset({(0, 1), (1, 2), (0, 2)})
         assert len(f) >= len(cliques)
         assert clique_tree_with_branching(g, f) is None
+
+    def test_oversized_malformed_branching_raises(self):
+        # The path's end cliques are disjoint: the pair is checked before
+        # the size of the set is.
+        g = parse_graph(PATH_GRAPH)
+        f = frozenset({(0, 1), (1, 2), (0, 2)})
+        assert len(f) >= len(chordal_cliques(g))
+        with pytest.raises(ValueError, match=r"\(0, 2\) is not a clique-graph edge"):
+            clique_tree_with_branching(g, f)
 
 
 class TestCandidateBranchSets:
@@ -372,11 +384,14 @@ def test_wrong_tree_raises_under_optimize(run_optimized):
     # the second derivation even with asserts stripped.
     out = run_optimized(
         "import leafage.vertex_leafage as vl\n"
+        "from leafage.cliquetrees import CliqueTree\n"
         "from leafage.demo import demo_graph\n"
-        "from leafage.oracle import enumerate_clique_trees\n"
+        "from leafage.graphs import chordal_cliques\n"
+        "from leafage.oracle import _walk\n"
         "assert False, 'not run under -O'\n"
         "g = demo_graph()\n"
-        "worst = max(enumerate_clique_trees(g), key=lambda t: t.max_vertex_leaf_count(g.vertices))\n"
+        "trees = [CliqueTree(chordal_cliques(g), frozenset(c)) for _, _, c in _walk(g, None)]\n"
+        "worst = max(trees, key=lambda t: t.max_vertex_leaf_count(g.vertices))\n"
         "vl.clique_tree_with_branching = lambda g, f: worst\n"
         "try:\n"
         "    vl.vertex_leafage_bounded(g)\n"
@@ -392,12 +407,14 @@ def test_tree_with_more_leaves_raises_under_optimize(run_optimized):
     # tree passes the per-vertex check, but not the host leaf count.
     out = run_optimized(
         "import leafage.vertex_leafage as vl\n"
-        "from leafage.cliquetrees import branching_sets\n"
+        "from leafage.cliquetrees import CliqueTree, branching_sets\n"
         "from leafage.demo import demo_graph\n"
-        "from leafage.oracle import enumerate_clique_trees\n"
+        "from leafage.graphs import chordal_cliques\n"
+        "from leafage.oracle import _walk\n"
         "assert False, 'not run under -O'\n"
         "g = demo_graph()\n"
-        "four = next(t for t in enumerate_clique_trees(g) if len(t.leaves()) == 4)\n"
+        "trees = [CliqueTree(chordal_cliques(g), frozenset(c)) for _, _, c in _walk(g, None)]\n"
+        "four = next(t for t in trees if len(t.leaves()) == 4)\n"
         "f = branching_sets(four).incident_edges\n"
         "vl.candidate_branch_sets = lambda cg, leafage, floor=0: [f]\n"
         "try:\n"
