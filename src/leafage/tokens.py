@@ -332,79 +332,51 @@ def shortest_augmenting_path(
     each move carries the least feasible token.  ``state`` holds the kept
     counts of ``ta`` (a minimization passes its own); without it one is
     made from ``ta``.
+
+    One breadth-first search finds it.  Every move is judged against
+    ``ta`` alone, so the feasible moves form a fixed digraph and a shortest
+    path visits distinct cliques.  Level 0 is the starts, increasing; each
+    level's sources are gone over in order, each listing its targets (the
+    cliques containing one of its tokens) in increasing order.  So each
+    level is in lexicographic order of its cliques' least shortest paths,
+    and the first clique holding one token that a level reaches ends the
+    least shortest path.  Otherwise each clique holding two tokens that the
+    level reaches, and no earlier one did, joins the next level from the
+    first source with a feasible move to it.  Each clique is reached at
+    most once and lists its targets at most twice.
     """
     if state is None:
         state = _TokenState(ta)
-    cliques = ta.cliques
-    k = len(cliques)
-    sizes, starts = state.sizes, state.starts
-    if not starts:
-        return None
+    cliques, sizes = ta.cliques, state.sizes
 
-    move_cache: dict[tuple[int, int], Token | None] = {}
+    def move(src: int, dst: int) -> TokenMove | None:
+        # ``tokens[src]`` is sorted, so this is the least feasible value.
+        return next(
+            (
+                TokenMove(src, dst, s)
+                for s in dict.fromkeys(ta.tokens[src])
+                if s <= cliques[dst] and state.can_move(src, dst, s)
+            ),
+            None,
+        )
 
-    def feasible_token(src: int, dst: int) -> Token | None:
-        key = (src, dst)
-        if key not in move_cache:
-            target = cliques[dst]
-            # ``tokens[src]`` is sorted, so this is the least feasible value.
-            move_cache[key] = next(
-                (
-                    s
-                    for s in dict.fromkeys(ta.tokens[src])
-                    if s <= target and state.can_move(src, dst, s)
-                ),
-                None,
-            )
-        return move_cache[key]
-
-    def extend(start: int, length: int) -> tuple[list[int] | None, bool]:
-        # Depth-first; ``options[d]`` lists, in increasing order, the
-        # cliques a move from ``path[d]`` can reach (those containing one
-        # of its tokens), and ``cursor[d]`` is the next index to try.
-        # Returns the path found, if any, and whether some path reached
-        # ``length`` cliques.
-        path = [start]
-        options = [cliques.holding(ta.tokens[start])]
-        cursor = [0]
-        deep = False
-        while path:
-            last = path[-1]
-            want = 1 if len(path) == length else 2
-            deep = deep or want == 1
-            targets = options[-1]
-            for x in range(cursor[-1], len(targets)):
-                c = targets[x]
-                if c not in path and sizes[c] == want and feasible_token(last, c) is not None:
-                    if want == 1:
-                        return path + [c], True
-                    cursor[-1] = x + 1
-                    path.append(c)
-                    options.append(cliques.holding(ta.tokens[c]))
-                    cursor.append(0)
-                    break
-            else:
-                path.pop()
-                options.pop()
-                cursor.pop()
-        return None, deep
-
-    # Every move is judged against ``ta`` alone, so a path's prefixes are
-    # paths too: once no start reaches ``length`` cliques through cliques
-    # holding two tokens, no longer path exists either.
-    for length in range(1, k):
-        deep = False
-        for start in starts:
-            found, reached = extend(start, length)
-            if found is not None:
-                moves = tuple(
-                    TokenMove(a, b, feasible_token(a, b))
-                    for a, b in zip(found, found[1:])
-                )
-                return AugmentingPath(moves)
-            deep = deep or reached
-        if not deep:
-            break
+    # The move that first reached each clique; None at the starts.
+    reached: dict[int, TokenMove | None] = dict.fromkeys(state.starts)
+    level = state.starts
+    while level:
+        for src in level:
+            for dst in cliques.holding(ta.tokens[src]):
+                if sizes[dst] == 1 and (mv := move(src, dst)) is not None:
+                    moves = [mv]
+                    while (mv := reached[mv.from_clique]) is not None:
+                        moves.append(mv)
+                    return AugmentingPath(tuple(reversed(moves)))
+        sources, level = level, []
+        for src in sources:
+            for dst in cliques.holding(ta.tokens[src]):
+                if sizes[dst] == 2 and dst not in reached and (mv := move(src, dst)) is not None:
+                    reached[dst] = mv
+                    level.append(dst)
     return None
 
 

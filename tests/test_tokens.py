@@ -12,6 +12,7 @@ import pytest
 import leafage
 import leafage.tokens as tokens_module
 from conftest import (
+    _reference_augmenting_path,
     apply_move,
     apply_path,
     check_clique_tree_of,
@@ -623,3 +624,55 @@ def test_kept_move_decision_matches_full_decision(corpus):
             assert state.starts == [i for i in range(len(cliques)) if len(ta.tokens[i]) >= 3]
             assert state.vertex_leaves == ta.vertex_leaf_counts()
     assert decided[True] > 100 and decided[False] > 100
+
+
+def _random_clique_tree(cliques, rng):
+    # Kruskal on the intersection sizes, ties broken at random: any clique tree.
+    weights = clique_graph(cliques).weights
+    pairs = sorted(weights, key=lambda e: (-weights[e], rng.random()))
+    forest = Forest(len(cliques))
+    return CliqueTree(cliques, frozenset(e for e in pairs if forest.union(*e)))
+
+
+def test_search_matches_reference_off_the_minimization():
+    """The search returns the reference's path on assignments off the minimization's path.
+
+    Random spanning trees' and random clique trees' assignments, each after
+    up to two random single moves, so many are unrealizable.  Paths of two
+    or more moves are rare and show on clique trees only.
+    """
+    rng = random.Random(17)
+    lengths = Counter()
+    for n in (20, 24, 28, 32):
+        for density in (0.6, 0.7, 0.8):
+            for seed in range(6):
+                cliques = chordal_cliques(random_chordal(n, density=density, seed=seed))
+                for tree in (_random_spanning_tree, _random_clique_tree) * 3:
+                    ta = tokens_from_tree(tree(cliques, rng))
+                    for _ in range(3):
+                        path = shortest_augmenting_path(ta)
+                        assert path == _reference_augmenting_path(ta)
+                        lengths[0 if path is None else min(len(path.moves), 2)] += 1
+                        ta = _random_move(ta, rng)
+    assert lengths[0] > 100 and lengths[1] > 100 and lengths[2] > 10, lengths
+
+
+def test_search_lists_each_cliques_targets_at_most_twice(monkeypatch):
+    """Every search of a whole minimization makes at most 2k ``holding`` calls on k cliques."""
+    cliques = chordal_cliques(random_chordal(120, density=0.3, seed=3))
+    k = len(cliques)
+    assert k == 40
+    holding = count_calls(monkeypatch, Cliques, "holding")
+    search = tokens_module.shortest_augmenting_path
+    per_search = []
+
+    def counting(ta, state=None):
+        holding.clear()
+        path = search(ta, state)
+        per_search.append(len(holding))
+        return path
+
+    monkeypatch.setattr(tokens_module, "shortest_augmenting_path", counting)
+    _, trace = minimize_leafage_with_trace(build_clique_tree(clique_graph(cliques)))
+    assert len(per_search) == len(trace) + 1
+    assert max(per_search) <= 2 * k, per_search
