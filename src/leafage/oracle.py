@@ -150,15 +150,17 @@ def _walk(g: Graph, limit: int | None) -> Iterator[tuple[int, int, list[tuple[in
     At the end it must equal the trees walked, or the walk raises
     :class:`CertificateError`.
 
-    The walk goes over the remaining edges in canonical order with one
-    :class:`Forest` on the nodes, taking each edge before skipping it.  It
+    A bridge of a class's multigraph lies in every spanning forest, so
+    every bridge is linked into one :class:`Forest` on the nodes once,
+    before the walk, and never undone.  A simple path between two nodes of
+    one block stays in that block, so no bridge changes whether a block
+    edge's nodes are apart or meet.  The walk then goes over the block
+    edges in canonical order, taking each edge before skipping it.  It
     takes an edge iff the edge's nodes are still apart, and skips it iff
     they still meet through the chosen edges and the later edges of its
-    class.  A simple path between two nodes of a block of the class's
-    multigraph stays in that block, so only the later edges of the edge's
-    own block are tried, and a bridge is never skipped.  Every search node
-    thus reaches a tree.  The walk keeps its own stack, so long inputs
-    cannot hit the recursion limit.
+    block.  Every search node thus reaches a tree, and the trees come in
+    lexicographic order of their sorted edges.  The walk keeps its own
+    stack, so long inputs cannot hit the recursion limit.
 
     Consecutive trees share most of their edges, so the leaf counts are
     kept by each take's delta and taken back on its undo.  A slot is a
@@ -227,6 +229,13 @@ def _walk(g: Graph, limit: int | None) -> Iterator[tuple[int, int, list[tuple[in
             degree[s] = old + d
             leaves[c] += (old + d == 1) - (old == 1)
 
+    for edge, x, y, pairs, _, touch in steps:
+        if pairs is None:
+            forest.union(x, y)
+            chosen.append(edge)
+            shift(touch, 1)
+    steps = [step for step in steps if step[3] is not None]
+
     def meet(x: int, y: int, pairs: list[tuple[int, int]], start: int) -> bool:
         # Whether x and y meet through the chosen edges and pairs[start:]:
         # link those in until they do, then take the links back.
@@ -252,7 +261,7 @@ def _walk(g: Graph, limit: int | None) -> Iterator[tuple[int, int, list[tuple[in
             chosen.pop()
             _, x, y, pairs, start, touch = steps[idx]
             shift(touch, -1)
-            if pairs is not None and meet(x, y, pairs, start):
+            if meet(x, y, pairs, start):
                 stack.append((idx + 1, False))
             continue
         if len(chosen) == k - 1:

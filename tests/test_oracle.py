@@ -30,6 +30,19 @@ from leafage.oracle import (
 )
 
 
+@pytest.fixture
+def forest_calls(monkeypatch):
+    """Counts of ``Forest.union`` and ``Forest.undo`` calls made in the test."""
+    calls = Counter()
+    for name in ("union", "undo"):
+        def counted(self, *args, _name=name, _method=getattr(Forest, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(Forest, name, counted)
+    return calls
+
+
 class TestEnumerateCliqueTrees:
     def test_two_cliques_single_tree(self):
         g = Graph.from_edges([], [("a", "b"), ("b", "c")])
@@ -104,22 +117,26 @@ class TestEnumerateCliqueTrees:
         edges += [(f"p{e:04d}", f"q{e}{j}") for e in ends for j in range(2)]
         assert oracle_optima(Graph.from_edges([], edges)).tree_count == count
 
-    def test_long_path_takes_linear_work(self, monkeypatch):
+    def test_long_path_takes_linear_work(self, forest_calls):
         # P_2200 has one clique tree, and its one weight class has no cycle,
         # so no edge is tested for a skip.
-        calls = Counter()
-        for name in ("union", "undo"):
-            def counted(self, *args, _name=name, _method=getattr(Forest, name)):
-                calls[_name] += 1
-                return _method(self, *args)
-
-            monkeypatch.setattr(Forest, name, counted)
         g = Graph.from_edges([], [(f"p{i:04d}", f"p{i + 1:04d}") for i in range(2199)])
         trees = list(enumerate_clique_trees(g))
         assert len(trees) == 1
         k = len(trees[0].cliques)
         assert k == 2199
-        assert calls["union"] + calls["undo"] <= 4 * k
+        assert forest_calls["union"] + forest_calls["undo"] <= 4 * k
+
+    def test_bridges_add_no_work_per_tree(self, forest_calls):
+        # spider(6, L) has 6L cliques and 6^4 clique trees for every L:
+        # its legs past the first edge are bridges, so longer legs may add
+        # work once, not once per tree.
+        work = []
+        for length in (10, 100):
+            forest_calls.clear()
+            assert sum(1 for _ in _walk(spider_graph(6, length), None)) == 6**4
+            work.append(forest_calls["union"] + forest_calls["undo"])
+        assert work[1] - work[0] <= 4 * 6 * (100 - 10)
 
     def test_limit_env_override(self, monkeypatch):
         monkeypatch.setenv("LEAFAGE_ORACLE_LIMIT", "10")
@@ -224,6 +241,21 @@ def test_walk_leaf_counts_match_recount(graphs):
             assert leaves == len(t.leaves())
             assert vl == t.max_vertex_leaf_count(g.vertices)
             trees += 1
+    assert trees > 4000
+
+
+def test_walk_order_is_lexicographic(graphs):
+    """Each tree's sorted edges come after the previous tree's.
+
+    The witnesses ``oracle_optima`` keeps are the first trees to reach
+    each optimum, so this order fixes them.  The family holds spider(6, 2),
+    whose 1,296 trees differ only in their block edges.
+    """
+    trees = 0
+    for g in graphs:
+        walked = [tuple(sorted(chosen)) for _, _, chosen in _walk(g, None)]
+        assert all(a < b for a, b in zip(walked, walked[1:]))
+        trees += len(walked)
     assert trees > 4000
 
 
