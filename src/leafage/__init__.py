@@ -28,6 +28,7 @@ from .graphs import (
     CliqueGraph,
     Graph,
     GraphFormatError,
+    InputError,
     PerfectEliminationOrder,
     check_chordal,
     chordal_cliques,
@@ -65,6 +66,7 @@ __all__ = [
     "GadgetGraph",
     "Graph",
     "GraphFormatError",
+    "InputError",
     "NaeInstance",
     "OracleLimitError",
     "OracleResult",

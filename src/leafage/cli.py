@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands wrap the library one-to-one and print deterministic JSON, DOT,
-or plain text.  Exit codes: 0 success, 1 negative decision (non-chordal
-input, bound exceeded), 2 usage or format error (including an empty or
-disconnected graph where a tree model is asked for), 3 oracle limit
-exceeded.
+or plain text.  Exit codes: 0 success, 1 negative decision, 2 usage or
+input error, 3 oracle limit exceeded.  One handler maps the library's
+errors to them (``_EXIT_CODES``): ``OracleLimitError`` 3, ``InputError``
+and undecodable input 2, any other ``ValueError`` (a graph that is not
+chordal) 1.
 """
 
 from __future__ import annotations
@@ -21,11 +22,10 @@ from .cliquetrees import TreeModel, branching_sets, build_clique_tree
 from .demo import demo_clique_tree, demo_graph
 from .gadget import build_gadget, parse_clause_file, verify_reduction
 from .graphs import (
-    Graph,
-    GraphFormatError,
+    InputError,
     PerfectEliminationOrder,
+    _connected_cliques,
     check_chordal,
-    chordal_cliques,
     clique_graph,
     format_edge_list,
     parse_graph,
@@ -38,6 +38,15 @@ EXIT_NEGATIVE = 1
 EXIT_FORMAT = 2
 EXIT_LIMIT = 3
 
+# An error takes the code of the first row whose type it is, so a subclass
+# comes before its base.
+_EXIT_CODES = {
+    OracleLimitError: EXIT_LIMIT,
+    InputError: EXIT_FORMAT,
+    UnicodeDecodeError: EXIT_FORMAT,
+    ValueError: EXIT_NEGATIVE,
+}
+
 
 def _echo(text: str, nl: bool = True) -> None:
     # An explicit stream: click's default one is cached per sys.stdout object
@@ -49,23 +58,6 @@ def _echo(text: str, nl: bool = True) -> None:
 def _fail(message: object, code: int) -> NoReturn:
     click.echo(f"error: {message}", file=sys.stderr)
     sys.exit(code)
-
-
-def _read_graph(file) -> Graph:
-    try:
-        return parse_graph(file.read())
-    except GraphFormatError as exc:
-        _fail(exc, EXIT_FORMAT)
-
-
-def _read_connected_graph(file) -> Graph:
-    # Every command that builds a tree model needs one nonempty connected graph.
-    g = _read_graph(file)
-    if not g.vertices:
-        _fail("graph is empty", EXIT_FORMAT)
-    if not g.is_connected():
-        _fail("graph is disconnected", EXIT_FORMAT)
-    return g
 
 
 def _clique_label(c: frozenset[str]) -> str:
@@ -121,7 +113,17 @@ def _dot_model(m: TreeModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-@click.group()
+class _Commands(click.Group):
+    """The command group: runs a command and turns its errors into exit codes."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except tuple(_EXIT_CODES) as exc:
+            _fail(exc, next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind)))
+
+
+@click.group(cls=_Commands)
 def main() -> None:
     """Leafage and vertex leafage of chordal graphs."""
 
@@ -130,7 +132,7 @@ def main() -> None:
 @click.argument("graph_file", type=click.File("r"))
 def check(graph_file) -> None:
     """Test chordality; print an elimination order or a witness cycle."""
-    g = _read_graph(graph_file)
+    g = parse_graph(graph_file.read())
     result = check_chordal(g)
     if isinstance(result, PerfectEliminationOrder):
         _echo("chordal")
@@ -145,11 +147,7 @@ def check(graph_file) -> None:
 @click.argument("graph_file", type=click.File("r"))
 def leafage(graph_file) -> None:
     """Minimum host-tree leaf count, with witness tree and iteration trace."""
-    g = _read_connected_graph(graph_file)
-    try:
-        cliques = chordal_cliques(g)
-    except ValueError as exc:
-        _fail(exc, EXIT_NEGATIVE)
+    cliques = _connected_cliques(parse_graph(graph_file.read()))
     start = build_clique_tree(clique_graph(cliques))
     tree, trace = minimize_leafage_with_trace(start)
     iterations = [
@@ -181,11 +179,7 @@ def leafage(graph_file) -> None:
 @click.option("--ell", type=int, default=None, help="Skip graphs whose leafage exceeds this bound.")
 def vertex_leafage(graph_file, ell) -> None:
     """Exact vertex leafage with a certificate tree."""
-    g = _read_connected_graph(graph_file)
-    try:
-        cert = vertex_leafage_bounded(g, ell=ell)
-    except ValueError as exc:
-        _fail(exc, EXIT_NEGATIVE)
+    cert = vertex_leafage_bounded(parse_graph(graph_file.read()), ell=ell)
     if cert is None:
         _fail(f"leafage exceeds the bound {ell}", EXIT_NEGATIVE)
     tree = cert.tree
@@ -205,11 +199,8 @@ def vertex_leafage(graph_file, ell) -> None:
 @click.option("--dot", is_flag=True, help="Emit the host tree in DOT format.")
 def model(graph_file, dot) -> None:
     """Tree model optimal for leafage and vertex leafage simultaneously."""
-    g = _read_connected_graph(graph_file)
-    try:
-        m, tree = simultaneous_optimum(g)
-    except ValueError as exc:
-        _fail(exc, EXIT_NEGATIVE)
+    g = parse_graph(graph_file.read())
+    m, tree = simultaneous_optimum(g)
     if dot:
         _echo(_dot_model(m), nl=False)
         return
@@ -233,11 +224,7 @@ def gadget() -> None:
 @click.argument("clause_file", type=click.File("r"))
 def gadget_build(clause_file) -> None:
     """Build the split graph of a clause file; print it as an edge list."""
-    try:
-        inst = parse_clause_file(clause_file.read())
-        gg = build_gadget(inst)
-    except ValueError as exc:
-        _fail(exc, EXIT_FORMAT)
+    gg = build_gadget(parse_clause_file(clause_file.read()))
     _echo(format_edge_list(gg.graph), nl=False)
 
 
@@ -245,34 +232,14 @@ def gadget_build(clause_file) -> None:
 @click.argument("clause_file", type=click.File("r"))
 def gadget_verify(clause_file) -> None:
     """Check solvability against the gadget's exact vertex leafage."""
-    try:
-        inst = parse_clause_file(clause_file.read())
-    except ValueError as exc:
-        _fail(exc, EXIT_FORMAT)
-    try:
-        report = verify_reduction(inst)
-    except OracleLimitError as exc:
-        _fail(exc, EXIT_LIMIT)
-    except ValueError as exc:
-        _fail(exc, EXIT_FORMAT)
-    _emit(report)
+    _emit(verify_reduction(parse_clause_file(clause_file.read())))
 
 
 @main.command()
 @click.argument("graph_file", type=click.File("r"))
 def oracle(graph_file) -> None:
     """Brute-force enumeration: exact optima with witness trees."""
-    g = _read_connected_graph(graph_file)
-    try:
-        limit = tree_limit()
-    except ValueError as exc:
-        _fail(exc, EXIT_FORMAT)
-    try:
-        result = oracle_optima(g, limit)
-    except OracleLimitError as exc:
-        _fail(exc, EXIT_LIMIT)
-    except ValueError as exc:
-        _fail(exc, EXIT_NEGATIVE)
+    result = oracle_optima(parse_graph(graph_file.read()), tree_limit())
     _emit(
         {
             "leafage": result.leafage,

@@ -19,18 +19,12 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .cliquetrees import CliqueTree, check_clique_tree
-from .graphs import _NAME_RE, CertificateError, Graph, chordal_cliques
+from .graphs import _NAME_RE, CertificateError, Graph, InputError, chordal_cliques
 from .oracle import oracle_optima
 
 
-class ClauseFormatError(ValueError):
-    """Malformed clause-file input; carries the offending 1-based line number."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+class ClauseFormatError(InputError):
+    """Malformed clause-file input."""
 
 
 @dataclass(frozen=True)
@@ -93,15 +87,10 @@ def parse_clause_file(text: str) -> NaeInstance:
                 raise ClauseFormatError(f"bad variable name {name!r}", lineno)
         if len(set(fields)) != len(fields):
             raise ClauseFormatError("repeated variable in clause", lineno)
-        if k is not None and len(fields) != k:
-            raise ClauseFormatError(
-                f"clause has {len(fields)} variables, expected {k}", lineno
-            )
-        if k is None and clauses and len(fields) != len(next(iter(clauses))):
-            raise ClauseFormatError(
-                f"clause has {len(fields)} variables, expected "
-                f"{len(next(iter(clauses)))}", lineno
-            )
+        if k is not None or clauses:
+            width = k if k is not None else len(clauses[0])
+            if len(fields) != width:
+                raise ClauseFormatError(f"clause has {len(fields)} variables, expected {width}", lineno)
         clauses.append(frozenset(fields))
     if not clauses:
         raise ClauseFormatError("no clauses in input")
@@ -144,21 +133,23 @@ def build_gadget(inst: NaeInstance) -> GadgetGraph:
     Vertices: the variables, one clique vertex per clause (y1..ym), and z1,
     z2.  The clause vertices form a clique; each variable is adjacent to the
     clique vertices of its clauses; z1 and z2 are adjacent to every clause
-    vertex.  Requires clause width >= 3 and every variable in some clause.
+    vertex.  Requires clause width >= 3, at least one clause, no variable
+    named like a gadget vertex and every variable in some clause, and raises
+    :class:`InputError` otherwise.
     """
     if inst.k < 3:
-        raise ValueError("reduction requires clause width k >= 3")
+        raise InputError("reduction requires clause width k >= 3")
     if not inst.clauses:
-        raise ValueError("reduction requires at least one clause")
+        raise InputError("reduction requires at least one clause")
     reserved = {f"y{j + 1}" for j in range(inst.m)} | {"z1", "z2"}
     collisions = reserved & set(inst.variables)
     if collisions:
-        raise ValueError(
+        raise InputError(
             f"variable names collide with gadget vertices: {sorted(collisions)}"
         )
     for v in inst.variables:
         if not inst.clause_set(v):
-            raise ValueError(f"variable {v!r} appears in no clause")
+            raise InputError(f"variable {v!r} appears in no clause")
     ys = [f"y{j + 1}" for j in range(inst.m)]
     edges: list[tuple[str, str]] = []
     edges.extend(itertools.combinations(ys, 2))

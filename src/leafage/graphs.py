@@ -22,14 +22,18 @@ class CertificateError(RuntimeError):
     """A computed result broke an invariant it is certified by."""
 
 
-class GraphFormatError(ValueError):
-    """Malformed edge-list input; carries the offending 1-based line number."""
+class InputError(ValueError):
+    """Input the library cannot take; carries the offending 1-based line number, if any."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+class GraphFormatError(InputError):
+    """Malformed edge-list input."""
 
 
 @dataclass(frozen=True)
@@ -77,7 +81,7 @@ class Graph:
 
     @cached_property
     def _connected(self) -> bool:
-        # Searched once per graph: the CLI asks before the library does.
+        # Searched once per graph: the branching search asks once per candidate.
         if not self.vertices:
             return True
         return len(_reach(self.adjacency, self.vertices[0], self.adjacency.keys())) == self.n
@@ -414,9 +418,9 @@ def chordal_cliques(g: Graph) -> Cliques:
 
 
 def _connected_cliques(g: Graph) -> Cliques:
-    """The canonical clique list of ``g``, which must be nonempty and connected."""
+    """The canonical clique list of ``g``; :class:`InputError` unless it is nonempty and connected."""
     if not g.vertices:
-        raise ValueError("graph is empty")
+        raise InputError("graph is empty")
     if not g.is_connected():
-        raise ValueError("graph is disconnected")
+        raise InputError("graph is disconnected")
     return chordal_cliques(g)

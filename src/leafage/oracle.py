@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .cliquetrees import CliqueTree, Forest, _class_nodes
-from .graphs import Graph, _connected_cliques, _path, _reach, chordal_cliques, clique_graph
+from .graphs import Graph, InputError, _connected_cliques, _path, _reach, chordal_cliques, clique_graph
 from .tokens import CertificateError
 
 DEFAULT_TREE_LIMIT = 10**6
@@ -20,7 +20,7 @@ class OracleLimitError(RuntimeError):
 
 
 def tree_limit() -> int:
-    """The tree cap: ``LEAFAGE_ORACLE_LIMIT``, which must be an integer >= 1, or the default."""
+    """The tree cap: ``LEAFAGE_ORACLE_LIMIT``, an integer >= 1 (else :class:`InputError`), or the default."""
     raw = os.environ.get("LEAFAGE_ORACLE_LIMIT")
     if raw is None:
         return DEFAULT_TREE_LIMIT
@@ -29,7 +29,7 @@ def tree_limit() -> int:
             return int(raw)
     except ValueError:
         pass
-    raise ValueError(f"LEAFAGE_ORACLE_LIMIT must be an integer >= 1, not {raw!r}")
+    raise InputError(f"LEAFAGE_ORACLE_LIMIT must be an integer >= 1, not {raw!r}")
 
 
 def _blocks(pairs: list[tuple[int, int]]) -> Iterator[list[int]]:

@@ -137,6 +137,17 @@ class TestGadget:
         res = invoke(runner, ["gadget", "build", write(tmp_path, "c.txt", "a b\n")])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("k 2\nv1 v2\nv2 v3\n", "reduction requires clause width k >= 3"),
+         ("k 3\ny1 v2 v3\nv2 v3 v4\n", "variable names collide with gadget vertices: ['y1']")],
+    )
+    def test_build_instance_the_gadget_cannot_take_exit_two(self, runner, text, message):
+        res = invoke(runner, ["gadget", "build", "-"], stdin=text)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == f"error: {message}\n"
+
     def test_verify(self, runner, tmp_path):
         res = invoke(runner, ["gadget", "verify", write(tmp_path, "c.txt", CLAUSES)])
         data = json.loads(res.output)
@@ -199,6 +210,16 @@ class TestOracleCommand:
         assert res.stdout == ""
         assert res.stderr == f"error: LEAFAGE_ORACLE_LIMIT must be an integer >= 1, not {value!r}\n"
 
+    @pytest.mark.parametrize("text", ["", "e a b\ne c d\n", FOUR_CYCLE])
+    def test_bad_limit_named_before_the_graph_is_checked(self, runner, monkeypatch, text):
+        # The command reads the cap before the oracle looks at the graph:
+        # an empty, disconnected or non-chordal graph with a bad cap exits
+        # 2 and names the cap.
+        monkeypatch.setenv("LEAFAGE_ORACLE_LIMIT", "abc")
+        res = invoke(runner, ["oracle", "-"], stdin=text)
+        assert res.exit_code == 2
+        assert res.stderr == "error: LEAFAGE_ORACLE_LIMIT must be an integer >= 1, not 'abc'\n"
+
 
 @pytest.mark.parametrize("command", ["leafage", "vertex-leafage", "model", "oracle"])
 @pytest.mark.parametrize(
@@ -213,6 +234,16 @@ def test_empty_or_disconnected_exit_two(runner, command, text, message):
     assert res.exit_code == 2
     assert res.stdout == ""
     assert res.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("args", [["check"], ["leafage"], ["gadget", "build"], ["gadget", "verify"]])
+def test_undecodable_input_exit_two(runner, tmp_path, args):
+    path = tmp_path / "in.txt"
+    path.write_bytes(b"\xff\xfe e a b\n")
+    res = invoke(runner, [*args, str(path)])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ") and "can't decode" in res.stderr
 
 
 class TestRepro:

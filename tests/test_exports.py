@@ -5,6 +5,7 @@ import inspect
 from pathlib import Path
 
 import leafage
+from leafage.cli import main
 
 SRC = Path(leafage.__file__).resolve().parent
 
@@ -63,3 +64,16 @@ def test_one_clique_tree_check_calls_the_containment_test():
     for path in sorted(SRC.glob("*.py")):
         callers |= _callers(ast.parse(path.read_text(), str(path)), "path_containment_violation")
     assert callers == {"check_clique_tree"}
+
+
+def test_the_cli_maps_errors_to_exit_codes_in_one_place():
+    # Commands let the library's errors rise; one handler picks the code.
+    tree = ast.parse((SRC / "cli.py").read_text())
+    handlers = [
+        (cls.name, fn.name)
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for fn in cls.body if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn) if isinstance(node, ast.Try)
+    ]
+    assert sum(isinstance(node, ast.Try) for node in ast.walk(tree)) == 1
+    assert handlers == [(type(main).__name__, "invoke")]
