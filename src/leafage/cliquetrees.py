@@ -225,14 +225,14 @@ def check_clique_tree(t: CliqueTree) -> None:
 def build_clique_tree(cg: CliqueGraph) -> CliqueTree:
     """Maximum-weight spanning tree of the clique graph, validated.
 
-    Kruskal on intersection sizes with canonical tie-breaking; for a chordal
-    graph this always yields a clique tree, and :func:`check_clique_tree`
-    re-checks it before returning.  Raises ``ValueError`` when the clique
-    graph is disconnected or the spanning tree is not a clique tree (the
-    cliques do not come from a chordal graph).
+    Kruskal in the family's ``kruskal_order``; for a chordal graph this
+    always yields a clique tree, and :func:`check_clique_tree` re-checks it
+    before returning.  Raises ``ValueError`` when the clique graph is
+    disconnected or the spanning tree is not a clique tree (the cliques do
+    not come from a chordal graph).
     """
     forest = Forest(len(cg.cliques))
-    edges = sorted(cg.weights, key=lambda e: (-cg.weights[e], e))
+    edges = cg.cliques.kruskal_order
     tree = CliqueTree(cg.cliques, frozenset([(i, j) for i, j in edges if forest.union(i, j)]))
     check_clique_tree(tree)
     return tree

@@ -39,14 +39,12 @@ class NaeInstance:
     def create(cls, clauses: list[frozenset[str]], k: int | None = None) -> "NaeInstance":
         if not clauses:
             if k is None:
-                raise ValueError("empty instance needs an explicit clause width")
+                raise InputError("empty instance needs an explicit clause width")
             return cls(k, (), ())
         width = k if k is not None else len(clauses[0])
         for i, c in enumerate(clauses):
             if len(c) != width:
-                raise ValueError(
-                    f"clause {i + 1} has {len(c)} variables, expected {width}"
-                )
+                raise InputError(f"clause {i + 1} has {len(c)} variables, expected {width}")
         variables = tuple(sorted(set().union(*clauses)))
         return cls(width, variables, tuple(clauses))
 

@@ -319,7 +319,10 @@ class Cliques(tuple):
     and hashes as the plain tuple.  ``Cliques(c)`` is ``c`` itself when
     ``c`` is one already, so the clique graph, the clique trees and the
     token assignments of one list share one family, and each fact below is
-    built once, on first use.
+    built once, on first use, as plain data with no reference back to the
+    family.  Two certify a clique tree: its weight under ``weights`` is the
+    greatest a spanning tree has, sum(|C|) - |V|, and its leaves are at
+    least ``leaf_floor``.
     """
 
     def __new__(cls, cliques: Iterable[frozenset[str]] = ()) -> "Cliques":
@@ -338,6 +341,40 @@ class Cliques(tuple):
             for u in c:
                 holders.setdefault(u, []).append(i)
         return holders
+
+    @cached_property
+    def weights(self) -> dict[tuple[int, int], int]:
+        """Each intersecting pair ``(i, j)``, ``i < j``, in sorted order -> ``|C_i & C_j|``."""
+        shared: Counter[tuple[int, int]] = Counter()
+        for ids in self.holders.values():
+            shared.update(itertools.combinations(ids, 2))
+        return dict(sorted(shared.items()))
+
+    @cached_property
+    def kruskal_order(self) -> list[tuple[int, int]]:
+        """The intersecting pairs heaviest first, ties by pair: Kruskal's one canonical order."""
+        weights = self.weights
+        return sorted(weights, key=lambda e: (-weights[e], e))
+
+    @cached_property
+    def leaf_floor(self) -> int:
+        """A lower bound on the leaves of every clique tree of two or more cliques.
+
+        The largest of 2; the cliques that meet one other clique only, each
+        a leaf of every tree; and 2 + sum(max(0, d(x) - 2)), d(x) counting
+        the forced edges at x: those whose two cliques share a vertex no
+        other clique holds, which every clique tree holds.  A clique with
+        no vertex in three or more cliques meets just its forced partners,
+        so both counts come from ``holders`` in O(sum |C|).
+        """
+        forced = {tuple(ids) for ids in self.holders.values() if len(ids) == 2}
+        crowded = {i for ids in self.holders.values() if len(ids) > 2 for i in ids}
+        degree = Counter(i for e in forced for i in e)
+        return max(
+            2,
+            sum(1 for i, d in degree.items() if d == 1 and i not in crowded),
+            2 + sum(max(0, d - 2) for d in degree.values()),
+        )
 
     def s_blocks(self, s: frozenset[str]) -> tuple[dict[int, int], int]:
         """The S-block id of every clique containing ``s``, and the number of S-blocks.
@@ -400,12 +437,9 @@ class CliqueGraph:
 
 
 def clique_graph(cliques: Iterable[frozenset[str]]) -> CliqueGraph:
-    """Intersection graph of the cliques, counted from each vertex's cliques."""
+    """Intersection graph of the cliques, on the family's weights."""
     nodes = Cliques(cliques)
-    shared: Counter[tuple[int, int]] = Counter()
-    for ids in nodes.holders.values():
-        shared.update(itertools.combinations(ids, 2))
-    return CliqueGraph(nodes, dict(sorted(shared.items())))
+    return CliqueGraph(nodes, nodes.weights)
 
 
 def chordal_cliques(g: Graph) -> Cliques:

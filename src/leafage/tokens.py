@@ -407,9 +407,11 @@ def minimize_leafage_with_trace(t: CliqueTree) -> tuple[CliqueTree, list[Iterati
     counts must equal the kept ones, and the realizing tree, built once,
     re-decides realizability; a mismatch raises :class:`CertificateError`.
     Without any iteration ``t`` itself is returned, at once when no node
-    has degree >= 3: then no clique holds three tokens, so no path starts.
+    has degree >= 3 (no clique holds three tokens, so no path starts) or
+    ``t`` has at most its cliques' ``leaf_floor`` leaves (no clique tree
+    has fewer, and a path would lead to one).
     """
-    if all(len(ws) < 3 for ws in t.adjacency):
+    if all(len(ws) < 3 for ws in t.adjacency) or len(t.leaves()) <= t.cliques.leaf_floor:
         # The check building the assignment makes: every token is nonempty.
         empty = [a for a, b in t.edges if t.cliques[a].isdisjoint(t.cliques[b])]
         if empty:

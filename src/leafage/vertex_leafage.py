@@ -78,19 +78,28 @@ def augmented_graph(
 def clique_tree_with_branching(g: Graph, f: BranchEdgeSet) -> CliqueTree | None:
     """Clique tree of ``g`` whose branching edge set equals ``f``, or None.
 
-    Each edge of ``f`` puts a marker into the two cliques it joins, so a
-    clique tree of the marked cliques holds ``f``: they have one exactly when
-    some clique tree of ``g`` holds ``f``.  Stripping the markers keeps every
-    vertex's subtree, so the minimized tree, validated by the builders, is a
-    clique tree of ``g`` with no check again; it is returned if its branching
-    edges are exactly ``f``.  The marked cliques are sorted as an elimination
-    pass over :func:`augmented_graph` lists them, so the tree is the same.
-    A tree holding ``f`` has at least 2 + sum(deg_f(x) - 2) leaves, so a
-    Kruskal tree with that many is already minimal: ``minimize_leafage``
-    would find no augmenting path and return it as it is, and is not run.
-    Raises ``ValueError`` on a pair of ``f`` that is not a clique-graph
-    edge ``(i, j)``, ``0 <= i < j < k``, whatever the size of ``f``; a
-    well-formed ``f`` of k or more pairs holds a cycle and gives None.
+    First a centre-ban check, before anything is built.  A tree realizing
+    ``f`` is a clique tree, so a spanning tree of the clique graph of the
+    greatest weight, sum(|C|) - |V| (Gavril 1987; Blair & Peyton 1993),
+    that holds ``f`` and no other edge at a centre, a node of ``f``-degree
+    >= 3.  The heaviest such forest is ``f`` plus Kruskal, in the family's
+    one order, over the edges at no centre; unless it has that weight, None
+    is returned.  The check is necessary, so it cuts only sets the build
+    rejects, and a set it passes has a clique tree holding it.
+
+    Then each edge of ``f`` puts a marker into the two cliques it joins, so
+    the marked cliques have a clique tree, and each of theirs holds ``f``.
+    Stripping the markers keeps every vertex's subtree, so the minimized
+    tree, validated by the builders, is a clique tree of ``g`` with no check
+    again; it is returned if its branching edges are exactly ``f``.  The
+    marked cliques are sorted as an elimination pass over
+    :func:`augmented_graph` lists them, so the tree is the same.  A marker
+    lies in two cliques only, so the marked ``leaf_floor`` is at least
+    2 + sum(deg_f(x) - 2), and ``minimize_leafage`` returns a Kruskal tree
+    with that many leaves without a search.  Raises ``ValueError`` on a
+    pair of ``f`` that is not a clique-graph edge ``(i, j)``,
+    ``0 <= i < j < k``, whatever the size of ``f``; a well-formed ``f`` of
+    k or more pairs holds a cycle and gives None.
     """
     cliques = chordal_cliques(g)
     for i, j in f:
@@ -100,16 +109,18 @@ def clique_tree_with_branching(g: Graph, f: BranchEdgeSet) -> CliqueTree | None:
         return None
     if not g.is_connected():
         raise ValueError("clique graph is disconnected")
+    # The centre-ban check: f, then Kruskal over the edges at no centre.
+    centres = {x for x, d in Counter(i for e in f for i in e).items() if d >= 3}
+    forest = Forest(len(cliques))
+    if not all(forest.union(*e) for e in f):
+        return None
+    kept = [e for e in cliques.kruskal_order if centres.isdisjoint(e) and forest.union(*e)]
+    weight = sum(map(cliques.weights.__getitem__, itertools.chain(f, kept)))
+    if weight != sum(map(len, cliques)) - len(cliques.holders):
+        return None
     marked = [c | {_marker_name(e) for e in f if i in e} for i, c in enumerate(cliques)]
     order = sorted(range(len(marked)), key=lambda i: tuple(sorted(marked[i])))
-    cg = clique_graph(marked[i] for i in order)
-    try:
-        built = build_clique_tree(cg)
-    except ValueError:  # no clique tree holds f
-        return None
-    degree = Counter(i for e in f for i in e)
-    if len(built.leaves()) > 2 + sum(d - 2 for d in degree.values() if d > 2):
-        built = minimize_leafage(built)
+    built = minimize_leafage(build_clique_tree(clique_graph(marked[i] for i in order)))
     edges = frozenset(tuple(sorted((order[a], order[b]))) for a, b in built.edges)
     tree = CliqueTree(cliques, edges)
     if branching_sets(tree).incident_edges != f:

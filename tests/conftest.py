@@ -500,9 +500,9 @@ def count_calls(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counting)
     return calls

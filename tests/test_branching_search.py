@@ -12,6 +12,7 @@ The rank-everything order the layers replaced is
 
 import pytest
 
+import leafage.tokens
 import leafage.vertex_leafage
 from conftest import (
     branch_set_layers,
@@ -134,32 +135,120 @@ def test_builder_matches_reference_route(search_graphs, reference_candidates):
 
 
 def test_minimal_kruskal_tree_is_not_minimized(search_graphs, monkeypatch):
-    """No ``minimize_leafage`` run when the Kruskal tree already has F's leaf count.
+    """No augmenting search when the Kruskal tree is at its cliques' leaf floor.
 
-    A tree holding F has at least 2 + sum(deg_F(x) - 2) leaves, so such a
-    Kruskal tree is minimal and the run would return it unchanged.  On
-    spider(4, 3)'s first set it is.  Over the first two sets of each search
-    graph both cases occur, the run also on sets that are realized, and
-    every tree is the reference route's, which always minimizes.
+    A marker lies in two cliques only, so F's edges are forced and a tree
+    holding F has at least 2 + sum(deg_F(x) - 2) leaves: such a Kruskal
+    tree is minimal and a search would find no path.  On spider(4, 3)'s
+    first set it is.  Over the first two sets of each search graph every
+    case occurs: no search on a set the centre-ban check cuts, and on a set
+    built, realized or not, one minimization that searches or does not.
+    Every tree is the reference route's, which always minimizes.
     """
     g = spider_graph(4, 3)
     f = candidate_branch_sets(clique_graph(chordal_cliques(g)), 4)[0]
-    calls = count_calls(monkeypatch, leafage.vertex_leafage, "minimize_leafage")
+    calls = count_calls(monkeypatch, leafage.tokens, "shortest_augmenting_path")
     tree = clique_tree_with_branching(g, f)
     reference = reference_clique_tree_with_branching(g, f, chordal_cliques(g))
     assert calls == []
     assert tree is not None and tree.edges == reference.edges
+    minimized = count_calls(monkeypatch, leafage.vertex_leafage, "minimize_leafage")
     seen = set()
     for g, cg, _, ranked in search_graphs:
         for f in ranked[:2]:
             calls.clear()
+            minimized.clear()
             tree = clique_tree_with_branching(g, f)
             reference = reference_clique_tree_with_branching(g, f, cg.cliques)
             assert (tree is None) == (reference is None)
             assert tree is None or tree.edges == reference.edges
-            assert len(calls) <= 1
-            seen.add((len(calls), tree is not None))
-    assert seen == {(0, True), (1, False), (1, True)}
+            assert len(minimized) <= 1
+            seen.add((min(len(calls), 1), tree is not None))
+    assert seen == {(0, False), (0, True), (1, False), (1, True)}
+
+
+@pytest.fixture(scope="module")
+def random_graphs():
+    """Random(n, d, s), n 12..30 even, d in {0.3, 0.5, 0.7}, s 0..7.
+
+    The 181 of them with leafage >= 3 and at most 20 cliques.
+    """
+    out = []
+    for n in range(12, 31, 2):
+        for density in (0.3, 0.5, 0.7):
+            for seed in range(8):
+                g = random_chordal(n, density=density, seed=seed)
+                cg = clique_graph(chordal_cliques(g))
+                if len(cg.cliques) > 20:
+                    continue
+                if len(minimize_leafage(build_clique_tree(cg)).leaves()) >= 3:
+                    out.append(g)
+    assert len(out) == 181
+    return out
+
+
+def test_centre_ban_check_is_necessary(search_graphs, random_graphs, monkeypatch):
+    """Every set the centre-ban check cuts, the reference route rejects; the trees are its.
+
+    The check cuts a set before the marked cliques' clique graph is made,
+    so a call that makes none was cut.  Every call the search makes returns
+    None where the reference route does and its tree otherwise, so the
+    search's tree, the last one asked for, is the reference route's.
+    """
+    made = count_calls(monkeypatch, leafage.vertex_leafage, "clique_graph")
+    original = clique_tree_with_branching
+    calls = []
+
+    def recording(g, f):
+        before = len(made)
+        tree = original(g, f)
+        calls.append((f, tree, len(made) == before))
+        return tree
+
+    monkeypatch.setattr(leafage.vertex_leafage, "clique_tree_with_branching", recording)
+    cuts = built = 0
+    for g in [g for g, _, _, _ in search_graphs] + random_graphs:
+        calls.clear()
+        cert = vertex_leafage_bounded(g)
+        for f, tree, cut in calls:
+            reference = reference_clique_tree_with_branching(g, f, chordal_cliques(g))
+            assert (tree is None) == (reference is None)
+            assert tree is None or tree.edges == reference.edges
+            assert not cut or tree is None
+            cuts += cut
+            built += not cut
+        assert calls[-1][1].edges == cert.tree.edges
+    assert cuts > 3000 and built > 800
+
+
+def test_centre_ban_check_fires_on_nae_gadget(monkeypatch):
+    """The six-variable gadget's first two least-layer sets are cut unbuilt; the third is realized."""
+    g = build_gadget(parse_clause_file(NAE_6)).graph
+    layer = candidate_branch_sets(clique_graph(chordal_cliques(g)), 6)
+    made = count_calls(monkeypatch, leafage.vertex_leafage, "clique_graph")
+    assert [clique_tree_with_branching(g, f) for f in layer[:2]] == [None, None]
+    assert made == []
+    assert clique_tree_with_branching(g, layer[2]) is not None
+    assert len(made) == 1
+
+
+def test_leaf_floor_bounds_the_leafage(corpus, search_graphs):
+    """``leaf_floor`` is at most the oracle's leafage, and exact on spiders."""
+    cases = [(g, r.leafage) for g, r in corpus if len(chordal_cliques(g)) >= 2]
+    cases += [(g, oracle_optima(g).leafage) for g, _, _, _ in search_graphs]
+    assert all(chordal_cliques(g).leaf_floor <= leafage for g, leafage in cases)
+    assert len(cases) > 230
+    for legs in range(3, 7):
+        for length in range(2, 5):
+            assert chordal_cliques(spider_graph(legs, length)).leaf_floor == legs
+
+
+def test_spider_needs_no_augmenting_search(monkeypatch):
+    """spider(4, 3): the Kruskal trees, base and marked, are at the leaf floor."""
+    calls = count_calls(monkeypatch, leafage.tokens, "shortest_augmenting_path")
+    cert = vertex_leafage_bounded(spider_graph(4, 3))
+    assert calls == []
+    assert cert.value == 2 and len(cert.tree.leaves()) == 4
 
 
 def count_tree_calls(monkeypatch):

@@ -18,7 +18,7 @@ from leafage.gadget import (
     tree_to_solution,
     verify_reduction,
 )
-from leafage.graphs import check_chordal, chordal_cliques, PerfectEliminationOrder
+from leafage.graphs import InputError, check_chordal, chordal_cliques, PerfectEliminationOrder
 
 
 def inst_of(*clauses, k=3):
@@ -187,6 +187,15 @@ class TestBuildGadget:
     def test_empty_instance_rejected(self):
         with pytest.raises(ValueError, match="at least one clause"):
             build_gadget(NaeInstance.create([], 3))
+
+    def test_instance_widths_are_input_errors(self):
+        # Typed as bad input where the instance is made, as the parser's are.
+        with pytest.raises(InputError, match="^empty instance needs an explicit clause width$"):
+            NaeInstance.create([])
+        with pytest.raises(InputError, match="^clause 2 has 3 variables, expected 2$"):
+            NaeInstance.create([frozenset("ab"), frozenset("abc")])
+        with pytest.raises(InputError, match="^clause 1 has 2 variables, expected 3$"):
+            NaeInstance.create([frozenset("ab")], 3)
 
 
 class TestTranslation:
