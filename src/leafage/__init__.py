@@ -25,7 +25,6 @@ from .gadget import (
     verify_reduction,
 )
 from .graphs import (
-    CliqueGraph,
     Graph,
     GraphFormatError,
     InputError,
@@ -61,7 +60,6 @@ __all__ = [
     "AugmentingPath",
     "BranchingSets",
     "CertificateError",
-    "CliqueGraph",
     "CliqueTree",
     "GadgetGraph",
     "Graph",

@@ -1,4 +1,4 @@
-"""Clique trees, the forest that grows them, tree models, and leaf statistics."""
+"""Clique trees, their validity check, tree models, and leaf statistics."""
 
 from __future__ import annotations
 
@@ -9,8 +9,8 @@ from typing import Iterable, Mapping
 
 from .graphs import (
     CertificateError,
-    CliqueGraph,
     Cliques,
+    Forest,
     _path,
     _reach,
     _sorted_adjacency,
@@ -96,73 +96,6 @@ class CliqueTree:
         return max((counts[u] for u in vertices), default=0)
 
 
-class Forest:
-    """Union-find on the ids 0..n-1 that can undo its links.
-
-    Links by size and never compresses paths, so ``find`` costs O(log n)
-    and ``undo`` takes back the most recent link.
-    """
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        # The absorbed root of every link, the latest last.
-        self._links: list[int] = []
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        """Link the components of ``a`` and ``b``; False if they are one."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self._links.append(rb)
-        return True
-
-    def undo(self) -> None:
-        """Take back the most recent link."""
-        rb = self._links.pop()
-        ra = self.parent[rb]
-        self.parent[rb] = rb
-        self.size[ra] -= self.size[rb]
-
-
-def _class_nodes(cg: CliqueGraph) -> tuple[dict[tuple[int, int], tuple[int, int]], int]:
-    """Each clique-graph edge some clique tree holds -> its two class nodes.
-
-    The clique trees are the maximum-weight spanning trees of the clique
-    graph, weighted by |C_a & C_b| (Gavril 1987, Blair & Peyton 1993).  The
-    nodes of weight class w are the components of the strictly heavier
-    edges; an edge of weight w with both ends in one node lies in no clique
-    tree and is left out.  A clique tree is one spanning forest of each
-    class's nodes, chosen independently, so a set of edges lies in some
-    clique tree iff each is in the map and they form no cycle on the class
-    nodes.  The map runs from the heaviest class down, each class in edge
-    order; also returns the number of class nodes.
-    """
-    classes: dict[int, list[tuple[int, int]]] = {}
-    for edge, w in cg.weights.items():
-        classes.setdefault(w, []).append(edge)
-    heavier = Forest(len(cg.cliques))
-    nodes: dict[tuple[int, int], int] = {}
-    ends: dict[tuple[int, int], tuple[int, int]] = {}
-    for w in sorted(classes, reverse=True):
-        kept = [(a, b) for a, b in classes[w] if heavier.find(a) != heavier.find(b)]
-        for e in kept:
-            ends[e] = tuple(nodes.setdefault((w, heavier.find(x)), len(nodes)) for x in e)
-        for a, b in kept:
-            heavier.union(a, b)
-    return ends, len(nodes)
-
-
 def path_containment_violation(
     t: CliqueTree,
 ) -> tuple[int, int, int] | None:
@@ -222,7 +155,7 @@ def check_clique_tree(t: CliqueTree) -> None:
         raise ValueError(f"spanning tree violated containment: {witness}")
 
 
-def build_clique_tree(cg: CliqueGraph) -> CliqueTree:
+def build_clique_tree(cliques: Cliques) -> CliqueTree:
     """Maximum-weight spanning tree of the clique graph, validated.
 
     Kruskal in the family's ``kruskal_order``; for a chordal graph this
@@ -231,9 +164,9 @@ def build_clique_tree(cg: CliqueGraph) -> CliqueTree:
     disconnected or the spanning tree is not a clique tree (the cliques do
     not come from a chordal graph).
     """
-    forest = Forest(len(cg.cliques))
-    edges = cg.cliques.kruskal_order
-    tree = CliqueTree(cg.cliques, frozenset([(i, j) for i, j in edges if forest.union(i, j)]))
+    forest = Forest(len(cliques))
+    edges = cliques.kruskal_order
+    tree = CliqueTree(cliques, frozenset([(i, j) for i, j in edges if forest.union(i, j)]))
     check_clique_tree(tree)
     return tree
 

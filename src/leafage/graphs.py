@@ -139,6 +139,45 @@ def _path(adj: Mapping | Sequence, src: Any, dst: Any, allowed: Container) -> li
     return None
 
 
+class Forest:
+    """Union-find on the ids 0..n-1 that can undo its links.
+
+    Links by size and never compresses paths, so ``find`` costs O(log n)
+    and ``undo`` takes back the most recent link.
+    """
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.size = [1] * n
+        # The absorbed root of every link, the latest last.
+        self._links: list[int] = []
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> bool:
+        """Link the components of ``a`` and ``b``; False if they are one."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        self._links.append(rb)
+        return True
+
+    def undo(self) -> None:
+        """Take back the most recent link."""
+        rb = self._links.pop()
+        ra = self.parent[rb]
+        self.parent[rb] = rb
+        self.size[ra] -= self.size[rb]
+
+
 @dataclass(frozen=True)
 class PerfectEliminationOrder:
     """Vertex order where each vertex's later neighbours form a clique."""
@@ -320,9 +359,11 @@ class Cliques(tuple):
     ``c`` is one already, so the clique graph, the clique trees and the
     token assignments of one list share one family, and each fact below is
     built once, on first use, as plain data with no reference back to the
-    family.  Two certify a clique tree: its weight under ``weights`` is the
-    greatest a spanning tree has, sum(|C|) - |V|, and its leaves are at
-    least ``leaf_floor``.
+    family: ``holders``, ``weights`` (the clique graph's edges),
+    ``kruskal_order``, ``class_nodes``, ``leaf_floor`` and the S-blocks.
+    Two certify a clique tree: its weight under ``weights`` is the greatest
+    a spanning tree has, sum(|C|) - |V|, and its leaves are at least
+    ``leaf_floor``.
     """
 
     def __new__(cls, cliques: Iterable[frozenset[str]] = ()) -> "Cliques":
@@ -355,6 +396,32 @@ class Cliques(tuple):
         """The intersecting pairs heaviest first, ties by pair: Kruskal's one canonical order."""
         weights = self.weights
         return sorted(weights, key=lambda e: (-weights[e], e))
+
+    @cached_property
+    def class_nodes(self) -> tuple[dict[tuple[int, int], tuple[int, int]], int]:
+        """Each pair some clique tree holds -> its two class nodes, and the number of class nodes.
+
+        The clique trees are the maximum-weight spanning trees of the
+        clique graph, weighted by ``weights`` (Gavril 1987, Blair & Peyton
+        1993).  The nodes of weight class w are the components of the
+        strictly heavier pairs; a pair of weight w with both ends in one
+        node lies in no clique tree and is left out.  A clique tree is one
+        spanning forest of each class's nodes, chosen independently, so a
+        set of pairs lies in some clique tree iff each is in the map and
+        they form no cycle on the class nodes.  One pass over
+        ``kruskal_order``, a class at a time, so the map runs from the
+        heaviest class down, each class in pair order.
+        """
+        heavier = Forest(len(self))
+        nodes: dict[tuple[int, int], int] = {}
+        ends: dict[tuple[int, int], tuple[int, int]] = {}
+        for w, group in itertools.groupby(self.kruskal_order, key=self.weights.__getitem__):
+            kept = [(a, b) for a, b in group if heavier.find(a) != heavier.find(b)]
+            for e in kept:
+                ends[e] = tuple(nodes.setdefault((w, heavier.find(x)), len(nodes)) for x in e)
+            for a, b in kept:
+                heavier.union(a, b)
+        return ends, len(nodes)
 
     @cached_property
     def leaf_floor(self) -> int:
@@ -415,31 +482,14 @@ class Cliques(tuple):
         return ids
 
 
-@dataclass(frozen=True)
-class CliqueGraph:
-    """Maximal cliques with an edge between every intersecting pair.
+def clique_graph(cliques: Iterable[frozenset[str]]) -> Cliques:
+    """The clique graph: the family itself, its edges the intersecting pairs of ``weights``.
 
-    ``weights`` is keyed by ``(i, j)`` with ``i < j`` and maps to the
-    intersection size, which is >= 1 on every edge.
+    The weights are built before it returns.
     """
-
-    cliques: Cliques
-    weights: Mapping[tuple[int, int], int]
-
-    @cached_property
-    def adjacency(self) -> dict[int, tuple[int, ...]]:
-        """Sorted neighbour ids of every clique, built once per graph."""
-        return _sorted_adjacency(range(len(self.cliques)), self.weights)
-
-    def incident(self, i: int) -> list[tuple[int, int]]:
-        """Edges at clique ``i``, in sorted order."""
-        return [(j, i) if j < i else (i, j) for j in self.adjacency[i]]
-
-
-def clique_graph(cliques: Iterable[frozenset[str]]) -> CliqueGraph:
-    """Intersection graph of the cliques, on the family's weights."""
-    nodes = Cliques(cliques)
-    return CliqueGraph(nodes, nodes.weights)
+    family = Cliques(cliques)
+    family.weights
+    return family
 
 
 def chordal_cliques(g: Graph) -> Cliques:

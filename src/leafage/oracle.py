@@ -8,8 +8,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .cliquetrees import CliqueTree, Forest, _class_nodes
-from .graphs import Graph, InputError, _connected_cliques, _path, _reach, chordal_cliques, clique_graph
+from .cliquetrees import CliqueTree
+from .graphs import Forest, Graph, InputError, _connected_cliques, _path, chordal_cliques
 from .tokens import CertificateError
 
 DEFAULT_TREE_LIMIT = 10**6
@@ -143,7 +143,7 @@ def _walk(g: Graph, limit: int | None) -> Iterator[tuple[int, int, list[tuple[in
     """Every clique tree of ``g`` once, in canonical order, with its leaf counts.
 
     A clique tree is one spanning forest of each weight class's nodes,
-    chosen independently (:func:`_class_nodes`), so the trees number the
+    chosen independently (``Cliques.class_nodes``), so the trees number the
     product of the classes' spanning-forest counts, taken block by block
     (:func:`_block_trees`).  That count is known before the walk: past the
     cap, the walk raises :class:`OracleLimitError` before the first tree.
@@ -174,15 +174,14 @@ def _walk(g: Graph, limit: int | None) -> Iterator[tuple[int, int, list[tuple[in
     cap = tree_limit() if limit is None else limit
     cliques = chordal_cliques(g)
     k = len(cliques)
-    cg = clique_graph(cliques)
-    ends, node_count = _class_nodes(cg)
+    ends, node_count = cliques.class_nodes
     # Per class, heaviest first: its remaining edges, their node pairs, and
     # per edge in a block with a cycle, the block's node pairs and the index
     # of the next one.  The count stops at the first class that takes it
     # past the cap.
     layers: list[tuple[list, list, dict[int, tuple[list, int]]]] = []
     total = 1
-    for _, group in itertools.groupby(ends, key=cg.weights.get):
+    for _, group in itertools.groupby(ends, key=cliques.weights.get):
         if total > cap:
             break
         kept = list(group)
@@ -362,15 +361,22 @@ def random_chordal(n: int, density: float = 0.5, seed: int = 0) -> Graph:
                 nodes.add(rng.choice(sorted(frontier)))
                 frontier = set().union(*(host_adj[x] for x in nodes)) - nodes
             subtrees[name] = nodes
-        g = intersection_graph(subtrees)
-        if g.is_connected():
-            return g
-    components: list[set[str]] = []
-    for v in names:
-        if not any(v in c for c in components):
-            components.append(_reach(g.adjacency, v, g.adjacency.keys()))
-    target = min(set().union(*(subtrees[v] for v in components[0])))
-    for c in components[1:]:
+        # Link each vertex to the first one seen at each of its host nodes:
+        # the forest's components are the graph's, so n - 1 links connect it.
+        forest = Forest(n)
+        seen: dict[int, int] = {}
+        links = sum(
+            forest.union(i, seen.setdefault(x, i)) for i, name in enumerate(names) for x in subtrees[name]
+        )
+        if links == n - 1:
+            return intersection_graph(subtrees)
+    # The components, in order of their first vertex.
+    components: dict[int, list[str]] = {}
+    for i, v in enumerate(names):
+        components.setdefault(forest.find(i), []).append(v)
+    first, *rest = components.values()
+    target = min(set().union(*(subtrees[v] for v in first)))
+    for c in rest:
         u = min(c)
         subtrees[u].update(_path(host_adj, min(subtrees[u]), target, host_adj))
     return intersection_graph(subtrees)

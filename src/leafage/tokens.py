@@ -45,11 +45,10 @@ from typing import Mapping, Sequence
 
 from .cliquetrees import (
     CliqueTree,
-    Forest,
     _count_vertex_leaves,
     check_clique_tree,
 )
-from .graphs import CertificateError, Cliques
+from .graphs import CertificateError, Cliques, Forest
 
 Token = frozenset[str]
 

@@ -21,15 +21,14 @@ from typing import Mapping
 
 from .cliquetrees import (
     CliqueTree,
-    Forest,
     TreeModel,
-    _class_nodes,
     branching_sets,
     build_clique_tree,
     model_from_clique_tree,
 )
 from .graphs import (
-    CliqueGraph,
+    Cliques,
+    Forest,
     Graph,
     _connected_cliques,
     chordal_cliques,
@@ -156,7 +155,7 @@ def _branching_leaf_counts(
 
 
 def candidate_branch_sets(
-    cg: CliqueGraph, leafage: int, floor: int = 0
+    cliques: Cliques, leafage: int, floor: int = 0
 ) -> list[BranchEdgeSet]:
     """Least vertex-excess layer of the branching sets of ``leafage``-leaf trees.
 
@@ -180,7 +179,7 @@ def candidate_branch_sets(
 
     The search is depth first, over one explicit stack.  Each star is built
     edge by edge, each edge taken before it is left out, and linked as it
-    is taken in one ``Forest`` on :func:`_class_nodes`' nodes, so an edge
+    is taken in one ``Forest`` on the family's ``class_nodes``, so an edge
     that no clique tree holds together with the set cuts every superset.
     The counts d_u(x) and each vertex's excess follow every link and
     unlink.  Adding an edge never lowers e(F), so a set above the least
@@ -194,15 +193,18 @@ def candidate_branch_sets(
     nodes' cap can still close the gap.  A node with fewer than three held
     edges never branches, so the centres jump over it (``after``).
     """
-    n = len(cg.cliques)
+    n = len(cliques)
     slack = leafage - 2
     if slack <= 0 or floor > slack:
         return []
-    ends, node_count = _class_nodes(cg)
+    ends, node_count = cliques.class_nodes
     forest = Forest(node_count)
     find = forest.find
-    # Per clique: the edges at it that some clique tree holds.
-    incident = [[e for e in cg.incident(c) if e in ends] for c in range(n)]
+    # Per clique: the edges at it that some clique tree holds, in sorted order.
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for e in sorted(ends):
+        incident[e[0]].append(e)
+        incident[e[1]].append(e)
     # cap[c] bounds the host excess nodes c.. can still add (cap[n] = 0 ends
     # the centres); after[c] is the first node >= c that can branch.
     cap = [0] * (n + 1)
@@ -217,7 +219,7 @@ def candidate_branch_sets(
     shared = {
         (a, b): [
             (u, u * n + a, u * n + b)
-            for u in (vertex_ids.setdefault(v, len(vertex_ids)) for v in cg.cliques[a] & cg.cliques[b])
+            for u in (vertex_ids.setdefault(v, len(vertex_ids)) for v in cliques[a] & cliques[b])
         ]
         for a, b in ends
     }
@@ -329,8 +331,7 @@ def vertex_leafage_bounded(g: Graph, ell: int | None = None) -> VlCertificate | 
     ``CertificateError`` is raised.
     """
     cliques = _connected_cliques(g)
-    cg = clique_graph(cliques)
-    tmin = minimize_leafage(build_clique_tree(cg))
+    tmin = minimize_leafage(build_clique_tree(clique_graph(cliques)))
     leafage = len(tmin.leaves())
     if ell is not None and leafage > ell:
         return None
@@ -340,7 +341,7 @@ def vertex_leafage_bounded(g: Graph, ell: int | None = None) -> VlCertificate | 
     else:
         tree, floor = None, 0
         while tree is None:
-            layer = candidate_branch_sets(cg, leafage, floor) if floor <= leafage - 2 else []
+            layer = candidate_branch_sets(cliques, leafage, floor) if floor <= leafage - 2 else []
             if not layer:
                 raise CertificateError(f"no branching set of a tree with {leafage} leaves is realized")
             for f in layer:

@@ -15,9 +15,7 @@ import leafage
 
 from leafage.cliquetrees import (
     CliqueTree,
-    Forest,
     TreeModel,
-    _class_nodes,
     branching_sets,
     build_clique_tree,
     check_clique_tree,
@@ -26,7 +24,8 @@ from leafage.cliquetrees import (
 from leafage.gadget import NaeInstance, build_gadget
 from leafage.graphs import (
     _NAME_RE,
-    CliqueGraph,
+    Cliques,
+    Forest,
     Graph,
     GraphFormatError,
     PerfectEliminationOrder,
@@ -148,13 +147,13 @@ def graphs(corpus):
     return [g for g, _ in corpus] + [spider_graph(*s) for s in SPIDER_SHAPES] + gadgets
 
 
-def admissible_stars(cg: CliqueGraph, center: int, max_size: int) -> list[tuple[tuple[int, int], ...]]:
+def admissible_stars(cliques: Cliques, center: int, max_size: int) -> list[tuple[tuple[int, int], ...]]:
     """Sets of >= 3 edges at one node that a clique tree could carry.
 
     Any two cliques hanging off the same node must have their intersection
     inside it.
     """
-    incident = cg.incident(center)
+    incident = [e for e in cliques.weights if center in e]
     out = []
     for size in range(3, min(max_size, len(incident)) + 1):
         for combo in itertools.combinations(incident, size):
@@ -162,7 +161,7 @@ def admissible_stars(cg: CliqueGraph, center: int, max_size: int) -> list[tuple[
             for (a1, b1), (a2, b2) in itertools.combinations(combo, 2):
                 x = b1 if a1 == center else a1
                 y = b2 if a2 == center else a2
-                if not cg.cliques[x] & cg.cliques[y] <= cg.cliques[center]:
+                if not cliques[x] & cliques[y] <= cliques[center]:
                     ok = False
                     break
             if ok:
@@ -173,10 +172,11 @@ def admissible_stars(cg: CliqueGraph, center: int, max_size: int) -> list[tuple[
 def join_all(forest: Forest, ends, edges) -> bool:
     """Link all of ``edges`` on their class nodes, or take back the ones linked.
 
-    ``ends`` and ``forest`` are ``_class_nodes``' map and a forest on its
-    nodes.  The links succeed iff the edges linked before plus ``edges`` lie
-    in some clique tree: every edge is in the map and none closes a cycle.
-    That is a property of the edge set, so the order is free.
+    ``ends`` and ``forest`` are the map of ``Cliques.class_nodes`` and a
+    forest on its nodes.  The links succeed iff the edges linked before plus
+    ``edges`` lie in some clique tree: every edge is in the map and none
+    closes a cycle.  That is a property of the edge set, so the order is
+    free.
     """
     for done, edge in enumerate(edges):
         if edge not in ends or not forest.union(*ends[edge]):
@@ -186,7 +186,7 @@ def join_all(forest: Forest, ends, edges) -> bool:
     return True
 
 
-def reference_candidate_branch_sets(cg: CliqueGraph, leafage: int, budget: int) -> list[frozenset]:
+def reference_candidate_branch_sets(cliques: Cliques, leafage: int, budget: int) -> list[frozenset]:
     """The old, uncut branching-set generator, kept as a reference.
 
     Every union of admissible stars at up to leafage - 2 increasing centres,
@@ -199,7 +199,7 @@ def reference_candidate_branch_sets(cg: CliqueGraph, leafage: int, budget: int) 
     results = {frozenset()}
     max_centers = max(0, leafage - 2)
     slack = leafage - 2
-    star_table = {c: admissible_stars(cg, c, budget) for c in range(len(cg.cliques))}
+    star_table = {c: admissible_stars(cliques, c, budget) for c in range(len(cliques))}
     stack = [(0, -1, frozenset(), 0)]
     while stack:
         count, last, f, used_slack = stack.pop()
@@ -207,14 +207,14 @@ def reference_candidate_branch_sets(cg: CliqueGraph, leafage: int, budget: int) 
             results.add(f)
         if count == max_centers:
             continue
-        for c in range(last + 1, len(cg.cliques)):
+        for c in range(last + 1, len(cliques)):
             for star in star_table[c]:
                 combined = f | frozenset(star)
                 degree = sum(1 for e in combined if c in e)
                 if len(combined) > budget or used_slack + degree - 2 > slack:
                     continue
                 stack.append((count + 1, c, combined, used_slack + degree - 2))
-    ends, node_count = _class_nodes(cg)
+    ends, node_count = cliques.class_nodes
     filtered = [f for f in results if join_all(Forest(node_count), ends, f)]
     filtered.sort(key=lambda f: (len(f), sorted(f)))
     return filtered
@@ -231,28 +231,28 @@ def vertex_excess(cliques, f) -> int:
     return max(_branching_leaf_counts(cliques, f)[1].values(), default=0)
 
 
-def reference_ranked_branch_sets(cg: CliqueGraph, leafage: int) -> list[frozenset]:
+def reference_ranked_branch_sets(cliques: Cliques, leafage: int) -> list[frozenset]:
     """The rank-everything order the layered search replaced, kept as a reference.
 
     The branching sets of the trees with ``leafage`` leaves (the reference
     generator's full-star unions with that many leaves), sorted by
     (vertex leafage, size, sorted edges): all were generated, then ranked.
     """
-    budget = min(3 * (leafage - 2), len(cg.cliques) - 1)
+    budget = min(3 * (leafage - 2), len(cliques) - 1)
     sets = [
-        f for f in reference_candidate_branch_sets(cg, leafage, budget)
-        if is_full_star_union(f) and _branching_leaf_counts(cg.cliques, f)[0] == leafage
+        f for f in reference_candidate_branch_sets(cliques, leafage, budget)
+        if is_full_star_union(f) and _branching_leaf_counts(cliques, f)[0] == leafage
     ]
-    return sorted(sets, key=lambda f: vertex_excess(cg.cliques, f))
+    return sorted(sets, key=lambda f: vertex_excess(cliques, f))
 
 
-def branch_set_layers(cg: CliqueGraph, leafage: int) -> list[list[frozenset]]:
+def branch_set_layers(cliques: Cliques, leafage: int) -> list[list[frozenset]]:
     """Every layer of ``candidate_branch_sets``, least vertex excess first."""
     layers = []
     floor = 0
-    while layer := candidate_branch_sets(cg, leafage, floor):
+    while layer := candidate_branch_sets(cliques, leafage, floor):
         layers.append(layer)
-        excess = vertex_excess(cg.cliques, layer[0])
+        excess = vertex_excess(cliques, layer[0])
         assert excess >= floor
         floor = excess + 1
     return layers

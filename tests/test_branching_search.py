@@ -26,9 +26,9 @@ from conftest import (
     spider_graph,
     vertex_excess,
 )
-from leafage.cliquetrees import Forest, branching_sets, build_clique_tree
+from leafage.cliquetrees import branching_sets, build_clique_tree
 from leafage.gadget import build_gadget, parse_clause_file
-from leafage.graphs import chordal_cliques, clique_graph
+from leafage.graphs import Forest, chordal_cliques, clique_graph
 from leafage.oracle import oracle_optima, random_chordal
 from leafage.tokens import minimize_leafage
 from leafage.vertex_leafage import (
@@ -81,7 +81,7 @@ def reference_candidates(search_graphs):
     """The old generator's sets for each search graph, in the same order."""
     out = []
     for _, cg, leafage, _ in search_graphs:
-        budget = min(3 * (leafage - 2), len(cg.cliques) - 1)
+        budget = min(3 * (leafage - 2), len(cg) - 1)
         out.append(reference_candidate_branch_sets(cg, leafage, budget))
     return out
 
@@ -93,10 +93,10 @@ def test_search_and_generator_match_references(search_graphs, reference_candidat
         candidates = [f for layer in layers for f in layer]
         assert len(set(candidates)) == len(candidates)
         assert candidates == ranked
-        excess = [vertex_excess(cg.cliques, layer[0]) for layer in layers]
+        excess = [vertex_excess(cg, layer[0]) for layer in layers]
         assert excess == sorted(set(excess))
         for e, layer in zip(excess, layers):
-            assert {vertex_excess(cg.cliques, f) for f in layer} == {e}
+            assert {vertex_excess(cg, f) for f in layer} == {e}
             assert layer == sorted(layer, key=lambda f: (len(f), sorted(f)))
         vl, tree = reference_search(g, old_sets)
         cert = vertex_leafage_bounded(g)
@@ -114,12 +114,12 @@ def test_builder_matches_reference_route(search_graphs, reference_candidates):
     moves Kruskal's tie-breaks on two of its sets.
     """
     cases = [
-        (g, cg.cliques, sets[::max(1, len(sets) // 30)])
+        (g, cg, sets[::max(1, len(sets) // 30)])
         for (g, cg, _, _), sets in zip(search_graphs, reference_candidates)
     ]
     g = random_chordal(16, density=0.3, seed=5)
     cg = clique_graph(chordal_cliques(g))
-    cases.append((g, cg.cliques, reference_candidate_branch_sets(cg, 3, 3)))
+    cases.append((g, cg, reference_candidate_branch_sets(cg, 3, 3)))
     realized = rejected = 0
     for g, cliques, sets in cases:
         for f in sets:
@@ -159,7 +159,7 @@ def test_minimal_kruskal_tree_is_not_minimized(search_graphs, monkeypatch):
             calls.clear()
             minimized.clear()
             tree = clique_tree_with_branching(g, f)
-            reference = reference_clique_tree_with_branching(g, f, cg.cliques)
+            reference = reference_clique_tree_with_branching(g, f, cg)
             assert (tree is None) == (reference is None)
             assert tree is None or tree.edges == reference.edges
             assert len(minimized) <= 1
@@ -179,7 +179,7 @@ def random_graphs():
             for seed in range(8):
                 g = random_chordal(n, density=density, seed=seed)
                 cg = clique_graph(chordal_cliques(g))
-                if len(cg.cliques) > 20:
+                if len(cg) > 20:
                     continue
                 if len(minimize_leafage(build_clique_tree(cg)).leaves()) >= 3:
                     out.append(g)

@@ -8,7 +8,6 @@ import pytest
 from conftest import check_clique_tree_of, enumerate_clique_trees, is_tree_model
 from leafage.cliquetrees import (
     CliqueTree,
-    Forest,
     TreeModel,
     branching_sets,
     build_clique_tree,
@@ -18,7 +17,7 @@ from leafage.cliquetrees import (
     path_containment_violation,
 )
 from leafage.demo import demo_clique_tree, demo_graph
-from leafage.graphs import Graph, chordal_cliques, clique_graph
+from leafage.graphs import Forest, Graph, chordal_cliques, clique_graph
 
 
 @pytest.fixture
@@ -221,9 +220,9 @@ def _pairwise_violation(t: CliqueTree):
 def _random_spanning_tree(cg, rng):
     edges = list(cg.weights)
     rng.shuffle(edges)
-    forest = Forest(len(cg.cliques))
+    forest = Forest(len(cg))
     chosen = [(a, b) for a, b in edges if forest.union(a, b)]
-    return CliqueTree(cg.cliques, frozenset(chosen))
+    return CliqueTree(cg, frozenset(chosen))
 
 
 class TestLinearContainmentCheck:

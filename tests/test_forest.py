@@ -3,16 +3,17 @@
 The clique-tree enumeration whose ``containment_ok`` checked the tree path
 of every newly connected clique pair is kept here as a reference
 implementation only (the oracle now walks weight classes).  Both the
-oracle's trees and the class-node fit test (``_class_nodes``' map, linked
-by ``conftest.join_all``) are checked against it.
+oracle's trees and the class-node fit test (the map of
+``Cliques.class_nodes``, linked by ``conftest.join_all``) are checked
+against it.
 """
 
 import random
 
 from conftest import enumerate_clique_trees, join_all
-from leafage.cliquetrees import CliqueTree, Forest, _class_nodes
+from leafage.cliquetrees import CliqueTree
 from leafage.demo import demo_graph
-from leafage.graphs import Graph, chordal_cliques, clique_graph
+from leafage.graphs import Forest, Graph, chordal_cliques, clique_graph
 
 
 def reference_enumerate(g):
@@ -94,8 +95,8 @@ def reference_enumerate(g):
     yield from generate(0)
 
 
-def _fits(cg, f):
-    ends, node_count = _class_nodes(cg)
+def _fits(cliques, f):
+    ends, node_count = cliques.class_nodes
     return join_all(Forest(node_count), ends, f)
 
 
@@ -124,7 +125,7 @@ class TestForest:
         # demo cliques: 0 abc, 1 acd, 2 adf, 8 de.  Joining {adf, de} to
         # {abc, acd} through abc-adf would separate d's cliques at abc: the
         # heavier edges abc-acd and acd-adf put abc and adf in one node.
-        ends, node_count = _class_nodes(clique_graph(chordal_cliques(demo_graph())))
+        ends, node_count = chordal_cliques(demo_graph()).class_nodes
         f = Forest(node_count)
         assert join_all(f, ends, [(2, 8), (0, 1)])
         before = self._snapshot(f)
@@ -153,19 +154,19 @@ def test_forest_check_matches_pairwise_reference(graphs):
     pinned = [(path, {(0, 2)}), (demo_graph(), {(2, 8), (0, 1), (0, 2)})]
     assert chordal_cliques(path) == tuple(map(frozenset, ("abc", "bcd", "cde")))
     for g, f in pinned:
-        assert not _fits(clique_graph(chordal_cliques(g)), f)
+        assert not _fits(chordal_cliques(g), f)
         assert not any(f <= t.edges for t in reference_enumerate(g))
     rng = random.Random(5)
     rejected = accepted = 0
     for g in graphs:
-        cg = clique_graph(chordal_cliques(g))
-        edges = list(cg.weights)
+        cliques = chordal_cliques(g)
+        edges = list(cliques.weights)
         if len(edges) < 2:
             continue
         trees = [t.edges for t in reference_enumerate(g)]
         for _ in range(40):
-            f = frozenset(rng.sample(edges, rng.randint(2, min(len(edges), len(cg.cliques)))))
-            ok = _fits(cg, f)
+            f = frozenset(rng.sample(edges, rng.randint(2, min(len(edges), len(cliques)))))
+            ok = _fits(cliques, f)
             assert ok == any(f <= t for t in trees)
             accepted += ok
             rejected += not ok

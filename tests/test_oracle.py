@@ -7,9 +7,10 @@ from collections import Counter
 import pytest
 
 from conftest import check_clique_tree_of, enumerate_clique_trees, spider_graph
-from leafage.cliquetrees import CliqueTree, Forest, build_clique_tree
+from leafage.cliquetrees import CliqueTree, build_clique_tree
 from leafage.demo import demo_clique_tree, demo_graph
 from leafage.graphs import (
+    Forest,
     Graph,
     PerfectEliminationOrder,
     _connected_cliques,
@@ -149,16 +150,18 @@ class TestEnumerateCliqueTrees:
         assert tree_limit() == DEFAULT_TREE_LIMIT
 
 
-def _joined_by_heavier(cg, a, b) -> bool:
+def _joined_by_heavier(weights, a, b) -> bool:
     """Whether cliques a and b meet through edges heavier than a-b."""
-    w = cg.weights[(a, b)]
+    w = weights[(a, b)]
     seen, stack = {a}, [a]
     while stack:
         x = stack.pop()
-        for y in cg.adjacency[x]:
-            if y not in seen and cg.weights[(min(x, y), max(x, y))] > w:
-                seen.add(y)
-                stack.append(y)
+        for e, we in weights.items():
+            if x in e and we > w:
+                y = e[0] + e[1] - x
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
     return b in seen
 
 
@@ -171,7 +174,7 @@ def test_enumerated_trees_are_maximum_weight_spanning_trees(graphs):
     trees = dead = 0
     for g in graphs:
         cg = clique_graph(chordal_cliques(g))
-        excluded = {e for e in cg.weights if _joined_by_heavier(cg, *e)}
+        excluded = {e for e in cg.weights if _joined_by_heavier(cg.weights, *e)}
         dead += len(excluded)
         best = sum(cg.weights[e] for e in build_clique_tree(cg).edges)
         for t in enumerate_clique_trees(g):
@@ -299,6 +302,10 @@ class TestOracleOptima:
 # sha256 of the 200 corpus graphs' edge lists: connecting a sample that
 # would have been given up must leave every seed that succeeds unchanged.
 CORPUS_SHA256 = "9ff0a5b056ab52cf0a092832f53a0ea8177a46ab3ac3f00800ac348ba47f9708"
+# sha256 of the edge lists of the 16 graphs of ``test_mid_size_never_gives_up``,
+# n, then density, then seed: the late samples and the fallback, which the
+# corpus (n <= 10) does not reach.
+MID_SIZE_SHA256 = "a62d2cd20eaa8f05ac45c2534f4911fcd91874ac70afd0ae19d1e9cfab577821"
 
 
 class TestRandomChordal:
@@ -329,6 +336,15 @@ class TestRandomChordal:
     def test_corpus_unchanged(self, corpus):
         text = "".join(format_edge_list(g) for g, _ in corpus)
         assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_SHA256
+
+    def test_mid_size_unchanged(self):
+        text = "".join(
+            format_edge_list(random_chordal(n, density=density, seed=seed))
+            for n in (20, 40)
+            for density in (0.2, 0.3, 0.4, 0.5)
+            for seed in range(2)
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == MID_SIZE_SHA256
 
     def test_deterministic_per_seed(self):
         assert random_chordal(9, seed=3) == random_chordal(9, seed=3)

@@ -24,10 +24,10 @@ from conftest import (
     reference_minimize_leafage,
     spider_graph,
 )
-from leafage.cliquetrees import CliqueTree, Forest
+from leafage.cliquetrees import CliqueTree
 from leafage.demo import demo_clique_tree, demo_graph
 from leafage.gadget import NaeInstance, build_gadget
-from leafage.graphs import Cliques, Graph, chordal_cliques, clique_graph
+from leafage.graphs import Cliques, Forest, Graph, chordal_cliques, clique_graph
 from leafage.cliquetrees import build_clique_tree
 from leafage.oracle import random_chordal
 from leafage.tokens import (
@@ -146,11 +146,22 @@ class TestCliqueFamily:
     def test_family_is_kept(self):
         family = chordal_cliques(demo_graph())
         assert Cliques(family) is family
-        assert clique_graph(family).cliques is family
+        assert clique_graph(family) is family
         tree = build_clique_tree(clique_graph(family))
         assert tree.cliques is family
         assert tokens_from_tree(tree).cliques is family
         assert minimize_leafage(tree).cliques is family
+
+    def test_facts_hold_no_reference_to_the_family(self):
+        # A fact that refers back to the family makes a reference cycle, so
+        # the family and every table cached on it wait for the cycle
+        # collector instead of going with their last user.
+        family = Cliques(tuple(chordal_cliques(random_chordal(20, density=0.4, seed=1))))
+        before = sys.getrefcount(family)
+        a, b = next(iter(family.weights))
+        family.holders, family.kruskal_order, family.class_nodes, family.leaf_floor
+        family.s_blocks(family[a] & family[b])
+        assert sys.getrefcount(family) == before
 
 
 class TestMoves:
