@@ -13,7 +13,7 @@ import re
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Container, Iterable, Mapping, Sequence
+from typing import Any, Container, Iterable, Iterator, Mapping, Sequence
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
 
@@ -139,6 +139,54 @@ def _path(adj: Mapping | Sequence, src: Any, dst: Any, allowed: Container) -> li
     return None
 
 
+def _blocks(pairs: list[tuple[int, int]]) -> Iterator[list[int]]:
+    """The blocks (biconnected components) of the multigraph ``pairs`` on nodes 0, 1, ...
+
+    Each block is the sorted list of its edges' indices in ``pairs``;
+    parallel edges fall in one block, and a bridge is a block of its own.
+    Tarjan's low-point search, with its own stack.
+    """
+    size = 1 + max(map(max, pairs), default=-1)
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+    for e, (x, y) in enumerate(pairs):
+        adj[x].append((y, e))
+        adj[y].append((x, e))
+    disc = [0] * size  # 1 + the order a node is reached in; 0 while it is not
+    low = [0] * size
+    reached = 0
+    for root in range(size):
+        if disc[root] or not adj[root]:
+            continue
+        reached += 1
+        disc[root] = low[root] = reached
+        edges: list[int] = []
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            x, via, out = stack[-1]
+            for y, e in out:
+                if not disc[y]:
+                    reached += 1
+                    disc[y] = low[y] = reached
+                    edges.append(e)
+                    stack.append((y, e, iter(adj[y])))
+                    break
+                if e != via and disc[y] < disc[x]:
+                    edges.append(e)
+                    if disc[y] < low[x]:
+                        low[x] = disc[y]
+            else:
+                stack.pop()
+                if stack:
+                    parent = stack[-1][0]
+                    if low[x] < low[parent]:
+                        low[parent] = low[x]
+                    if low[x] >= disc[parent]:
+                        block: list[int] = []
+                        while not block or block[-1] != via:
+                            block.append(edges.pop())
+                        yield sorted(block)
+
+
 class Forest:
     """Union-find on the ids 0..n-1 that can undo its links.
 
@@ -160,14 +208,21 @@ class Forest:
 
     def union(self, a: int, b: int) -> bool:
         """Link the components of ``a`` and ``b``; False if they are one."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
+        # Both roots are walked to here, not through ``find``: the
+        # branching search links and undoes once per edge it tries.
+        parent = self.parent
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a == b:
             return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self._links.append(rb)
+        size = self.size
+        if size[a] < size[b]:
+            a, b = b, a
+        parent[b] = a
+        size[a] += size[b]
+        self._links.append(b)
         return True
 
     def undo(self) -> None:
@@ -360,7 +415,8 @@ class Cliques(tuple):
     token assignments of one list share one family, and each fact below is
     built once, on first use, as plain data with no reference back to the
     family: ``holders``, ``weights`` (the clique graph's edges),
-    ``kruskal_order``, ``class_nodes``, ``leaf_floor`` and the S-blocks.
+    ``kruskal_order``, ``class_nodes``, ``blocks``, ``forced``,
+    ``leaf_floor`` and the S-blocks.
     Two certify a clique tree: its weight under ``weights`` is the greatest
     a spanning tree has, sum(|C|) - |V|, and its leaves are at least
     ``leaf_floor``.
@@ -424,15 +480,43 @@ class Cliques(tuple):
         return ends, len(nodes)
 
     @cached_property
+    def blocks(self) -> list[list[tuple[int, int]]]:
+        """The blocks of each class's multigraph on its class nodes.
+
+        Each block is the sorted list of its pairs, keys of ``class_nodes``.
+        A clique tree is one spanning forest of each class's nodes, and a
+        spanning forest is one spanning tree per block, so the blocks split
+        the choices into independent ones; a block of one pair, a bridge,
+        leaves no choice.  No two classes share a node, so one block pass
+        over all the pairs finds every class's blocks.
+        """
+        ends, _ = self.class_nodes
+        kept = list(ends)
+        return [[kept[e] for e in block] for block in _blocks(list(ends.values()))]
+
+    @cached_property
+    def forced(self) -> frozenset[tuple[int, int]]:
+        """The pairs every clique tree holds: the bridges of their classes, blocks of one pair."""
+        return frozenset(block[0] for block in self.blocks if len(block) == 1)
+
+    @cached_property
     def leaf_floor(self) -> int:
         """A lower bound on the leaves of every clique tree of two or more cliques.
 
         The largest of 2; the cliques that meet one other clique only, each
         a leaf of every tree; and 2 + sum(max(0, d(x) - 2)), d(x) counting
-        the forced edges at x: those whose two cliques share a vertex no
-        other clique holds, which every clique tree holds.  A clique with
-        no vertex in three or more cliques meets just its forced partners,
+        the private pairs at x: two cliques that share a vertex no other
+        clique holds, which every clique tree holds.  A clique with no
+        vertex in three or more cliques meets just its private partners,
         so both counts come from ``holders`` in O(sum |C|).
+
+        The private pairs are some of ``forced``, and the bound holds for
+        any pairs every clique tree holds, so ``forced`` would give a
+        floor at least as high.  It is not read here because
+        ``minimize_leafage`` asks for the floor of most families it sees,
+        the builder's marked families among them, which need no class
+        nodes: reading ``forced`` would make each of them build
+        ``class_nodes`` and run the block pass.
         """
         forced = {tuple(ids) for ids in self.holders.values() if len(ids) == 2}
         crowded = {i for ids in self.holders.values() if len(ids) > 2 for i in ids}

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import os
 import random
 from dataclasses import dataclass
@@ -30,48 +29,6 @@ def tree_limit() -> int:
     except ValueError:
         pass
     raise InputError(f"LEAFAGE_ORACLE_LIMIT must be an integer >= 1, not {raw!r}")
-
-
-def _blocks(pairs: list[tuple[int, int]]) -> Iterator[list[int]]:
-    """The blocks (biconnected components) of the multigraph ``pairs``.
-
-    Each block is the sorted list of its edges' indices in ``pairs``;
-    parallel edges fall in one block, and a bridge is a block of its own.
-    Tarjan's low-point search, with its own stack.
-    """
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for e, (x, y) in enumerate(pairs):
-        adj.setdefault(x, []).append((y, e))
-        adj.setdefault(y, []).append((x, e))
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    for root in adj:
-        if root in disc:
-            continue
-        disc[root] = low[root] = len(disc)
-        edges: list[int] = []
-        stack = [(root, -1, iter(adj[root]))]
-        while stack:
-            x, via, out = stack[-1]
-            for y, e in out:
-                if y not in disc:
-                    disc[y] = low[y] = len(disc)
-                    edges.append(e)
-                    stack.append((y, e, iter(adj[y])))
-                    break
-                if e != via and disc[y] < disc[x]:
-                    edges.append(e)
-                    low[x] = min(low[x], disc[y])
-            else:
-                stack.pop()
-                if stack:
-                    parent = stack[-1][0]
-                    low[parent] = min(low[parent], low[x])
-                    if low[x] >= disc[parent]:
-                        block: list[int] = []
-                        while not block or block[-1] != via:
-                            block.append(edges.pop())
-                        yield sorted(block)
 
 
 def _block_trees(block: list[tuple[int, int]], cap: int) -> int:
@@ -145,14 +102,15 @@ def _walk(g: Graph, limit: int | None) -> Iterator[tuple[int, int, list[tuple[in
     A clique tree is one spanning forest of each weight class's nodes,
     chosen independently (``Cliques.class_nodes``), so the trees number the
     product of the classes' spanning-forest counts, taken block by block
-    (:func:`_block_trees`).  That count is known before the walk: past the
+    (``Cliques.blocks``, :func:`_block_trees`).  That count is known before the walk: past the
     cap, the walk raises :class:`OracleLimitError` before the first tree.
     At the end it must equal the trees walked, or the walk raises
     :class:`CertificateError`.
 
-    A bridge of a class's multigraph lies in every spanning forest, so
-    every bridge is linked into one :class:`Forest` on the nodes once,
-    before the walk, and never undone.  A simple path between two nodes of
+    A bridge of a class's multigraph lies in every spanning forest
+    (``Cliques.forced``), so every bridge is linked into one
+    :class:`Forest` on the nodes once, before the walk, and never undone.
+    A simple path between two nodes of
     one block stays in that block, so no bridge changes whether a block
     edge's nodes are apart or meet.  The walk then goes over the block
     edges in canonical order, taking each edge before skipping it.  It
@@ -175,26 +133,16 @@ def _walk(g: Graph, limit: int | None) -> Iterator[tuple[int, int, list[tuple[in
     cliques = chordal_cliques(g)
     k = len(cliques)
     ends, node_count = cliques.class_nodes
-    # Per class, heaviest first: its remaining edges, their node pairs, and
-    # per edge in a block with a cycle, the block's node pairs and the index
-    # of the next one.  The count stops at the first class that takes it
-    # past the cap.
-    layers: list[tuple[list, list, dict[int, tuple[list, int]]]] = []
-    total = 1
-    for _, group in itertools.groupby(ends, key=cliques.weights.get):
-        if total > cap:
-            break
-        kept = list(group)
-        pairs = [ends[e] for e in kept]
-        blocks = []
-        later: dict[int, tuple[list, int]] = {}
-        for block in _blocks(pairs):
-            if len(block) > 1:
-                blocks.append([pairs[e] for e in block])
-                for pos, e in enumerate(block):
-                    later[e] = (blocks[-1], pos + 1)
-        total *= _spanning_forests(blocks, cap)
-        layers.append((kept, pairs, later))
+    # Per pair in a block with a cycle: the block's node pairs and the
+    # index of the next one.
+    cyclic: list[list[tuple[int, int]]] = []
+    later: dict[tuple[int, int], tuple[list, int]] = {}
+    for block in cliques.blocks:
+        if len(block) > 1:
+            cyclic.append([ends[e] for e in block])
+            for pos, e in enumerate(block, 1):
+                later[e] = (cyclic[-1], pos)
+    total = _spanning_forests(cyclic, cap)
     if total > cap:
         raise OracleLimitError(f"the graph has more than {cap} clique trees")
     # One leaf counter per vertex, then the host's at n.  The host's slot at
@@ -205,16 +153,15 @@ def _walk(g: Graph, limit: int | None) -> Iterator[tuple[int, int, list[tuple[in
     for i, c in enumerate(cliques):
         for u in c:
             slot[u, i] = k + len(slot)
-    # Per remaining edge, in canonical order: the edge, its two class nodes,
-    # its block's node pairs with the index of the next one, or None for a
-    # bridge, and the (counter, slot) pairs a take shifts.
+    # Per pair some clique tree holds, in canonical order: the pair, its two
+    # class nodes, its block's node pairs with the index of the next one,
+    # or None for a bridge, and the (counter, slot) pairs a take shifts.
     steps: list[tuple[tuple[int, int], int, int, list | None, int, list]] = []
-    for kept, pairs, later in layers:
-        for e, ((a, b), (x, y)) in enumerate(zip(kept, pairs)):
-            touch = [(n, a), (n, b)]
-            for u in cliques[a] & cliques[b]:
-                touch += [(counter[u], slot[u, a]), (counter[u], slot[u, b])]
-            steps.append(((a, b), x, y, *later.get(e, (None, 0)), touch))
+    for (a, b), (x, y) in ends.items():
+        touch = [(n, a), (n, b)]
+        for u in cliques[a] & cliques[b]:
+            touch += [(counter[u], slot[u, a]), (counter[u], slot[u, b])]
+        steps.append(((a, b), x, y, *later.get((a, b), (None, 0)), touch))
     steps.sort()
     forest = Forest(node_count)
     chosen: list[tuple[int, int]] = []

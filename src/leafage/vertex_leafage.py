@@ -163,27 +163,41 @@ def candidate_branch_sets(
     degree >= 3, its centres, and the tree has 2 + sum(deg(x) - 2) leaves
     over them.  Centres are picked in increasing order, each with its whole
     star, so each F comes from one sequence of choices: an earlier centre's
-    star is final and a node passed over keeps degree <= 2, so a star adds
-    an edge to an earlier node only while that node has degree < 2, and a
-    node of degree >= 3 cannot be passed over.  F is complete once the
-    excess sum(deg(x) - 2) is leafage - 2 and no later node has degree >= 3,
-    so |F| <= 3 * (leafage - 2).
+    star is final and a node passed over is no centre.  F is complete once
+    the excess sum(deg(x) - 2) is leafage - 2 and no later node must be a
+    centre, so |F| <= 3 * (leafage - 2).
 
-    Of the complete sets, only those of least vertex excess e(F) >= ``floor``
+    Two rules drop sets that no clique tree realizes, on the pairs every
+    clique tree holds, ``Cliques.forced``.  A tree T with branching set F
+    holds every forced pair, and:
+
+    - at a centre, T's edges are exactly F's, so a centre's star takes
+      every forced pair at it;
+    - any other node has T-degree <= 2, so its load, its edges of F plus
+      its forced pairs outside F, is at most 2.  A node is passed over
+      only with load < 3, joins a later star by an unforced edge only with
+      load < 2, and a set is complete only while every later node has
+      load < 3.
+
+    Both are necessary, so the builder rejects every set they drop, and the
+    first set realized, hence the tree returned, is the same with them.
+
+    Of the sets kept, only those of least vertex excess e(F) >= ``floor``
     are returned, smallest first, then by sorted edges.  e(F) is
     max_u sum_x max(0, d_u(x) - 2), where d_u(x) counts the edges of F at x
     whose two ends both hold u, so the trees with branching set F have
     vertex leafage e(F) + 2 (:func:`_branching_leaf_counts`).  e(F) <=
     leafage - 2, as d_u(x) <= deg(x).  The layers for increasing ``floor``
-    list every complete set once.
+    list every set kept once.
 
     The search is depth first, over one explicit stack.  Each star is built
-    edge by edge, each edge taken before it is left out, and linked as it
-    is taken in one ``Forest`` on the family's ``class_nodes``, so an edge
-    that no clique tree holds together with the set cuts every superset.
-    The counts d_u(x) and each vertex's excess follow every link and
-    unlink.  Adding an edge never lowers e(F), so a set above the least
-    excess >= ``floor`` of the complete sets found so far is cut.
+    edge by edge, its forced pairs first, each other edge taken before it
+    is left out, and linked as it is taken in one ``Forest`` on the
+    family's ``class_nodes``, so an edge that no clique tree holds together
+    with the set cuts every superset.  The counts d_u(x) and each vertex's
+    excess follow every link and unlink.  Adding an edge never lowers
+    e(F), so an edge that lifts it above the least excess >= ``floor`` of
+    the sets found so far is not linked.
 
     Two more cuts drop only branches that complete no set, so the layer and
     its order are unchanged.  A node adds at most max(0, h - 2) host
@@ -198,7 +212,9 @@ def candidate_branch_sets(
     if slack <= 0 or floor > slack:
         return []
     ends, node_count = cliques.class_nodes
+    forced = cliques.forced
     forest = Forest(node_count)
+    union = forest.union
     find = forest.find
     # Per clique: the edges at it that some clique tree holds, in sorted order.
     incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -213,15 +229,26 @@ def candidate_branch_sets(
         cap[c] = cap[c + 1] + max(0, len(incident[c]) - 2)
         after[c] = c if len(incident[c]) >= 3 else after[c + 1]
     degree = [0] * n
-    # Per edge: (u, slot of (u, a), slot of (u, b)) for each vertex u of
-    # C_a & C_b, numbered densely, with d_u(x) in ``held[slot]``.
+    # load[x]: the edges at x that the set or every clique tree holds.
+    load = [0] * n
+    for a, b in forced:
+        load[a] += 1
+        load[b] += 1
+    # Per edge: its class nodes, whether it is unforced (what it adds to its
+    # ends' load), and (u, slot of (u, a), slot of (u, b)) for each
+    # vertex u of C_a & C_b, numbered densely, with d_u(x) in ``held[slot]``.
     vertex_ids: dict[str, int] = {}
-    shared = {
-        (a, b): [
-            (u, u * n + a, u * n + b)
-            for u in (vertex_ids.setdefault(v, len(vertex_ids)) for v in cliques[a] & cliques[b])
-        ]
-        for a, b in ends
+    table = {
+        (a, b): (
+            x,
+            y,
+            (a, b) not in forced,
+            [
+                (u, u * n + a, u * n + b)
+                for u in (vertex_ids.setdefault(v, len(vertex_ids)) for v in cliques[a] & cliques[b])
+            ],
+        )
+        for (a, b), (x, y) in ends.items()
     }
     held = [0] * (len(vertex_ids) * n)
     excess = [0] * len(vertex_ids)
@@ -231,42 +258,47 @@ def candidate_branch_sets(
     kept: list[BranchEdgeSet] = []
 
     def link(edge: tuple[int, int]) -> bool:
-        # Add ``edge`` to the set unless it closes a cycle or lifts e above
-        # the bound.
-        if not forest.union(*ends[edge]):
-            return False
+        # Add ``edge`` to the set unless it lifts e above the bound or
+        # closes a cycle; the bound is checked first, changing nothing.
+        x, y, unforced, shared = table[edge]
         top = peak[-1]
-        for u, p, q in shared[edge]:
+        for u, p, q in shared:
+            top = max(top, excess[u] + (held[p] >= 2) + (held[q] >= 2))
+        if top > bound or not union(x, y):
+            return False
+        for u, p, q in shared:
             held[p] += 1
             held[q] += 1
             excess[u] += (held[p] > 2) + (held[q] > 2)
-            top = max(top, excess[u])
         a, b = edge
         degree[a] += 1
         degree[b] += 1
+        load[a] += unforced
+        load[b] += unforced
         chosen.append(edge)
         peak.append(top)
-        if top > bound:
-            unlink()
-            return False
         return True
 
     def unlink() -> None:
-        a, b = chosen.pop()
-        for u, p, q in shared[a, b]:
+        edge = chosen.pop()
+        _, _, unforced, shared = table[edge]
+        for u, p, q in shared:
             excess[u] -= (held[p] > 2) + (held[q] > 2)
             held[p] -= 1
             held[q] -= 1
+        a, b = edge
         degree[a] -= 1
         degree[b] -= 1
+        load[a] -= unforced
+        load[b] -= unforced
         peak.pop()
         forest.undo()
 
     # Steps, the next one last: ("centre", c, x) tries the stars at centre
     # c, which can branch, and at the later centres, with host excess x so
-    # far; ("star", c, free, i, k, lo, hi, x) decides free[i] with k edges
-    # of c's star taken, lo <= k <= hi at the end and host excess x + k
-    # after it; None takes back the last edge linked.
+    # far; ("star", c, free, m, i, k, lo, hi, x) decides free[i], the first
+    # m forced, with k edges of c's star taken, lo <= k <= hi at the end
+    # and host excess x + k after it; None takes back the last edge linked.
     stack: list = [("centre", after[0], 0)]
     while stack:
         step = stack.pop()
@@ -280,29 +312,38 @@ def candidate_branch_sets(
             if x + cap[c] < slack:
                 continue
             d = degree[c]
-            if d < 3:
+            if load[c] < 3:
                 stack.append(("centre", after[c + 1], x))
             # An edge whose class nodes the set already joins fits no
-            # superset, so it is left out of the star.
-            free = [
-                e for e in incident[c]
-                if (e[0] == c or degree[e[0]] < 2) and find(ends[e][0]) != find(ends[e][1])
-            ]
-            lo = max(0, 3 - d, slack - x - d + 2 - cap[c + 1])
-            hi = min(len(free), slack - x - d + 2)
+            # superset, so it is left out of the star; so is an unforced
+            # edge to an earlier node that would lift its load past 2.
+            # Forced edges never close a cycle, so every one at c not yet
+            # in the set is free, and goes first.
+            must: list[tuple[int, int]] = []
+            free: list[tuple[int, int]] = []
+            for e in incident[c]:
+                x0, y0, unforced, _ = table[e]
+                if find(x0) == find(y0):
+                    continue
+                if not unforced:
+                    must.append(e)
+                elif e[0] == c or load[e[0]] < 2:
+                    free.append(e)
+            lo = max(len(must), 3 - d, slack - x - d + 2 - cap[c + 1])
+            hi = min(len(must) + len(free), slack - x - d + 2)
             if lo <= hi:
-                stack.append(("star", c, free, 0, 0, lo, hi, x + d - 2))
+                stack.append(("star", c, must + free, len(must), 0, 0, lo, hi, x + d - 2))
             continue
-        _, c, free, i, k, lo, hi, x = step
+        _, c, free, m, i, k, lo, hi, x = step
         if k < hi and i < len(free):
-            if k + len(free) - i > lo:
-                stack.append(("star", c, free, i + 1, k, lo, hi, x))
+            if i >= m and k + len(free) - i > lo:
+                stack.append(("star", c, free, m, i + 1, k, lo, hi, x))
             if link(free[i]):
                 stack.append(None)
-                stack.append(("star", c, free, i + 1, k + 1, lo, hi, x))
+                stack.append(("star", c, free, m, i + 1, k + 1, lo, hi, x))
         elif x + k < slack:
             stack.append(("centre", after[c + 1], x + k))
-        elif max(degree[c + 1:], default=0) < 3 and peak[-1] >= floor:
+        elif max(load[c + 1:], default=0) < 3 and peak[-1] >= floor:
             if peak[-1] < bound:
                 bound = peak[-1]
                 kept = []

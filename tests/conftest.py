@@ -220,6 +220,52 @@ def reference_candidate_branch_sets(cliques: Cliques, leafage: int, budget: int)
     return filtered
 
 
+def reference_forced(cliques: Cliques) -> frozenset:
+    """The pairs every clique tree holds, one pair at a time, in O(E^2).
+
+    A clique tree is one spanning forest of each weight class's nodes
+    (``Cliques.class_nodes``), so a pair lies in every one iff the other
+    pairs of its class leave its two class nodes apart.  Each pair's test
+    is its own search, sharing nothing with the family's block pass.
+    """
+    ends, _ = cliques.class_nodes
+    out = set()
+    for e, (x, y) in ends.items():
+        adj: dict[int, list[int]] = {}
+        for other, (p, q) in ends.items():
+            if other != e and cliques.weights[other] == cliques.weights[e]:
+                adj.setdefault(p, []).append(q)
+                adj.setdefault(q, []).append(p)
+        seen = {x}
+        stack = [x]
+        while stack:
+            for z in adj.get(stack.pop(), ()):
+                if z not in seen:
+                    seen.add(z)
+                    stack.append(z)
+        if y not in seen:
+            out.add(e)
+    return frozenset(out)
+
+
+def obeys_forced_rules(f, forced) -> bool:
+    """Whether a tree with branching set ``f`` could hold every pair of ``forced``.
+
+    A node of ``f``-degree >= 3 has its tree edges in ``f``, so it holds
+    ``f``'s edges only; any other node has tree degree at most 2, so it
+    holds at most 2 edges of ``f`` and ``forced`` together.
+    """
+    degree = Counter(x for e in f for x in e)
+    load = Counter(x for e in f | forced for x in e)
+    return all(load[x] == degree[x] if degree[x] >= 3 else load[x] <= 2 for x in load)
+
+
+def forced_cut(cliques: Cliques, sets) -> list[frozenset]:
+    """The sets of ``sets`` that obey the rules of :func:`obeys_forced_rules`, in order."""
+    forced = reference_forced(cliques)
+    return [f for f in sets if obeys_forced_rules(f, forced)]
+
+
 def is_full_star_union(f) -> bool:
     """Every edge of ``f`` is at a node where ``f`` has degree >= 3."""
     degree = Counter(x for e in f for x in e)

@@ -7,7 +7,9 @@ leafage 2.  Its candidates come from the old generator
 (``conftest.reference_candidate_branch_sets``), which also kept sets that are
 no tree's branching set or whose trees have fewer leaves than the leafage.
 The rank-everything order the layers replaced is
-``conftest.reference_ranked_branch_sets``.
+``conftest.reference_ranked_branch_sets``; the generator lists the sets of
+it that ``conftest.forced_cut`` keeps, those that obey the two rules on the
+pairs every clique tree holds (``conftest.reference_forced``).
 """
 
 import pytest
@@ -15,21 +17,24 @@ import pytest
 import leafage.tokens
 import leafage.vertex_leafage
 from conftest import (
+    FANO,
     branch_set_layers,
     count_calls,
     enumerate_clique_trees,
+    forced_cut,
     is_full_star_union,
     nae_families,
     reference_candidate_branch_sets,
     reference_clique_tree_with_branching,
+    reference_forced,
     reference_ranked_branch_sets,
     spider_graph,
     vertex_excess,
 )
 from leafage.cliquetrees import branching_sets, build_clique_tree
-from leafage.gadget import build_gadget, parse_clause_file
+from leafage.gadget import NaeInstance, build_gadget, parse_clause_file
 from leafage.graphs import Forest, chordal_cliques, clique_graph
-from leafage.oracle import oracle_optima, random_chordal
+from leafage.oracle import OracleLimitError, _walk, oracle_optima, random_chordal
 from leafage.tokens import minimize_leafage
 from leafage.vertex_leafage import (
     _branching_leaf_counts,
@@ -87,12 +92,15 @@ def reference_candidates(search_graphs):
 
 
 def test_search_and_generator_match_references(search_graphs, reference_candidates):
-    """The layers list the reference ranking, once each; the exhaustive search's tree."""
+    """The layers list the reference ranking's sets that obey the forced-pair rules, once each.
+
+    The search returns the exhaustive search's tree.
+    """
     for (g, cg, leafage, ranked), old_sets in zip(search_graphs, reference_candidates):
         layers = branch_set_layers(cg, leafage)
         candidates = [f for layer in layers for f in layer]
         assert len(set(candidates)) == len(candidates)
-        assert candidates == ranked
+        assert candidates == forced_cut(cg, ranked)
         excess = [vertex_excess(cg, layer[0]) for layer in layers]
         assert excess == sorted(set(excess))
         for e, layer in zip(excess, layers):
@@ -193,7 +201,9 @@ def test_centre_ban_check_is_necessary(search_graphs, random_graphs, monkeypatch
     The check cuts a set before the marked cliques' clique graph is made,
     so a call that makes none was cut.  Every call the search makes returns
     None where the reference route does and its tree otherwise, so the
-    search's tree, the last one asked for, is the reference route's.
+    search's tree, the last one asked for, is the reference route's.  The
+    generator's forced-pair rules drop most sets the check would cut, so
+    it cuts 188 of the 736 calls here.
     """
     made = count_calls(monkeypatch, leafage.vertex_leafage, "clique_graph")
     original = clique_tree_with_branching
@@ -218,13 +228,59 @@ def test_centre_ban_check_is_necessary(search_graphs, random_graphs, monkeypatch
             cuts += cut
             built += not cut
         assert calls[-1][1].edges == cert.tree.edges
-    assert cuts > 3000 and built > 800
+    assert cuts > 150 and built > 500
+
+
+def test_forced_pairs_are_the_reference_and_in_every_tree(corpus, search_graphs, random_graphs):
+    """``Cliques.forced`` is the pairwise reference, and every walked tree holds it.
+
+    On the pinned corpus, the search graphs and the mid-size random graphs;
+    the trees are walked on those with at most 20,000 of them.
+    """
+    graphs = [g for g, _ in corpus] + [g for g, _, _, _ in search_graphs] + random_graphs
+    forced = walked = 0
+    for g in graphs:
+        cliques = chordal_cliques(g)
+        assert cliques.forced == reference_forced(cliques)
+        forced += len(cliques.forced)
+        try:
+            for _, _, chosen in _walk(g, 20_000):
+                assert cliques.forced <= set(chosen)
+                walked += 1
+        except OracleLimitError:
+            pass
+    assert forced > 1300 and walked > 70_000
+
+
+def test_forced_rules_cut_only_unrealized_sets(search_graphs):
+    """Every reference set the generator drops, the builder rejects: the rules are necessary.
+
+    On the search graphs, which hold the 31 NAE gadgets, and the Fano gadget.
+    """
+    fano = build_gadget(NaeInstance.create([frozenset(c) for c in FANO], 3)).graph
+    cg = clique_graph(chordal_cliques(fano))
+    ell = len(minimize_leafage(build_clique_tree(cg)).leaves())
+    cases = search_graphs + [(fano, cg, ell, reference_ranked_branch_sets(cg, ell))]
+    dropped = 0
+    for g, cg, leafage, ranked in cases:
+        kept = {f for layer in branch_set_layers(cg, leafage) for f in layer}
+        for f in ranked:
+            if f not in kept:
+                assert clique_tree_with_branching(g, f) is None
+                dropped += 1
+    assert dropped > 80
 
 
 def test_centre_ban_check_fires_on_nae_gadget(monkeypatch):
-    """The six-variable gadget's first two least-layer sets are cut unbuilt; the third is realized."""
+    """The six-variable gadget's first two reference sets are cut unbuilt; the third is realized.
+
+    The generator drops those two by the forced-pair rules, so its first
+    set is the third.
+    """
     g = build_gadget(parse_clause_file(NAE_6)).graph
-    layer = candidate_branch_sets(clique_graph(chordal_cliques(g)), 6)
+    cg = clique_graph(chordal_cliques(g))
+    layer = reference_ranked_branch_sets(cg, 6)[:3]
+    assert candidate_branch_sets(cg, 6)[0] == layer[2]
     made = count_calls(monkeypatch, leafage.vertex_leafage, "clique_graph")
     assert [clique_tree_with_branching(g, f) for f in layer[:2]] == [None, None]
     assert made == []
@@ -266,24 +322,29 @@ def count_tree_calls(monkeypatch):
 
 
 def test_trees_asked_for_in_ranked_order(search_graphs, monkeypatch):
-    """The trees built are the reference ranking's, up to the first realized."""
+    """The trees built are the reference ranking's kept by the forced-pair rules, up to the first realized."""
     built = 0
-    for g, _, _, ranked in search_graphs:
+    for g, cg, _, ranked in search_graphs:
         calls = count_tree_calls(monkeypatch)
         vertex_leafage_bounded(g)
-        assert [f for f, _ in calls] == ranked[:len(calls)]
+        assert [f for f, _ in calls] == forced_cut(cg, ranked)[:len(calls)]
         assert [ok for _, ok in calls] == [False] * (len(calls) - 1) + [True]
         built += len(calls)
     assert built > len(search_graphs)
 
 
-# Graphs whose least layer has no realized set: (seed, n, density) of random_chordal.
+# Graphs whose reference least layer has no realized set: (seed, n, density)
+# of random_chordal.
 TWO_LAYER_GRAPHS = [(47, 12, 0.25), (86, 14, 0.3), (286, 14, 0.3)]
 
 
 @pytest.mark.parametrize("seed, n, density", TWO_LAYER_GRAPHS)
 def test_unrealized_layer_moves_the_floor_up(seed, n, density, monkeypatch):
-    """No set of the least layer is realized: the search asks for the next one."""
+    """No set of the reference least layer is realized: the search asks for the next one.
+
+    Where the forced-pair rules drop the whole layer, as on the first two
+    graphs, the generator's least layer is the next one already.
+    """
     g = random_chordal(n, density=density, seed=seed)
     cg = clique_graph(chordal_cliques(g))
     original = candidate_branch_sets
@@ -297,9 +358,13 @@ def test_unrealized_layer_moves_the_floor_up(seed, n, density, monkeypatch):
     calls = count_tree_calls(monkeypatch)
     cert = vertex_leafage_bounded(g)
     optima = oracle_optima(g)
-    assert floors == [0, 1]
+    ranked = reference_ranked_branch_sets(cg, optima.leafage)
+    least = [f for f in ranked if vertex_excess(cg, f) == 0]
+    assert least and not any(clique_tree_with_branching(g, f) for f in least)
+    kept = forced_cut(cg, ranked)
+    assert floors == ([0, 1] if vertex_excess(cg, kept[0]) == 0 else [0])
     assert cert.value == optima.vertex_leafage == 3
-    assert [f for f, _ in calls] == reference_ranked_branch_sets(cg, optima.leafage)[:len(calls)]
+    assert [f for f, _ in calls] == kept[:len(calls)]
     assert [ok for _, ok in calls] == [False] * (len(calls) - 1) + [True]
 
 
@@ -332,6 +397,9 @@ def test_generator_cuts_dead_branches(monkeypatch):
     The capacity cut (the host excess the later nodes can still add) and
     the jump over nodes with fewer than three held edges brought the calls
     from 604 to 255 on the NAE_6 gadget and from 705 to 593 on spider(5, 3).
+    The forced-pair rules, with the excess bound checked before the link,
+    brought them to 168, and the gadget's sets from 20 to 18, and to 303
+    on spider(5, 3).
     """
     unions = [0]
 
@@ -342,8 +410,8 @@ def test_generator_cuts_dead_branches(monkeypatch):
 
     monkeypatch.setattr(leafage.vertex_leafage, "Forest", CountingForest)
     for g, ell, sets, most in [
-        (build_gadget(parse_clause_file(NAE_6)).graph, 6, 20, 255),
-        (spider_graph(5, 3), 5, 60, 593),
+        (build_gadget(parse_clause_file(NAE_6)).graph, 6, 18, 168),
+        (spider_graph(5, 3), 5, 60, 303),
     ]:
         unions[0] = 0
         assert len(candidate_branch_sets(clique_graph(chordal_cliques(g)), ell)) == sets

@@ -13,6 +13,7 @@ from leafage.graphs import (
     Forest,
     Graph,
     PerfectEliminationOrder,
+    _blocks,
     _connected_cliques,
     check_chordal,
     chordal_cliques,
@@ -22,7 +23,6 @@ from leafage.graphs import (
 from leafage.oracle import (
     DEFAULT_TREE_LIMIT,
     OracleLimitError,
-    _blocks,
     _spanning_forests,
     _walk,
     oracle_optima,

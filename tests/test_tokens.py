@@ -159,7 +159,8 @@ class TestCliqueFamily:
         family = Cliques(tuple(chordal_cliques(random_chordal(20, density=0.4, seed=1))))
         before = sys.getrefcount(family)
         a, b = next(iter(family.weights))
-        family.holders, family.kruskal_order, family.class_nodes, family.leaf_floor
+        family.holders, family.kruskal_order, family.class_nodes, family.blocks, family.forced
+        family.leaf_floor
         family.s_blocks(family[a] & family[b])
         assert sys.getrefcount(family) == before
 

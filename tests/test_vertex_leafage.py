@@ -11,6 +11,7 @@ from conftest import (
     check_clique_tree_of,
     count_calls,
     enumerate_clique_trees,
+    forced_cut,
     reference_clique_tree_with_branching,
     reference_ranked_branch_sets,
     spider_graph,
@@ -153,8 +154,8 @@ class TestCliqueTreeWithBranching:
 class TestCandidateBranchSets:
     def test_leafage_two_is_empty_and_sets_are_unique(self):
         # A path has no branching set to enumerate, nor has a floor above
-        # leafage - 2; the layers list the rank-everything order, each set
-        # once.
+        # leafage - 2; the layers list the rank-everything order's sets
+        # that obey the forced-pair rules, each set once.
         cg = clique_graph(chordal_cliques(demo_graph()))
         assert candidate_branch_sets(cg, leafage=2) == []
         assert candidate_branch_sets(cg, leafage=1) == []
@@ -162,7 +163,7 @@ class TestCandidateBranchSets:
             assert candidate_branch_sets(cg, leafage, leafage - 1) == []
             cands = [f for layer in branch_set_layers(cg, leafage) for f in layer]
             assert cands and len(set(cands)) == len(cands)
-            assert cands == reference_ranked_branch_sets(cg, leafage)
+            assert cands == forced_cut(cg, reference_ranked_branch_sets(cg, leafage))
 
     def test_candidates_are_star_unions(self):
         cg = clique_graph(chordal_cliques(demo_graph()))
