@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import sys
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, NoReturn, Sequence
 
@@ -73,29 +73,33 @@ def _json_text(value, pad: str = "") -> str:
     """``json.dumps(value, indent=2)``, laid out ``pad`` deep.
 
     Nonempty lists, tuples and string-keyed dicts are laid out here, a list
-    of strings in one join of C-encoded strings; any other value goes to
-    ``json.dumps``.
+    of strings in one join of C-encoded strings and their items or values
+    by :func:`_json_items`; any other value goes to ``json.dumps``.
     """
     inner = pad + "  "
     sep = ",\n" + inner
     if isinstance(value, (list, tuple)) and value:
         if all(map(isinstance, value, repeat(str))):
-            body = sep.join(map(encode_basestring_ascii, value))
-        else:
-            body = sep.join([_json_text(x, inner) for x in value])
-        return f"[\n{inner}{body}\n{pad}]"
+            return f"[\n{inner}{sep.join(map(encode_basestring_ascii, value))}\n{pad}]"
+        return f"[\n{inner}{sep.join(_json_items(value, inner))}\n{pad}]"
     if isinstance(value, dict) and value:
         if not all(map(isinstance, value, repeat(str))):
             # json.dumps names other keys its own way; its only newlines
             # are layout ones.
             return json.dumps(value, indent=2).replace("\n", "\n" + pad)
-        body = sep.join(
-            [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in value.items()]
-        )
-        return f"{{\n{inner}{body}\n{pad}}}"
+        items = zip(map(encode_basestring_ascii, value), _json_items(list(value.values()), inner))
+        return f"{{\n{inner}{sep.join([f'{k}: {v}' for k, v in items])}\n{pad}}}"
     if type(value) is int:
         return int.__repr__(value)
     return json.dumps(value)
+
+
+def _json_items(values: Sequence, pad: str) -> list[str]:
+    """Each of ``values`` laid out ``pad`` deep; nonempty string lists, such as edges, in one join each."""
+    if {list} == set(map(type, values)) and all(values) and all(map(isinstance, chain(*values), repeat(str))):
+        row, rows = "\n  " + pad, ",\n  " + pad
+        return [f"[{row}{rows.join(map(encode_basestring_ascii, x))}\n{pad}]" for x in values]
+    return [_json_text(x, pad) for x in values]
 
 
 def _emit(data) -> None:

@@ -81,19 +81,22 @@ class CliqueTree:
 
     @cached_property
     def _vertex_leaves(self) -> Counter[str]:
-        # One pass over the neighbour intersections, O(sum |C_a & C_b|).
+        # One pass over the edges, O(sum |C_a & C_b|): u's tree degree at
+        # each clique holding it; u's leaves are the cliques where it is 1.
         c = self.cliques
-        return _count_vertex_leaves(
-            [[c[i] & c[j] for j in ws] for i, ws in enumerate(self.adjacency)]
-        )
+        degree: dict[tuple[str, int], int] = {}
+        for a, b in self.edges:
+            for u in c[a] & c[b]:
+                degree[u, a] = degree.get((u, a), 0) + 1
+                degree[u, b] = degree.get((u, b), 0) + 1
+        return Counter([u for (u, _), d in degree.items() if d == 1])
 
     def vertex_leaf_count(self, u: str) -> int:
         """Leaves of the subtree induced by the cliques containing ``u``."""
         return self._vertex_leaves[u]
 
     def max_vertex_leaf_count(self, vertices: Iterable[str]) -> int:
-        counts = self._vertex_leaves
-        return max((counts[u] for u in vertices), default=0)
+        return max(map(self._vertex_leaves.__getitem__, vertices), default=0)
 
 
 def path_containment_violation(
@@ -204,7 +207,7 @@ def model_from_clique_tree(t: CliqueTree) -> TreeModel:
         for a, b in t.edges
     )
     holders = t.cliques.holders
-    subtrees = {u: frozenset(names[i] for i in holders[u]) for u in sorted(holders)}
+    subtrees = {u: frozenset(map(names.__getitem__, holders[u])) for u in sorted(holders)}
     return TreeModel(names, edges, subtrees)
 
 

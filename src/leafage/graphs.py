@@ -77,22 +77,18 @@ class Graph:
         return v in self.adjacency[u]
 
     def is_connected(self) -> bool:
-        return self._connected
+        return self._search[2] <= 1
 
     @cached_property
-    def _connected(self) -> bool:
-        # Searched once per graph: the branching search asks once per candidate.
-        if not self.vertices:
-            return True
-        return len(_reach(self.adjacency, self.vertices[0], self.adjacency.keys())) == self.n
+    def _search(self) -> tuple[tuple[str, ...], list[set[int]], int]:
+        # Searched once per graph: connectivity, the chordality check and
+        # the clique list all read this one pass.
+        return _mcs(self)
 
     @cached_property
-    def _cliques(self) -> Cliques:
+    def _cliques(self) -> Cliques | None:
         # Decided and listed once per graph: every layer reads this family.
-        cliques = _peo_cliques(self, _mcs_order(self))
-        if cliques is None:
-            raise ValueError(f"graph is not chordal; induced cycle: {list(_find_hole(self))}")
-        return cliques
+        return _peo_cliques(*self._search[:2])
 
 
 def _sorted_adjacency(nodes: Iterable, edges: Iterable[tuple]) -> dict[Any, tuple]:
@@ -291,55 +287,64 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _mcs_order(g: Graph) -> list[str]:
+def _mcs(g: Graph) -> tuple[tuple[str, ...], list[set[int]], int]:
     # Maximum-cardinality search; ties broken by lexicographically least name.
+    # Returns the elimination order (the reverse of the visit order), each
+    # vertex's later neighbours (those visited before it) as positions in
+    # it, and the component count: a vertex visited with none starts one.
     # Vertices are their ranks in ``g.vertices``, and the heap holds
     # rank - weight * n, which orders by (-weight, rank).  Weights only
     # grow, so a vertex's current entry pops before its stale ones, which
-    # are skipped once it is visited.  The elimination order is the reverse
-    # of the visit order.
+    # are skipped once it is visited.
     names = g.vertices
-    n = len(names)
+    n = k = len(names)
     rank = {v: i for i, v in enumerate(names)}
     adj = [[rank[w] for w in g.adjacency[v]] for v in names]
     weight = [0] * n
-    visited = [False] * n
+    position = [-1] * n  # -1 while unvisited
+    order: list[str] = [""] * n
+    later: list[set[int]] = [set()] * n
+    components = 0
     heap = list(range(n))  # sorted, hence a heap
-    visit: list[str] = []
     while heap:
         v = heapq.heappop(heap) % n
-        if visited[v]:
+        if position[v] >= 0:
             continue
-        visited[v] = True
-        visit.append(names[v])
+        k -= 1
+        position[v] = k
+        order[k] = names[v]
+        seen = later[k] = set()
         for w in adj[v]:
-            if not visited[w]:
+            if position[w] >= 0:
+                seen.add(position[w])
+            else:
                 weight[w] += 1
                 heapq.heappush(heap, w - weight[w] * n)
-    visit.reverse()
-    return visit
+        components += not seen
+    return tuple(order), later, components
 
 
-def _peo_cliques(g: Graph, order: Sequence[str]) -> Cliques | None:
+def _peo_cliques(order: Sequence[str], later: list[set[int]]) -> Cliques | None:
     """The maximal cliques, canonically sorted, or None if ``order`` is no PEO.
 
-    ``order`` must be a permutation of ``g.vertices``.  One pass (Rose,
-    Tarjan & Lueker 1976).  With p the earliest later neighbour of v, the
-    order is perfect iff later(v) - {p} <= later(p) for every v.  Then
-    {v} | later(v) is a maximal clique unless some u with p(u) = v has
-    exactly one more later neighbour than v.
+    ``later[i]`` holds the positions of the later neighbours of
+    ``order[i]``, as :func:`_mcs` gives them.  One pass (Rose, Tarjan &
+    Lueker 1976).  With p the earliest later neighbour of v, the order is
+    perfect iff later(v) - {p} <= later(p) for every v.  Then {v} | later(v)
+    is a maximal clique unless some u with p(u) = v has exactly one more
+    later neighbour than v.
     """
-    position = {v: i for i, v in enumerate(order)}
-    later = {v: {w for w in g.adjacency[v] if position[w] > position[v]} for v in order}
     absorbed = set()
-    for v in order:
-        if later[v]:
-            p = min(later[v], key=position.__getitem__)
-            if not later[v] - {p} <= later[p]:
+    for lv in later:
+        if lv:
+            p = min(lv)
+            if len(lv - later[p]) > 1:
                 return None
-            if len(later[v]) == len(later[p]) + 1:
+            if len(lv) == len(later[p]) + 1:
                 absorbed.add(p)
-    cliques = [frozenset(later[v] | {v}) for v in order if v not in absorbed]
+    cliques = [
+        frozenset([order[i], *map(order.__getitem__, lv)]) for i, lv in enumerate(later) if i not in absorbed
+    ]
     cliques.sort(key=lambda c: tuple(sorted(c)))
     return Cliques(cliques)
 
@@ -386,11 +391,11 @@ def check_chordal(g: Graph) -> PerfectEliminationOrder | tuple[str, ...]:
     """Test chordality.
 
     Returns a :class:`PerfectEliminationOrder` when the graph is chordal,
-    otherwise an induced cycle of length >= 4 as a witness tuple.
+    otherwise an induced cycle of length >= 4 as a witness tuple.  Reads
+    the graph's one search pass.
     """
-    order = _mcs_order(g)
-    if _peo_cliques(g, order) is not None:
-        return PerfectEliminationOrder(tuple(order))
+    if g._cliques is not None:
+        return PerfectEliminationOrder(g._search[0])
     return _find_hole(g)
 
 
@@ -400,7 +405,11 @@ def maximal_cliques(g: Graph, peo: PerfectEliminationOrder) -> Cliques:
     The position of a clique in the returned tuple is its canonical id used
     throughout the rest of the library.
     """
-    cliques = _peo_cliques(g, peo.order) if sorted(peo.order) == list(g.vertices) else None
+    order, cliques = peo.order, None
+    if sorted(order) == list(g.vertices):
+        position = {v: i for i, v in enumerate(order)}
+        later = [{j for j in map(position.__getitem__, g.adjacency[v]) if j > i} for v, i in position.items()]
+        cliques = _peo_cliques(order, later)
     if cliques is None:
         raise ValueError("order is not a perfect elimination order for this graph")
     return cliques
@@ -442,9 +451,11 @@ class Cliques(tuple):
     @cached_property
     def weights(self) -> dict[tuple[int, int], int]:
         """Each intersecting pair ``(i, j)``, ``i < j``, in sorted order -> ``|C_i & C_j|``."""
-        shared: Counter[tuple[int, int]] = Counter()
+        shared: dict[tuple[int, int], int] = {}
         for ids in self.holders.values():
-            shared.update(itertools.combinations(ids, 2))
+            if len(ids) > 1:
+                for e in itertools.combinations(ids, 2):
+                    shared[e] = shared.get(e, 0) + 1
         return dict(sorted(shared.items()))
 
     @cached_property
@@ -577,11 +588,13 @@ def clique_graph(cliques: Iterable[frozenset[str]]) -> Cliques:
 
 
 def chordal_cliques(g: Graph) -> Cliques:
-    """The canonical clique list, decided and built in one elimination pass.
+    """The canonical clique list, decided and built from the graph's one search pass.
 
     The pass runs once per graph; later calls return the same family.
     Raises ``ValueError`` with a witness cycle when the graph is not chordal.
     """
+    if g._cliques is None:
+        raise ValueError(f"graph is not chordal; induced cycle: {list(_find_hole(g))}")
     return g._cliques
 
 

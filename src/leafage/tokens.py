@@ -209,7 +209,8 @@ class _TokenState:
     """
 
     def __init__(self, ta: TokenAssignment):
-        self.ta = ta
+        # The state's own copy of the token map, which ``apply`` changes in place.
+        self.ta = TokenAssignment(ta.cliques, dict(ta.tokens))
         self.sizes = [len(ta.tokens[i]) for i in range(len(ta.cliques))]
         self.starts = [i for i, n in enumerate(self.sizes) if n >= 3]
         self.leaves = ta.leaf_count()
@@ -271,24 +272,26 @@ class _TokenState:
 
         Each move takes one ``s`` out of its source, raising ``ValueError``
         if the source holds none, and sorts it into its target, which must
-        contain it.  The tokens are copied once per path and every move is
-        made on them before any count changes, so a path that raises leaves
-        the state as it was.
+        contain it.  Every move is made on the touched cliques' staged
+        tokens, and they are written into the kept map only once all moves
+        are made, before any count changes; so a path that raises leaves
+        the state as it was, at a cost of O(|moves|) and not O(k).
         """
         # Read before ``ta`` changes: each is built from it on first use.
         cover, bad = self._coverage
         vertex_leaves = self.vertex_leaves
-        tokens = dict(self.ta.tokens)
+        tokens = self.ta.tokens
+        staged: dict[int, tuple[Token, ...]] = {}
         for mv in path.moves:
             i, j, s = mv.from_clique, mv.to_clique, mv.token
-            src = list(tokens[i])
+            src = list(staged.get(i, tokens[i]))
             try:
                 src.remove(s)
             except ValueError:
                 raise ValueError(f"token {sorted(s)} absent at clique {i}") from None
-            tokens[i] = tuple(src)
-            tokens[j] = _normal(self.ta.cliques, j, tokens[j] + (s,))
-        self.ta = TokenAssignment(self.ta.cliques, tokens)
+            staged[i] = tuple(src)
+            staged[j] = _normal(self.ta.cliques, j, staged.get(j, tokens[j]) + (s,))
+        tokens.update(staged)
         before: dict[str, int] = {}
         for mv in path.moves:
             s = mv.token

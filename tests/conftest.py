@@ -30,12 +30,13 @@ from leafage.graphs import (
     GraphFormatError,
     PerfectEliminationOrder,
     _connected_cliques,
-    _mcs_order,
+    _mcs,
     _peo_cliques,
     _reach,
     check_chordal,
     chordal_cliques,
     clique_graph,
+    maximal_cliques,
 )
 from leafage.oracle import _walk, oracle_optima, random_chordal
 from leafage.tokens import (
@@ -322,7 +323,7 @@ def reference_clique_tree_with_branching(g: Graph, f: frozenset, cliques) -> Cli
     if len(f) >= len(cliques):
         return None
     gp = augmented_graph(g, cliques, f)
-    cliques_p = _peo_cliques(gp, _mcs_order(gp))
+    cliques_p = _peo_cliques(*_mcs(gp)[:2])
     if cliques_p is None or len(cliques_p) != len(cliques):
         return None
     tmin = minimize_leafage(build_clique_tree(clique_graph(cliques_p)))
@@ -637,10 +638,23 @@ def _is_connected_in_host(m: TreeModel, nodes: frozenset[str]) -> bool:
     return len(_reach(m.adjacency, next(iter(nodes)), nodes)) == len(nodes)
 
 
+def reference_component_count(g: Graph) -> int:
+    """Components of ``g``, one reach from the least vertex not yet reached at a time."""
+    left = set(g.vertices)
+    count = 0
+    while left:
+        left -= _reach(g.adjacency, min(left), g.adjacency.keys())
+        count += 1
+    return count
+
+
 def is_valid_peo(g: Graph, order) -> bool:
     """Whether ``order`` is a perfect elimination order of ``g``."""
-    order = list(order)
-    return sorted(order) == list(g.vertices) and _peo_cliques(g, order) is not None
+    try:
+        maximal_cliques(g, PerfectEliminationOrder(tuple(order)))
+    except ValueError:
+        return False
+    return True
 
 
 def brute_force_maximal_cliques(g: Graph) -> list[frozenset[str]]:

@@ -171,8 +171,8 @@ class TestGadget:
 
     def test_verify_one_elimination_pass(self, runner, monkeypatch):
         # The gadget's clique list is decided once, for the gadget check
-        # and the oracle both.
-        calls = count_calls(monkeypatch, leafage.graphs, "_mcs_order")
+        # and the oracle both, from one search pass.
+        calls = count_calls(monkeypatch, leafage.graphs, "_mcs")
         for text in (CLAUSES, "k 3\nv1 v2 v3\nv1 v4 v5\nv2 v4 v6\nv3 v5 v6\n"):
             calls.clear()
             assert invoke(runner, ["gadget", "verify", "-"], text).exit_code == 0

@@ -18,6 +18,7 @@ from leafage.cliquetrees import (
 )
 from leafage.demo import demo_clique_tree, demo_graph
 from leafage.graphs import Forest, Graph, chordal_cliques, clique_graph
+from leafage.oracle import _walk
 
 
 @pytest.fixture
@@ -154,6 +155,21 @@ class TestTreeModel:
         assert report.host_leaves == len(t.leaves())
         for u in g.vertices:
             assert report.per_vertex_leaves[u] == t.vertex_leaf_count(u)
+
+    def test_vertex_leaves_match_model_recount(self, graphs):
+        # The tree-degree count of each vertex's leaves against the model's
+        # host-adjacency recount, on every clique tree of the corpus, the
+        # spiders and the gadgets.
+        trees = 0
+        for g in graphs:
+            cliques = chordal_cliques(g)
+            for _, _, chosen in _walk(g, None):
+                t = CliqueTree(cliques, frozenset(chosen))
+                report = leaf_report(model_from_clique_tree(t))
+                assert {u: t.vertex_leaf_count(u) for u in g.vertices} == report.per_vertex_leaves
+                assert t.max_vertex_leaf_count(g.vertices) == report.max_vertex_leaves
+                trees += 1
+        assert trees == 4708
 
     def test_leaf_report(self, demo):
         g, t = demo

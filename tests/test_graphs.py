@@ -4,11 +4,13 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import leafage.graphs
 from leafage.demo import DEMO_EDGE_LIST, demo_graph
 from leafage.gadget import NaeInstance, build_gadget
 from leafage.graphs import (
+    Cliques,
     Graph,
     GraphFormatError,
     PerfectEliminationOrder,
@@ -18,15 +20,18 @@ from leafage.graphs import (
     format_edge_list,
     maximal_cliques,
     parse_graph,
-    _mcs_order,
+    _mcs,
 )
+from leafage.oracle import random_chordal
 from leafage.vertex_leafage import augmented_graph
 
 from conftest import (
     brute_force_has_hole,
     brute_force_maximal_cliques,
+    count_calls,
     is_valid_peo,
     reference_candidate_branch_sets,
+    reference_component_count,
     reference_parse_graph,
 )
 
@@ -255,11 +260,14 @@ class TestCliqueWeights:
         cg = clique_graph(cliques)
         assert len(cg.weights) == expected == 23
 
-    def test_weights_are_intersection_sizes(self):
-        cliques = chordal_cliques(demo_graph())
-        cg = clique_graph(cliques)
-        for (i, j), w in cg.weights.items():
-            assert w == len(cliques[i] & cliques[j]) >= 1
+    def test_weights_are_intersection_sizes(self, graphs):
+        # The holder count, which skips vertices held by one clique, against
+        # len(C_i & C_j) over all pairs, on the demo, the corpus, spiders,
+        # gadgets and larger random graphs; a fresh family, so nothing is cached.
+        larger = [random_chordal(n, density=d, seed=s) for n in (40, 80) for d in (0.3, 0.6) for s in range(3)]
+        for g in [demo_graph(), *graphs, *larger]:
+            cliques = Cliques(tuple(chordal_cliques(g)))
+            assert list(cliques.weights.items()) == list(_pairwise_weights(cliques).items())
 
 
 # Reference versions of the front end, as it was before the one-pass
@@ -365,7 +373,7 @@ class TestOnePassFrontEnd:
         rng = random.Random(5)
         valid = invalid = 0
         for g, _ in corpus:
-            orders = [_mcs_order(g), _simplicial_order(g, rng.choice)]
+            orders = [list(_mcs(g)[0]), _simplicial_order(g, rng.choice)]
             orders += [rng.sample(g.vertices, g.n) for _ in range(3)]
             for order in orders:
                 _assert_matches_references(g, order)
@@ -386,7 +394,7 @@ class TestOnePassFrontEnd:
             cg = clique_graph(cliques)
             for f in reference_candidate_branch_sets(cg, len(cliques) - 1, 4)[:60]:
                 gp = augmented_graph(g, cliques, f)
-                orders = [_mcs_order(gp), _simplicial_order(gp, rng.choice)]
+                orders = [list(_mcs(gp)[0]), _simplicial_order(gp, rng.choice)]
                 orders += [rng.sample(gp.vertices, gp.n) for _ in range(2)]
                 for order in orders:
                     _assert_matches_references(gp, order)
@@ -413,13 +421,45 @@ def _scan_mcs_order(g):
     return visit
 
 
+_C4 = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]
+
+
+class TestOneSearchPass:
+    """The search's component count, and one pass per graph for every reader."""
+
+    # Disconnected and non-chordal graphs, each with and without the other.
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs(max_n=9))
+    @example(Graph.from_edges(["x", "y"], _C4))
+    @example(Graph.from_edges([], _C4 + [("p", "q"), ("q", "r")]))
+    @example(Graph.from_edges(["x"], [("a", "b"), ("b", "c")]))
+    @example(Graph.from_edges([], []))
+    def test_component_count(self, g):
+        count = reference_component_count(g)
+        assert _mcs(g)[2] == count
+        assert g.is_connected() == (count <= 1)
+
+    @pytest.mark.parametrize("chordal", [True, False])
+    def test_connectivity_then_cliques_one_pass(self, monkeypatch, chordal):
+        calls = count_calls(monkeypatch, leafage.graphs, "_mcs")
+        g = Graph.from_edges([], _C4 + [("a", "c")] * chordal)
+        assert g.is_connected()
+        if chordal:
+            assert len(chordal_cliques(g)) == 2
+        else:
+            with pytest.raises(ValueError, match="induced cycle"):
+                chordal_cliques(g)
+        check_chordal(g)
+        assert len(calls) == 1
+
+
 class TestMcsOrder:
     """The heap search visits in the same order as the full scan, ties included."""
 
     @settings(max_examples=300, deadline=None)
     @given(small_graphs(max_n=9))
     def test_arbitrary_graphs(self, g):
-        assert _mcs_order(g) == _scan_mcs_order(g)
+        assert list(_mcs(g)[0]) == _scan_mcs_order(g)
 
     def test_corpus_and_larger_graphs(self, corpus):
         graphs = [g for g, _ in corpus]
@@ -430,7 +470,7 @@ class TestMcsOrder:
             pairs = itertools.combinations(verts, 2)
             graphs.append(Graph.from_edges(verts, [p for p in pairs if rng.random() < 0.1]))
         for g in graphs:
-            assert _mcs_order(g) == _scan_mcs_order(g)
+            assert list(_mcs(g)[0]) == _scan_mcs_order(g)
 
 
 _CORRUPT_HOLE_SEARCHES = {
@@ -441,7 +481,8 @@ g = Graph.from_edges([], [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
 """,
     # An imperfect order on a chordal graph: the hole search finds nothing.
     "has no hole": """
-graphs._mcs_order = lambda g: ["b", "a", "c"]
+# b, a, c: b is eliminated first, with its later neighbours a and c.
+graphs._mcs = lambda g: (("b", "a", "c"), [{1, 2}, set(), set()], 1)
 g = Graph.from_edges([], [("a", "b"), ("b", "c")])
 """,
 }

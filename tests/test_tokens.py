@@ -202,15 +202,27 @@ class TestMoves:
         ],
     )
     def test_state_apply_rejects_bad_move(self, demo, move, message):
-        # The path's first move is sound; the state is left as it was.
+        # The state copies the caller's map once and changes only its copy,
+        # in place.  A path whose first move is sound and whose second
+        # raises leaves the tokens and every kept count as they were.
         _, _, ta = demo
+        callers = dict(ta.tokens)
         state = tokens_module._TokenState(ta)
+        first = AugmentingPath((TokenMove(0, 2, frozenset("a")), TokenMove(2, 6, frozenset("d"))))
+        state.apply(first)
+        applied = apply_path(ta, first)
+        kept = state.ta.tokens
         with pytest.raises(ValueError, match=message):
             state.apply(AugmentingPath((TokenMove(0, 3, frozenset("a")), move)))
-        assert state.ta == ta and state.realizable()
-        assert state.sizes == [len(ta.tokens[i]) for i in range(len(ta.cliques))]
-        assert state.leaves == ta.leaf_count()
-        assert state.vertex_leaves == ta.vertex_leaf_counts()
+        assert state.ta.tokens is kept and state.ta == applied
+        fresh = tokens_module._TokenState(applied)
+        assert (state.sizes, state.starts, state.leaves) == (fresh.sizes, fresh.starts, fresh.leaves)
+        assert state.vertex_leaves == fresh.vertex_leaves == applied.vertex_leaf_counts()
+        assert state.realizable() == fresh.realizable()
+        cover, bad = state._coverage
+        assert bad == fresh._coverage[1]
+        assert {s: c[1] for s, c in cover.items()} == {s: c[1] for s, c in fresh._coverage[0].items()}
+        assert ta.tokens == callers and kept is not ta.tokens
 
     def test_apply_path_composes(self, demo):
         _, _, ta = demo
@@ -577,7 +589,9 @@ def test_minimization_matches_reference(corpus, monkeypatch):
 
     def recording(self, path):
         before = step(self, path)
-        kept.append((self.ta, self.realizable(), self.leaves, Counter(self.vertex_leaves)))
+        # A snapshot: the state changes its own token map in place.
+        snapshot = TokenAssignment(self.ta.cliques, dict(self.ta.tokens))
+        kept.append((snapshot, self.realizable(), self.leaves, Counter(self.vertex_leaves)))
         return before
 
     monkeypatch.setattr(tokens_module._TokenState, "apply", recording)

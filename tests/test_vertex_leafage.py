@@ -111,7 +111,7 @@ class TestCliqueTreeWithBranching:
         chordal_cliques(g)
         f = branching_sets(vertex_leafage_bounded(g).tree).incident_edges
         peo_calls = count_calls(monkeypatch, leafage.graphs, "_peo_cliques")
-        mcs_calls = count_calls(monkeypatch, leafage.graphs, "_mcs_order")
+        mcs_calls = count_calls(monkeypatch, leafage.graphs, "_mcs")
         assert clique_tree_with_branching(g, f) is not None
         assert peo_calls == mcs_calls == []
 
@@ -213,20 +213,22 @@ class TestVertexLeafageBounded:
 
     def test_path_runs_front_end_once(self, monkeypatch):
         # For leafage <= 2 the minimized leafage tree is the answer; the
-        # graph's cliques come from exactly one elimination pass.
-        calls = count_calls(monkeypatch, leafage.graphs, "_peo_cliques")
+        # graph's connectivity and cliques come from exactly one search
+        # pass and one elimination check.
+        searches = count_calls(monkeypatch, leafage.graphs, "_mcs")
+        checks = count_calls(monkeypatch, leafage.graphs, "_peo_cliques")
         g = parse_graph(PATH_GRAPH)
         cert = vertex_leafage_bounded(g)
-        assert len(calls) == 1
+        assert len(searches) == len(checks) == 1
         assert cert.value == 2
         assert cert.tree == minimize_leafage(build_clique_tree(clique_graph(chordal_cliques(g))))
 
     @pytest.mark.parametrize("make", [demo_graph, lambda: spider_graph(5, 3)], ids=["demo", "spider-5-3"])
     def test_one_elimination_pass(self, monkeypatch, make):
-        # The graph's clique list is decided once; every candidate's tree
-        # and the certificate check read it.
+        # The graph's connectivity and clique list come from one search
+        # pass; every candidate's tree and the certificate check read it.
         g = make()
-        calls = count_calls(monkeypatch, leafage.graphs, "_mcs_order")
+        calls = count_calls(monkeypatch, leafage.graphs, "_mcs")
         vertex_leafage_bounded(g)
         assert len(calls) == 1
 
