@@ -12,26 +12,8 @@ from .graphs import (
     Cliques,
     Forest,
     _path,
-    _reach,
     _sorted_adjacency,
 )
-
-
-def _count_vertex_leaves(tokens: Iterable[Iterable[frozenset[str]]]) -> Counter[str]:
-    """Subtree leaf count of every vertex from each clique's neighbour tokens.
-
-    ``tokens`` gives, per clique, the intersections with its tree neighbours.
-    A clique is a leaf of u's subtree when exactly one of them holds u.
-    """
-    counts: Counter[str] = Counter()
-    for toks in tokens:
-        # ``once``: the vertices held by exactly one token so far.
-        seen = once = frozenset()
-        for s in toks:
-            once = (once - s) | (s - seen)
-            seen |= s
-        counts.update(once)
-    return counts
 
 
 @dataclass(frozen=True)
@@ -115,8 +97,9 @@ def path_containment_violation(
     Returns None for a clique tree.  Otherwise the witness comes from the
     first vertex u, in sorted order, whose cliques are disconnected: i is
     the smallest clique holding u, j the smallest one holding u that i
-    cannot reach inside u's cliques, and k the first node of the i-j path
-    that misses u.  This is *a* violation, not necessarily the
+    cannot reach over the tree edges whose intersection holds u (a
+    :class:`Forest` of those edges tells), and k the first node of the i-j
+    path that misses u.  This is *a* violation, not necessarily the
     lexicographically first pair.
     """
     cliques = t.cliques
@@ -128,9 +111,13 @@ def path_containment_violation(
     for a, b in t.edges:
         edge_count.update(cliques[a] & cliques[b])
     u = min(v for v, ids in holders.items() if edge_count[v] != len(ids) - 1)
+    forest = Forest(len(cliques))
+    for a, b in t.edges:
+        if u in cliques[a] and u in cliques[b]:
+            forest.union(a, b)
     i = holders[u][0]
-    seen = _reach(t.adjacency, i, set(holders[u]))
-    j = next(x for x in holders[u] if x not in seen)
+    root = forest.find(i)
+    j = next(x for x in holders[u] if forest.find(x) != root)
     k = next(x for x in t.path(i, j) if u not in cliques[x])
     return (i, j, k)
 
@@ -139,16 +126,18 @@ def check_clique_tree(t: CliqueTree) -> None:
     """Raise ``ValueError`` unless ``t`` is a clique tree of its cliques.
 
     The one validity check (Blair & Peyton 1993), three conditions in this
-    order: the edges form a spanning tree, at most k - 1 of them reaching
-    all k nodes; every edge joins intersecting cliques; and the cliques
-    holding each vertex induce a connected subtree, decided by
-    :func:`path_containment_violation`, whose (i, j, k) witness the message
-    names.  Cost O(k) beyond that decision.
+    order: the edges form a spanning tree, at most k - 1 of them, each
+    linking two components of a :class:`Forest` on the k nodes; every edge
+    joins intersecting cliques; and the cliques holding each vertex induce
+    a connected subtree, decided by :func:`path_containment_violation`,
+    whose (i, j, k) witness the message names.  Cost O(k log k) beyond that
+    decision.
     """
     cliques, k = t.cliques, len(t.cliques)
     if len(t.edges) > k - 1:
         raise ValueError(f"edge set is not a spanning tree: {len(t.edges)} edges on {k} cliques")
-    if len(_reach(t.adjacency, 0, set(range(k)))) < k:
+    forest = Forest(k)
+    if sum(forest.union(a, b) for a, b in t.edges) < k - 1:
         raise ValueError("edge set is not a spanning tree: the cliques are disconnected")
     disjoint = [(a, b) for a, b in t.edges if cliques[a].isdisjoint(cliques[b])]
     if disjoint:

@@ -61,10 +61,6 @@ class Graph:
         ordered = tuple(sorted(verts))
         return cls(ordered, {v: frozenset(adj.get(v, ())) for v in ordered})
 
-    @property
-    def n(self) -> int:
-        return len(self.vertices)
-
     def edges(self) -> list[tuple[str, str]]:
         return [
             (u, v)
@@ -98,18 +94,6 @@ def _sorted_adjacency(nodes: Iterable, edges: Iterable[tuple]) -> dict[Any, tupl
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
     return {x: tuple(sorted(ws)) for x, ws in adj.items()}
-
-
-def _reach(adj: Mapping | Sequence, start: Any, allowed: Container) -> set:
-    """Nodes reachable from ``start`` through nodes of ``allowed`` only."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w in allowed and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
 
 
 def _path(adj: Mapping | Sequence, src: Any, dst: Any, allowed: Container) -> list | None:
@@ -548,24 +532,18 @@ class Cliques(tuple):
         """
         entry = self._s_blocks.get(s)
         if entry is None:
-            # Cliques (int ids) and their vertices outside s (str names)
-            # form a bipartite graph whose components are the s-blocks.
+            # Each clique is linked to the first one holding each of its
+            # vertices outside s; the blocks are numbered in ``ids`` order.
             fewest = min(map(self.holders.__getitem__, s), key=len)
             ids = [i for i in fewest if s <= self[i]]
-            adj: dict[int | str, list] = {}
-            for i in ids:
-                adj[i] = self[i] - s
-                for v in adj[i]:
-                    adj.setdefault(v, []).append(i)
-            block: dict[int, int] = {}
-            m = 0
-            for i in ids:
-                if i not in block:
-                    for x in _reach(adj, i, adj.keys()):
-                        if isinstance(x, int):
-                            block[x] = m
-                    m += 1
-            entry = self._s_blocks[s] = (block, m)
+            forest = Forest(len(ids))
+            first: dict[str, int] = {}
+            for x, i in enumerate(ids):
+                for v in self[i] - s:
+                    forest.union(x, first.setdefault(v, x))
+            roots: dict[int, int] = {}
+            block = {i: roots.setdefault(forest.find(x), len(roots)) for x, i in enumerate(ids)}
+            entry = self._s_blocks[s] = (block, len(roots))
         return entry
 
     def holding(self, tokens: Iterable[frozenset[str]]) -> list[int]:

@@ -8,7 +8,15 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .cliquetrees import CliqueTree
-from .graphs import Forest, Graph, InputError, _connected_cliques, _path, chordal_cliques
+from .graphs import (
+    Forest,
+    Graph,
+    InputError,
+    _connected_cliques,
+    _path,
+    _sorted_adjacency,
+    chordal_cliques,
+)
 from .tokens import CertificateError
 
 DEFAULT_TREE_LIMIT = 10**6
@@ -46,10 +54,7 @@ def _block_trees(block: list[tuple[int, int]], cap: int) -> int:
     and every leading minor is at most the count: once one passes ``cap``
     the elimination stops.
     """
-    adj: dict[int, list[int]] = {}
-    for x, y in block:
-        adj.setdefault(x, []).append(y)
-        adj.setdefault(y, []).append(x)
+    adj = _sorted_adjacency((), block)
     order = [block[0][0]]
     seen = set(order)
     for x in order:
@@ -295,11 +300,8 @@ def random_chordal(n: int, density: float = 0.5, seed: int = 0) -> Graph:
 
     for _ in range(1000):
         hosts = rng.randint(max(1, (3 * n) // 4), n)
-        host_adj: dict[int, set[int]] = {0: set()}
-        for node in range(1, hosts):
-            attach = rng.randrange(node)
-            host_adj.setdefault(node, set()).add(attach)
-            host_adj[attach].add(node)
+        attach = [(node, rng.randrange(node)) for node in range(1, hosts)]
+        host_adj = _sorted_adjacency(range(hosts), attach)
         subtrees: dict[str, set[int]] = {}
         for name in names:
             nodes = {rng.randrange(hosts)}

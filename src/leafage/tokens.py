@@ -43,11 +43,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .cliquetrees import (
-    CliqueTree,
-    _count_vertex_leaves,
-    check_clique_tree,
-)
+from .cliquetrees import CliqueTree, check_clique_tree
 from .graphs import CertificateError, Cliques, Forest
 
 Token = frozenset[str]
@@ -104,10 +100,6 @@ class TokenAssignment:
         if len(self.cliques) == 1:
             return 0
         return sum(1 for toks in self.tokens.values() if len(toks) == 1)
-
-    def vertex_leaf_counts(self) -> Counter[str]:
-        """Subtree leaf count of every vertex, in one pass over the tokens."""
-        return _count_vertex_leaves(self.tokens.values())
 
 
 @dataclass(frozen=True)
@@ -405,9 +397,9 @@ def minimize_leafage_with_trace(t: CliqueTree) -> tuple[CliqueTree, list[Iterati
     by exactly one and raise no vertex's leaf count; a step that does not
     raises :class:`CertificateError`.  These checks read counts kept by each
     move's delta, so an iteration costs O(|moves| * |S|) beyond its search.
-    At the end the final assignment is counted once from scratch: its leaf
-    counts must equal the kept ones, and the realizing tree, built once,
-    re-decides realizability; a mismatch raises :class:`CertificateError`.
+    At the end the realizing tree, built once, re-decides realizability,
+    and its host and vertex leaf counts, counted from its edges, must equal
+    the kept ones; a mismatch raises :class:`CertificateError`.
     Without any iteration ``t`` itself is returned, at once when no node
     has degree >= 3 (no clique holds three tokens, so no path starts) or
     ``t`` has at most its cliques' ``leaf_floor`` leaves (no clique tree
@@ -439,10 +431,9 @@ def minimize_leafage_with_trace(t: CliqueTree) -> tuple[CliqueTree, list[Iterati
         trace.append(IterationRecord(path, before, state.leaves))
     if not trace:
         return t, trace
-    ta = state.ta
-    if state.leaves != ta.leaf_count() or state.vertex_leaves != ta.vertex_leaf_counts():
-        raise CertificateError("kept leaf counts differ from the recount of the final assignment")
-    tree = find_realizing_tree(ta)
+    tree = find_realizing_tree(state.ta)
     if tree is None:
         raise CertificateError("the final assignment is unrealizable")
+    if state.leaves != len(tree.leaves()) or state.vertex_leaves != tree._vertex_leaves:
+        raise CertificateError("kept leaf counts differ from the recount of the realizing tree")
     return tree, trace

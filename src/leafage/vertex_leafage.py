@@ -305,8 +305,6 @@ def candidate_branch_sets(
         if step is None:
             unlink()
             continue
-        if peak[-1] > bound:
-            continue
         if step[0] == "centre":
             _, c, x = step
             if x + cap[c] < slack:

@@ -32,7 +32,6 @@ from leafage.graphs import (
     _connected_cliques,
     _mcs,
     _peo_cliques,
-    _reach,
     check_chordal,
     chordal_cliques,
     clique_graph,
@@ -534,10 +533,10 @@ def reference_minimize_leafage(t):
     ta = tokens_from_tree(t)
     trace = []
     while (path := _reference_augmenting_path(ta)) is not None:
-        before, before_vertex = ta.leaf_count(), ta.vertex_leaf_counts()
+        before, before_vertex = ta.leaf_count(), _TokenState(ta).vertex_leaves
         ta = apply_path(ta, path)
         assert is_realizable(ta) and ta.leaf_count() == before - 1
-        assert all(n <= before_vertex[u] for u, n in ta.vertex_leaf_counts().items())
+        assert all(n <= before_vertex[u] for u, n in _TokenState(ta).vertex_leaves.items())
         trace.append(IterationRecord(path, before, ta.leaf_count()))
     return (reference_find_realizing_tree(ta) if trace else t), trace
 
@@ -630,6 +629,18 @@ def _host_is_tree(m: TreeModel) -> bool:
     if len(m.edges) != len(m.nodes) - 1:
         return False
     return len(m.nodes) <= 1 or _is_connected_in_host(m, frozenset(m.nodes))
+
+
+def _reach(adj, start, allowed) -> set:
+    """Nodes reachable from ``start`` through nodes of ``allowed`` only: the reference search."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w in allowed and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 def _is_connected_in_host(m: TreeModel, nodes: frozenset[str]) -> bool:

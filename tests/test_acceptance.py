@@ -23,6 +23,7 @@ from leafage.gadget import (
 )
 from leafage.graphs import Graph, chordal_cliques, clique_graph
 from leafage.tokens import (
+    _TokenState,
     minimize_leafage_with_trace,
     shortest_augmenting_path,
     tokens_from_tree,
@@ -65,9 +66,9 @@ def test_criterion_1_worked_example_replay():
     assert path is not None
     after = apply_path(ta, path)
     assert (ta.leaf_count(), after.leaf_count()) == (5, 4)
-    assert (ta.vertex_leaf_counts()["a"], after.vertex_leaf_counts()["a"]) == (3, 2)
+    assert (_TokenState(ta).vertex_leaves["a"], _TokenState(after).vertex_leaves["a"]) == (3, 2)
     for u in g.vertices:
-        assert after.vertex_leaf_counts()[u] <= ta.vertex_leaf_counts()[u]
+        assert _TokenState(after).vertex_leaves[u] <= _TokenState(ta).vertex_leaves[u]
 
     assert time.monotonic() - start < 1.0
 

@@ -142,7 +142,7 @@ class TestBuildGadget:
         inst = inst_of(("v1", "v2", "v3"))
         gg = build_gadget(inst)
         g = gg.graph
-        assert g.n == 6
+        assert len(g.vertices) == 6
         assert g.adjacency["y1"] == frozenset({"v1", "v2", "v3", "z1", "z2"})
 
     def test_keeps_instance_and_cliques(self):

@@ -59,7 +59,7 @@ class TestParseGraph:
 
     def test_demo_graph_shape(self):
         g = parse_graph(DEMO_EDGE_LIST)
-        assert g.n == 11
+        assert len(g.vertices) == 11
         assert len(g.edges()) == 15
 
     def test_duplicate_edge_rejected_with_line(self):
@@ -245,7 +245,7 @@ class TestMaximalCliques:
 
     def test_clique_count_at_most_n(self, corpus):
         for g, _ in corpus[:50]:
-            assert len(chordal_cliques(g)) <= g.n
+            assert len(chordal_cliques(g)) <= len(g.vertices)
 
 
 class TestCliqueWeights:
@@ -374,7 +374,7 @@ class TestOnePassFrontEnd:
         valid = invalid = 0
         for g, _ in corpus:
             orders = [list(_mcs(g)[0]), _simplicial_order(g, rng.choice)]
-            orders += [rng.sample(g.vertices, g.n) for _ in range(3)]
+            orders += [rng.sample(g.vertices, len(g.vertices)) for _ in range(3)]
             for order in orders:
                 _assert_matches_references(g, order)
                 ok = is_valid_peo(g, order)
@@ -395,7 +395,7 @@ class TestOnePassFrontEnd:
             for f in reference_candidate_branch_sets(cg, len(cliques) - 1, 4)[:60]:
                 gp = augmented_graph(g, cliques, f)
                 orders = [list(_mcs(gp)[0]), _simplicial_order(gp, rng.choice)]
-                orders += [rng.sample(gp.vertices, gp.n) for _ in range(2)]
+                orders += [rng.sample(gp.vertices, len(gp.vertices)) for _ in range(2)]
                 for order in orders:
                     _assert_matches_references(gp, order)
                     ok = is_valid_peo(gp, order)

@@ -311,7 +311,7 @@ MID_SIZE_SHA256 = "a62d2cd20eaa8f05ac45c2534f4911fcd91874ac70afd0ae19d1e9cfab577
 class TestRandomChordal:
     def test_single_vertex(self):
         g = random_chordal(1, seed=7)
-        assert g.n == 1
+        assert len(g.vertices) == 1
 
     def test_bad_n_rejected(self):
         with pytest.raises(ValueError):
@@ -330,7 +330,7 @@ class TestRandomChordal:
         # is connected rather than given up.
         for seed in range(2):
             g = random_chordal(n, density=density, seed=seed)
-            assert g.n == n and g.is_connected()
+            assert len(g.vertices) == n and g.is_connected()
             assert isinstance(check_chordal(g), PerfectEliminationOrder)
 
     def test_corpus_unchanged(self, corpus):

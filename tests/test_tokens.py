@@ -34,6 +34,7 @@ from leafage.tokens import (
     AugmentingPath,
     TokenAssignment,
     TokenMove,
+    _TokenState,
     find_realizing_tree,
     minimize_leafage,
     minimize_leafage_with_trace,
@@ -95,7 +96,7 @@ class TestTokenAssignment:
         g, t, ta = demo
         assert ta.leaf_count() == len(t.leaves()) == 5
         for u in g.vertices:
-            assert ta.vertex_leaf_counts()[u] == t.vertex_leaf_count(u)
+            assert _TokenState(ta).vertex_leaves[u] == t.vertex_leaf_count(u)
 
     def test_corpus_degree_identities(self, corpus):
         for g, _ in corpus[:40]:
@@ -217,7 +218,7 @@ class TestMoves:
         assert state.ta.tokens is kept and state.ta == applied
         fresh = tokens_module._TokenState(applied)
         assert (state.sizes, state.starts, state.leaves) == (fresh.sizes, fresh.starts, fresh.leaves)
-        assert state.vertex_leaves == fresh.vertex_leaves == applied.vertex_leaf_counts()
+        assert state.vertex_leaves == fresh.vertex_leaves == _TokenState(applied).vertex_leaves
         assert state.realizable() == fresh.realizable()
         cover, bad = state._coverage
         assert bad == fresh._coverage[1]
@@ -306,9 +307,9 @@ class TestAugmentingPath:
         path = shortest_augmenting_path(ta)
         after = apply_path(ta, path)
         assert ta.leaf_count() == 5 and after.leaf_count() == 4
-        assert ta.vertex_leaf_counts()["a"] == 3 and after.vertex_leaf_counts()["a"] == 2
+        assert _TokenState(ta).vertex_leaves["a"] == 3 and _TokenState(after).vertex_leaves["a"] == 2
         for u in g.vertices:
-            assert after.vertex_leaf_counts()[u] <= ta.vertex_leaf_counts()[u]
+            assert _TokenState(after).vertex_leaves[u] <= _TokenState(ta).vertex_leaves[u]
 
     def test_every_move_individually_realizable(self, demo):
         _, _, ta = demo
@@ -378,7 +379,7 @@ trees = [tk.CliqueTree(t.cliques, frozenset(c)) for _, _, c in _walk(demo_graph(
 worse = next(
     ta for ta in map(tk.tokens_from_tree, trees)
     if ta.leaf_count() == before.leaf_count() - 1
-    and any(n > before.vertex_leaf_counts()[u] for u, n in ta.vertex_leaf_counts().items())
+    and any(n > tk._TokenState(before).vertex_leaves[u] for u, n in tk._TokenState(ta).vertex_leaves.items())
 )
 def bad(self, path):
     # Moves that turn the assignment into ``worse``: per token value, each
@@ -403,6 +404,13 @@ def bad(self, path):
     before = original(self, path)
     self.vertex_leaves["a"] -= 1
     return before
+""",
+    # The tree returned is the 5-leaf start tree, not one realizing the
+    # final assignment; only the counts checked against it tell.
+    "realizing tree": """
+def bad(self, path):
+    tk.find_realizing_tree = lambda ta: t
+    return original(self, path)
 """,
 }
 
@@ -609,7 +617,7 @@ def test_minimization_matches_reference(corpus, monkeypatch):
             assert kept_ta == ta
             assert realizable and is_realizable(ta)
             assert leaves == ta.leaf_count() == rec.leaves_after
-            assert vertex_leaves == ta.vertex_leaf_counts()
+            assert vertex_leaves == _TokenState(ta).vertex_leaves
         iterations += len(trace)
     assert iterations > 1000
 
@@ -648,7 +656,7 @@ def test_kept_move_decision_matches_full_decision(corpus):
             assert state.leaves == ta.leaf_count()
             assert state.sizes == [len(ta.tokens[i]) for i in range(len(cliques))]
             assert state.starts == [i for i in range(len(cliques)) if len(ta.tokens[i]) >= 3]
-            assert state.vertex_leaves == ta.vertex_leaf_counts()
+            assert state.vertex_leaves == _TokenState(ta).vertex_leaves
     assert decided[True] > 100 and decided[False] > 100
 
 

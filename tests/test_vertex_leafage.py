@@ -141,6 +141,16 @@ class TestCliqueTreeWithBranching:
         assert len(f) >= len(cliques)
         assert clique_tree_with_branching(g, f) is None
 
+    def test_cyclic_branching_returns_none_unbuilt(self, monkeypatch):
+        # K_{1,4}: fewer pairs than cliques, but three that close a cycle,
+        # so the centre-ban check returns None before any tree is built.
+        g = parse_graph("e c w\ne c x\ne c y\ne c z\n")
+        f = frozenset({(0, 1), (1, 2), (0, 2)})
+        assert len(f) < len(chordal_cliques(g))
+        calls = count_calls(monkeypatch, leafage.vertex_leafage, "build_clique_tree")
+        assert clique_tree_with_branching(g, f) is None
+        assert calls == []
+
     def test_oversized_malformed_branching_raises(self):
         # The path's end cliques are disjoint: the pair is checked before
         # the size of the set is.
