@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 from dataclasses import dataclass
@@ -15,7 +16,6 @@ from .graphs import (
     _connected_cliques,
     _path,
     _sorted_adjacency,
-    chordal_cliques,
 )
 from .tokens import CertificateError
 
@@ -101,99 +101,34 @@ def _spanning_forests(blocks: list[list[tuple[int, int]]], cap: int) -> int:
     return count
 
 
-def _walk(g: Graph, limit: int | None) -> Iterator[tuple[int, int, list[tuple[int, int]]]]:
-    """Every clique tree of ``g`` once, in canonical order, with its leaf counts.
+def _forests(steps: list, size: int, forest: Forest, chosen: list, lanes: int) -> Iterator[int]:
+    """Every spanning forest of some blocks once, in canonical order, by take-before-skip.
 
-    A clique tree is one spanning forest of each weight class's nodes,
-    chosen independently (``Cliques.class_nodes``), so the trees number the
-    product of the classes' spanning-forest counts, taken block by block
-    (``Cliques.blocks``, :func:`_block_trees`).  That count is known before the walk: past the
-    cap, the walk raises :class:`OracleLimitError` before the first tree.
-    At the end it must equal the trees walked, or the walk raises
-    :class:`CertificateError`.
-
-    A bridge of a class's multigraph lies in every spanning forest
-    (``Cliques.forced``), so every bridge is linked into one
-    :class:`Forest` on the nodes once, before the walk, and never undone.
-    A simple path between two nodes of
-    one block stays in that block, so no bridge changes whether a block
-    edge's nodes are apart or meet.  The walk then goes over the block
-    edges in canonical order, taking each edge before skipping it.  It
-    takes an edge iff the edge's nodes are still apart, and skips it iff
-    they still meet through the chosen edges and the later edges of its
-    block.  Every search node thus reaches a tree, and the trees come in
-    lexicographic order of their sorted edges.  The walk keeps its own
-    stack, so long inputs cannot hit the recursion limit.
-
-    Consecutive trees share most of their edges, so the leaf counts are
-    kept by each take's delta and taken back on its undo.  A slot is a
-    vertex in one of its cliques; its degree is the number of chosen edges
-    at that clique whose intersection holds the vertex, and the vertex's
-    subtree leaves are its slots of degree 1.  The host tree counts as one
-    more vertex, held by every clique.  Yields (host leaves, max vertex
-    leaf count, chosen edges) per tree, the edges indexing the clique list
-    of ``g``; the edge list is the walk's own and changes as the walk goes on.
+    ``steps`` holds the blocks' pairs in canonical order, each as (pair,
+    its two class nodes, its block's node pairs, the index of the next one,
+    its lane mask), and a spanning forest of the blocks has ``size`` pairs.
+    The search takes a pair before it skips it.  It takes a pair iff the
+    pair's nodes are still apart in ``forest``, and skips it iff they still
+    meet through the taken pairs and the later pairs of its block.  A
+    simple path between two nodes of one block stays in that block, so
+    nothing outside the blocks is linked, and every search node reaches a
+    forest: the forests come in lexicographic order of their sorted pairs.
+    Each taken pair is appended to ``chosen`` and its mask added to
+    ``lanes``; at each forest the search yields ``lanes``, with ``chosen``
+    ending in the forest's pairs.  It keeps its own stack, so long inputs
+    cannot hit the recursion limit, and leaves ``forest`` and ``chosen`` as
+    it found them.
     """
-    cap = tree_limit() if limit is None else limit
-    cliques = chordal_cliques(g)
-    k = len(cliques)
-    ends, node_count = cliques.class_nodes
-    # Per pair in a block with a cycle: the block's node pairs and the
-    # index of the next one.
-    cyclic: list[list[tuple[int, int]]] = []
-    later: dict[tuple[int, int], tuple[list, int]] = {}
-    for block in cliques.blocks:
-        if len(block) > 1:
-            cyclic.append([ends[e] for e in block])
-            for pos, e in enumerate(block, 1):
-                later[e] = (cyclic[-1], pos)
-    total = _spanning_forests(cyclic, cap)
-    if total > cap:
-        raise OracleLimitError(f"the graph has more than {cap} clique trees")
-    # One leaf counter per vertex, then the host's at n.  The host's slot at
-    # clique i is slot i; the vertices' slots follow.
-    n = len(g.vertices)
-    counter = {u: i for i, u in enumerate(g.vertices)}
-    slot: dict[tuple[str, int], int] = {}
-    for i, c in enumerate(cliques):
-        for u in c:
-            slot[u, i] = k + len(slot)
-    # Per pair some clique tree holds, in canonical order: the pair, its two
-    # class nodes, its block's node pairs with the index of the next one,
-    # or None for a bridge, and the (counter, slot) pairs a take shifts.
-    steps: list[tuple[tuple[int, int], int, int, list | None, int, list]] = []
-    for (a, b), (x, y) in ends.items():
-        touch = [(n, a), (n, b)]
-        for u in cliques[a] & cliques[b]:
-            touch += [(counter[u], slot[u, a]), (counter[u], slot[u, b])]
-        steps.append(((a, b), x, y, *later.get((a, b), (None, 0)), touch))
-    steps.sort()
-    forest = Forest(node_count)
-    chosen: list[tuple[int, int]] = []
-    degree = [0] * (k + len(slot))
-    leaves = [0] * (n + 1)
-    count = 0
-
-    def shift(touch: list[tuple[int, int]], d: int) -> None:
-        for c, s in touch:
-            old = degree[s]
-            degree[s] = old + d
-            leaves[c] += (old + d == 1) - (old == 1)
-
-    for edge, x, y, pairs, _, touch in steps:
-        if pairs is None:
-            forest.union(x, y)
-            chosen.append(edge)
-            shift(touch, 1)
-    steps = [step for step in steps if step[3] is not None]
+    stop = len(chosen) + size
 
     def meet(x: int, y: int, pairs: list[tuple[int, int]], start: int) -> bool:
-        # Whether x and y meet through the chosen edges and pairs[start:]:
-        # link those in until they do, then take the links back.
+        # Whether x and y meet through the taken pairs and pairs[start:]:
+        # link those in until they do, then take the links back.  Indexed,
+        # not sliced: a slice would copy the block's later pairs each time.
         linked = 0
         met = False
-        for p, q in pairs[start:]:
-            if forest.union(p, q):
+        for i in range(start, len(pairs)):
+            if forest.union(*pairs[i]):
                 linked += 1
                 met = forest.find(x) == forest.find(y)
                 if met:
@@ -202,29 +137,163 @@ def _walk(g: Graph, limit: int | None) -> Iterator[tuple[int, int, list[tuple[in
             forest.undo()
         return met
 
-    # Frames: (idx, False) decides edge idx; (idx, True) undoes taking it
-    # and then skips it if a tree without it remains.
+    # Frames: (idx, False) decides pair idx; (idx, True) undoes taking it
+    # and then skips it if a forest without it remains.
     stack = [(0, False)]
     while stack:
         idx, taken = stack.pop()
         if taken:
             forest.undo()
             chosen.pop()
-            _, x, y, pairs, start, touch = steps[idx]
-            shift(touch, -1)
+            _, x, y, pairs, start, mask = steps[idx]
+            lanes -= mask
             if meet(x, y, pairs, start):
                 stack.append((idx + 1, False))
             continue
-        if len(chosen) == k - 1:
-            count += 1
-            yield leaves[n], max(leaves[:n]), chosen
+        if len(chosen) == stop:
+            yield lanes
             continue
-        edge, x, y, _, _, touch = steps[idx]
+        pair, x, y, _, _, mask = steps[idx]
         if forest.union(x, y):
-            chosen.append(edge)
-            shift(touch, 1)
+            chosen.append(pair)
+            lanes += mask
             stack.append((idx, True))
         stack.append((idx + 1, False))
+
+
+def _product(listed: list, chosen: list, lanes: int, level: int = 0) -> Iterator[int]:
+    """Every choice of one forest from each of ``listed[level:]``, the first list outermost.
+
+    Each list holds a group's forests as (pairs, lane sum).  Yields
+    ``lanes`` plus the chosen forests' sums, with ``chosen`` ending in
+    their pairs, and leaves ``chosen`` as it found it.
+    """
+    mark = len(chosen)
+    for pairs, add in listed[level]:
+        chosen[mark:] = pairs
+        if level + 1 < len(listed):
+            yield from _product(listed, chosen, lanes + add, level + 1)
+        else:
+            yield lanes + add
+    del chosen[mark:]
+
+
+def _walk(g: Graph, limit: int | None) -> Iterator[tuple[int, int, list[tuple[int, int]]]]:
+    """Every clique tree of ``g`` once, in canonical order, with its leaf counts.
+
+    A clique tree is one spanning forest of each weight class's nodes,
+    chosen independently (``Cliques.class_nodes``), and a spanning forest
+    is one spanning tree of each block of the class's multigraph
+    (``Cliques.blocks``).  So the trees number the product of the blocks'
+    counts (:func:`_block_trees`), known before the walk: past the cap, the
+    walk raises :class:`OracleLimitError` before the first tree.  At the
+    end it must equal the trees walked, or the walk raises
+    :class:`CertificateError`.  ``g`` must be nonempty and connected, or
+    the walk raises :class:`InputError`.
+
+    A bridge, a block of one pair, lies in every clique tree
+    (``Cliques.forced``), so the walk decides only the pairs of the other
+    blocks.  In canonical order, those pairs split into groups, the
+    maximal runs that no block straddles.  A tree's sorted decided pairs
+    are then one spanning forest of each group, group after group, and the
+    trees in lexicographic order of their sorted pairs are the product of
+    each group's forests in that order, the first group outermost.
+    :func:`_forests` searches the first group's forests as the walk goes,
+    and lists each later group's once, before the first tree.  Each group
+    has a block with a cycle, so two or more forests, and the listed
+    forests number at most (tree count) / (forests of the first group).
+
+    The leaf counts are kept as the walk goes.  A slot is a vertex in one
+    of its cliques; its degree is the number of chosen pairs at that clique
+    whose intersection holds the vertex, and the vertex's subtree leaves
+    are its slots of degree 1.  The host tree counts as one more vertex,
+    held by every clique.  The degree of every slot some decided pair
+    touches is a w-bit lane of one integer, w = k.bit_length() + 1, whose
+    top bit is a guard that stays 0, a degree being at most k - 1.  Each
+    pair's mask has a 1 in the lowest
+    bit of the lanes it touches, so a take adds the mask and its undo
+    subtracts it, and the lanes of degree 1 are the guard bits set in
+    ``high & ~(((lanes ^ ones) | high) - ones)``.  The slots only bridges
+    touch keep one degree throughout, so their leaves are counted once,
+    before the walk.  Yields (host leaves, max vertex leaf count, chosen
+    pairs) per tree, the pairs indexing the clique list of ``g``; the list
+    is the walk's own and changes as the walk goes on.
+    """
+    cap = tree_limit() if limit is None else limit
+    cliques = _connected_cliques(g)
+    ends, node_count = cliques.class_nodes
+    cyclic = sorted(block for block in cliques.blocks if len(block) > 1)
+    nodes = [[ends[e] for e in block] for block in cyclic]
+    total = _spanning_forests(nodes, cap)
+    if total > cap:
+        raise OracleLimitError(f"the graph has more than {cap} clique trees")
+    w = len(cliques).bit_length() + 1
+
+    def slots(a: int, b: int) -> tuple[tuple[str | None, int], ...]:
+        # The slots a take of (a, b) shifts; the host is the vertex None.
+        return ((None, a), (None, b), *[(u, x) for u in cliques[a] & cliques[b] for x in (a, b)])
+
+    # A lane per slot some decided pair touches.  The groups, each as its
+    # steps and the number of pairs in a spanning forest of its blocks; a
+    # block starting past every earlier block's last pair starts a group.
+    lane: dict[tuple[str | None, int], int] = {}
+    groups: list[tuple[list, int]] = []
+    last = (-1, -1)
+    for block, pairs in zip(cyclic, nodes):
+        if block[0] > last:
+            groups.append(([], 0))
+        steps, size = groups[-1]
+        for pos, e in enumerate(block, 1):
+            mask = 0
+            for s in slots(*e):
+                mask |= 1 << w * lane.setdefault(s, len(lane))
+            steps.append((e, *ends[e], pairs, pos, mask))
+        groups[-1] = steps, size + len(set(itertools.chain(*pairs))) - 1
+        last = max(last, block[-1])
+    for steps, _ in groups:
+        steps.sort()
+    # The bridges are chosen throughout: they start the lanes, and the
+    # other slots they touch keep their degree.
+    start = 0
+    degree: dict[tuple[str | None, int], int] = {}
+    chosen = sorted(cliques.forced)
+    for e in chosen:
+        for s in slots(*e):
+            if s in lane:
+                start += 1 << w * lane[s]
+            else:
+                degree[s] = degree.get(s, 0) + 1
+    # Per vertex: its leaves at slots only bridges touch, and the guard
+    # bits of its lanes.
+    fixed: dict[str | None, int] = {}
+    for (u, _), d in degree.items():
+        if d == 1:
+            fixed[u] = fixed.get(u, 0) + 1
+    guards: dict[str | None, int] = {}
+    for (u, _), i in lane.items():
+        guards[u] = guards.get(u, 0) | 1 << w * i + w - 1
+    host, host_guards = fixed.pop(None, 0), guards.pop(None, 0)
+    varying = [(fixed.pop(u, 0), m) for u, m in guards.items()]
+    top = max(fixed.values(), default=0)
+    ones = ((1 << w * len(lane)) - 1) // ((1 << w) - 1)
+    high = ones << w - 1
+    (first, first_size), *later = groups or [([], 0)]
+    forest = Forest(node_count)
+    listed = []
+    for steps, size in later:
+        edges: list[tuple[int, int]] = []
+        listed.append([(edges[:], add) for add in _forests(steps, size, forest, edges, 0)])
+    count = 0
+    for part in _forests(first, first_size, forest, chosen, start):
+        for lanes in _product(listed, chosen, part) if listed else (part,):
+            one = high & ~(((lanes ^ ones) | high) - ones)
+            vl = top
+            for base, m in varying:
+                c = base + (one & m).bit_count()
+                if c > vl:
+                    vl = c
+            count += 1
+            yield host + (one & host_guards).bit_count(), vl, chosen
     if count != total:
         raise CertificateError(
             f"the walk found {count} clique trees but the matrix-tree count is {total}"

@@ -2,16 +2,19 @@
 
 import hashlib
 import itertools
+import math
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 from conftest import check_clique_tree_of, enumerate_clique_trees, spider_graph
-from leafage.cliquetrees import CliqueTree, build_clique_tree
+from leafage.cliquetrees import CliqueTree, build_clique_tree, check_clique_tree
 from leafage.demo import demo_clique_tree, demo_graph
 from leafage.graphs import (
     Forest,
     Graph,
+    InputError,
     PerfectEliminationOrder,
     _blocks,
     _connected_cliques,
@@ -260,6 +263,76 @@ def test_walk_order_is_lexicographic(graphs):
         assert all(a < b for a, b in zip(walked, walked[1:]))
         trees += len(walked)
     assert trees > 4000
+
+
+def test_walk_matches_subset_reference(graphs):
+    """The walk lists exactly the clique trees among the (k - 1)-subsets of the intersecting pairs.
+
+    The reference shares no code with the walk: it tries every subset, in
+    lexicographic order, with ``check_clique_tree``.  It runs on each graph
+    with at most 20,000 subsets, among them graphs whose decided pairs split
+    into two or more groups (maximal runs in pair order that no block
+    straddles) and graphs where a block's pairs start before an earlier
+    block's end.
+    """
+    graphs_checked = subsets = split = interleaved = 0
+    for g in graphs:
+        cliques = chordal_cliques(g)
+        pairs = list(cliques.weights)
+        if math.comb(len(pairs), len(cliques) - 1) > 20_000:
+            continue
+        reference = []
+        for edges in itertools.combinations(pairs, len(cliques) - 1):
+            subsets += 1
+            try:
+                check_clique_tree(CliqueTree(cliques, frozenset(edges)))
+            except ValueError:
+                continue
+            reference.append(edges)
+        assert [tuple(sorted(chosen)) for _, _, chosen in _walk(g, None)] == reference
+        graphs_checked += 1
+        groups = crossed = 0
+        last = (-1, -1)
+        for block in sorted(block for block in cliques.blocks if len(block) > 1):
+            groups += block[0] > last
+            crossed |= block[0] < last
+            last = max(last, block[-1])
+        split += groups > 1
+        interleaved += crossed
+    assert (graphs_checked, subsets, split, interleaved) == (206, 13_349, 12, 10)
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, message",
+    [
+        (["a", "b"], [], "graph is disconnected"),
+        ([], [("a", "b"), ("c", "d")], "graph is disconnected"),
+        ([], [], "graph is empty"),
+    ],
+)
+def test_walk_rejects_unconnected_graphs(vertices, edges, message):
+    with pytest.raises(InputError, match=message):
+        next(_walk(Graph.from_edges(vertices, edges), None))
+
+
+def test_walk_memory_grows_linearly():
+    """Walking P_4000 peaks at most 2.5 times as high as walking P_2000.
+
+    The cliques are listed beforehand.  Every pair of a path's one clique
+    tree is a bridge, so the walk holds the class nodes, the blocks and one
+    degree per slot the bridges touch, all linear in the cliques.
+    """
+    peaks = []
+    for n in (2000, 4000):
+        g = Graph.from_edges([], [(f"p{i:04d}", f"p{i + 1:04d}") for i in range(n - 1)])
+        chordal_cliques(g)
+        tracemalloc.start()
+        try:
+            assert sum(1 for _ in _walk(g, None)) == 1
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2.5 * peaks[0]
 
 
 class TestOracleOptima:
