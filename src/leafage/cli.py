@@ -18,7 +18,7 @@ from typing import Iterable, NoReturn, Sequence
 
 import click
 
-from .cliquetrees import TreeModel, branching_sets, build_clique_tree
+from .cliquetrees import TreeModel, build_clique_tree
 from .demo import demo_clique_tree, demo_graph
 from .gadget import build_gadget, parse_clause_file, verify_reduction
 from .graphs import (
@@ -193,7 +193,7 @@ def vertex_leafage(graph_file, ell) -> None:
             "vertex_leafage": cert.value,
             "tree_edges": _edges_json(tree.cliques, tree.edges),
             "per_vertex_leaves": {u: cert.per_vertex[u] for u in sorted(cert.per_vertex)},
-            "branch_edge_set": _edges_json(tree.cliques, branching_sets(tree).incident_edges),
+            "branch_edge_set": _edges_json(tree.cliques, cert.branching),
         }
     )
 
@@ -203,15 +203,14 @@ def vertex_leafage(graph_file, ell) -> None:
 @click.option("--dot", is_flag=True, help="Emit the host tree in DOT format.")
 def model(graph_file, dot) -> None:
     """Tree model optimal for leafage and vertex leafage simultaneously."""
-    g = parse_graph(graph_file.read())
-    m, tree = simultaneous_optimum(g)
+    m, cert = simultaneous_optimum(parse_graph(graph_file.read()))
     if dot:
         _echo(_dot_model(m), nl=False)
         return
     _emit(
         {
-            "leafage": len(tree.leaves()),
-            "vertex_leafage": tree.max_vertex_leaf_count(g.vertices),
+            "leafage": len(cert.tree.leaves()),
+            "vertex_leafage": cert.value,
             "nodes": list(m.nodes),
             "edges": sorted(list(e) for e in m.edges),
             "subtrees": {u: sorted(m.subtrees[u]) for u in sorted(m.subtrees)},

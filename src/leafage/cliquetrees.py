@@ -45,21 +45,11 @@ class CliqueTree:
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self.adjacency[i]
 
-    def degree(self, i: int) -> int:
-        return len(self.adjacency[i])
-
     def leaves(self) -> list[int]:
         # A single-node tree has no leaves by convention.
         if len(self.cliques) == 1:
             return []
         return [i for i, ws in enumerate(self.adjacency) if len(ws) == 1]
-
-    def path(self, src: int, dst: int) -> list[int]:
-        """Node sequence of the unique src-dst path."""
-        path = _path(self.adjacency, src, dst, range(len(self.cliques)))
-        if path is None:
-            raise ValueError(f"no path between nodes {src} and {dst}")
-        return path
 
     @cached_property
     def _vertex_leaves(self) -> Counter[str]:
@@ -100,7 +90,8 @@ def path_containment_violation(
     cannot reach over the tree edges whose intersection holds u (a
     :class:`Forest` of those edges tells), and k the first node of the i-j
     path that misses u.  This is *a* violation, not necessarily the
-    lexicographically first pair.
+    lexicographically first pair.  Raises ``ValueError`` when no tree edge
+    path joins i and j, so ``t`` does not span its cliques.
     """
     cliques = t.cliques
     holders = cliques.holders
@@ -118,8 +109,10 @@ def path_containment_violation(
     i = holders[u][0]
     root = forest.find(i)
     j = next(x for x in holders[u] if forest.find(x) != root)
-    k = next(x for x in t.path(i, j) if u not in cliques[x])
-    return (i, j, k)
+    path = _path(t.adjacency, i, j, range(len(cliques)))
+    if path is None:
+        raise ValueError(f"no path between nodes {i} and {j}")
+    return (i, j, next(x for x in path if u not in cliques[x]))
 
 
 def check_clique_tree(t: CliqueTree) -> None:
@@ -230,7 +223,7 @@ class BranchingSets:
 
 
 def branching_sets(t: CliqueTree) -> BranchingSets:
-    high = frozenset(i for i in range(len(t.cliques)) if t.degree(i) >= 3)
+    high = frozenset(i for i, ws in enumerate(t.adjacency) if len(ws) >= 3)
     incident = frozenset(e for e in t.edges if e[0] in high or e[1] in high)
     # Branching nodes are bounded by the leaf count; the edge set is
     # recorded but deliberately not bounded the same way (a star already has

@@ -41,11 +41,12 @@ BranchEdgeSet = frozenset[tuple[int, int]]
 
 @dataclass(frozen=True)
 class VlCertificate:
-    """Vertex leafage with a realizing clique tree and per-vertex leaf counts."""
+    """Vertex leafage with a realizing clique tree, its leaf counts and branching edges."""
 
     value: int
     tree: CliqueTree
     per_vertex: Mapping[str, int]
+    branching: BranchEdgeSet  # the set F the search realized; empty on a path
 
 
 def _marker_name(edge: tuple[int, int]) -> str:
@@ -400,15 +401,16 @@ def vertex_leafage_bounded(g: Graph, ell: int | None = None) -> VlCertificate | 
         )
     if len(tree.leaves()) != leafage:
         raise CertificateError(f"the tree has {len(tree.leaves())} leaves, not the leafage {leafage}")
-    return VlCertificate(max(per_vertex.values()), tree, per_vertex)
+    return VlCertificate(max(per_vertex.values()), tree, per_vertex, f)
 
 
-def simultaneous_optimum(g: Graph) -> tuple[TreeModel, CliqueTree]:
+def simultaneous_optimum(g: Graph) -> tuple[TreeModel, VlCertificate]:
     """Tree model realizing minimum host leaves and minimum vertex leafage.
 
     The tree of ``vertex_leafage_bounded`` has least vertex leafage and, as
     it checks, exactly leafage leaves, so its model realizes both optima at
     once.  Its vertex leafage is counted again from the tree as a check.
+    Returns the model and the certificate it was built from.
     """
     cert = vertex_leafage_bounded(g)
     if cert is None:
@@ -418,4 +420,4 @@ def simultaneous_optimum(g: Graph) -> tuple[TreeModel, CliqueTree]:
         raise CertificateError(
             f"recounting the tree moved the vertex leafage from {cert.value} to {vl}"
         )
-    return model_from_clique_tree(cert.tree), cert.tree
+    return model_from_clique_tree(cert.tree), cert

@@ -156,7 +156,7 @@ def test_criterion_6_boundary_cases(corpus):
     for k in (1, 2, 3, 4, 5):
         verts = [f"u{i}" for i in range(k)]
         g = Graph.from_edges(verts, list(itertools.combinations(verts, 2)))
-        m, tree = simultaneous_optimum(g)
+        m, _ = simultaneous_optimum(g)
         report = leaf_report(m)
         assert (report.host_leaves, report.max_vertex_leaves) == (0, 0)
 
@@ -169,7 +169,7 @@ def test_criterion_6_boundary_cases(corpus):
             if max(l1, l2) <= min(r1, r2):
                 edges.append((a, b))
         g = Graph.from_edges(list(intervals), edges)
-        m, tree = simultaneous_optimum(g)
+        m, _ = simultaneous_optimum(g)
         report = leaf_report(m)
         assert report.host_leaves == 2
         # Host is a path: every node has at most two neighbours.

@@ -110,6 +110,7 @@ def test_search_and_generator_match_references(search_graphs, reference_candidat
         cert = vertex_leafage_bounded(g)
         assert cert.value == vl
         assert cert.tree.edges == tree.edges
+        assert cert.branching == branching_sets(cert.tree).incident_edges
     assert len(search_graphs) == 14 + 31 + 6
 
 

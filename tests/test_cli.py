@@ -14,9 +14,11 @@ import leafage.gadget
 import leafage.graphs
 from conftest import count_calls
 from leafage.cli import _json_text, main
+from leafage.cliquetrees import CliqueTree
 from leafage.demo import DEMO_EDGE_LIST
 from leafage.gadget import build_gadget, parse_clause_file
 from leafage.graphs import format_edge_list
+from leafage.oracle import random_chordal
 
 FOUR_CYCLE = "e a b\ne b c\ne c d\ne d a\n"
 PATH_GRAPH = "e a b\ne b c\ne c d\n"
@@ -124,6 +126,18 @@ class TestModel:
         assert res.output.startswith("graph model {")
         assert res.output.rstrip().endswith("}")
         assert '"n000" -- "n001";' in res.output
+
+    @pytest.mark.parametrize(
+        "text",
+        [DEMO_EDGE_LIST, format_edge_list(random_chordal(60, density=0.3, seed=2))],
+        ids=["demo", "random-60-0.3-2"],
+    )
+    def test_vertex_leafage_recounted_once(self, runner, monkeypatch, text):
+        # The printed counts come from the certificate; only the check in
+        # simultaneous_optimum recounts the tree.
+        calls = count_calls(monkeypatch, CliqueTree, "max_vertex_leaf_count")
+        assert invoke(runner, ["model", "-"], text).exit_code == 0
+        assert len(calls) == 1
 
 
 class TestGadget:

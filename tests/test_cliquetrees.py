@@ -17,7 +17,7 @@ from leafage.cliquetrees import (
     path_containment_violation,
 )
 from leafage.demo import demo_clique_tree, demo_graph
-from leafage.graphs import Forest, Graph, chordal_cliques, clique_graph
+from leafage.graphs import Forest, Graph, _path, chordal_cliques, clique_graph
 from leafage.oracle import _walk
 
 
@@ -47,7 +47,7 @@ class TestCliqueTree:
 
     def test_path_endpoints(self, demo):
         _, t = demo
-        p = t.path(8, 0)  # de .. abc
+        p = _path(t.adjacency, 8, 0, range(len(t.cliques)))  # de .. abc
         assert p[0] == 8 and p[-1] == 0
         for a, b in zip(p, p[1:]):
             assert (min(a, b), max(a, b)) in t.edges
@@ -97,6 +97,17 @@ class TestVerifyCliqueTree:
         t = CliqueTree((frozenset("ab"),), frozenset())
         with pytest.raises(ValueError, match="maximal cliques"):
             check_clique_tree_of(g, t)
+
+    @pytest.mark.parametrize(
+        "cliques, edges",
+        [(("ab", "ac"), ()), (("ab", "bc", "cd"), ((1, 2),))],
+        ids=["no-edges", "one-edge-of-two"],
+    )
+    def test_path_containment_on_non_spanning_edges_raises(self, cliques, edges):
+        # The witness's i-j path does not exist: a ValueError, not a TypeError.
+        t = CliqueTree(tuple(map(frozenset, cliques)), frozenset(edges))
+        with pytest.raises(ValueError, match="no path between nodes 0 and 1"):
+            path_containment_violation(t)
 
     def test_path_containment_witness_shape(self, demo):
         _, t = demo
@@ -227,7 +238,7 @@ def _pairwise_violation(t: CliqueTree):
             common = t.cliques[i] & t.cliques[j]
             if not common:
                 continue
-            for k in t.path(i, j):
+            for k in _path(t.adjacency, i, j, range(n)):
                 if not common <= t.cliques[k]:
                     return (i, j, k)
     return None
@@ -264,7 +275,7 @@ class TestLinearContainmentCheck:
                 invalid += 1
                 i, j, k = witness
                 assert i < j
-                assert k in tree.path(i, j)
+                assert k in _path(tree.adjacency, i, j, range(len(tree.cliques)))
                 assert not tree.cliques[i] & tree.cliques[j] <= tree.cliques[k]
         assert invalid >= 100
 

@@ -81,7 +81,7 @@ class TestTokenAssignment:
     def test_degree_identity_host(self, demo):
         _, t, ta = demo
         # Token counts equal host-tree degrees.
-        assert all(len(ta.tokens[i]) == t.degree(i) for i in range(len(t.cliques)))
+        assert all(len(ta.tokens[i]) == len(t.adjacency[i]) for i in range(len(t.cliques)))
 
     def test_degree_identity_per_vertex(self, demo):
         g, t, ta = demo
@@ -102,7 +102,7 @@ class TestTokenAssignment:
         for g, _ in corpus[:40]:
             t = build_clique_tree(clique_graph(chordal_cliques(g)))
             ta = tokens_from_tree(t)
-            assert all(len(ta.tokens[i]) == t.degree(i) for i in range(len(t.cliques)))
+            assert all(len(ta.tokens[i]) == len(t.adjacency[i]) for i in range(len(t.cliques)))
             assert sum(map(len, ta.tokens.values())) == 2 * (len(t.cliques) - 1)
 
     def test_token_outside_clique_rejected(self):

@@ -322,7 +322,7 @@ class TestSimultaneousOptimum:
 
     def test_demo_graph(self):
         g = demo_graph()
-        m, tree = simultaneous_optimum(g)
+        m, _ = simultaneous_optimum(g)
         report = leaf_report(m)
         assert report.host_leaves == 3
         assert report.max_vertex_leaves == 2
@@ -331,7 +331,7 @@ class TestSimultaneousOptimum:
         # The path tree of vertex_leafage_bounded already has minimum
         # leafage; the model is not minimized a second time.
         calls = count_calls(monkeypatch, leafage.vertex_leafage, "minimize_leafage")
-        m, tree = simultaneous_optimum(parse_graph(PATH_GRAPH))
+        m, _ = simultaneous_optimum(parse_graph(PATH_GRAPH))
         assert len(calls) == 1
         assert leaf_report(m).host_leaves == 2
 
@@ -341,7 +341,7 @@ class TestSimultaneousOptimum:
 
     def test_corpus_matches_both_optima(self, corpus):
         for g, result in corpus[:60]:
-            m, tree = simultaneous_optimum(g)
+            m, _ = simultaneous_optimum(g)
             report = leaf_report(m)
             assert report.host_leaves == result.leafage
             assert report.max_vertex_leaves == result.vertex_leafage
